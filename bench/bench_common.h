@@ -16,9 +16,7 @@
 #include <thread>
 #include <vector>
 
-#if defined(__linux__) || defined(__APPLE__)
 #include <sys/utsname.h>
-#endif
 
 #include "src/net/udp.h"
 #include "src/obs/json.h"
@@ -40,12 +38,10 @@ namespace ensemble {
 #endif
 
 inline std::string KernelRelease() {
-#if defined(__linux__) || defined(__APPLE__)
   struct utsname u;
   if (uname(&u) == 0) {
     return u.release;
   }
-#endif
   return "unknown";
 }
 

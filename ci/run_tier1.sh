@@ -130,7 +130,8 @@ run_smoke() {
   esac
 }
 
-cmake -B "$BUILD_DIR" -S . $CMAKE_FLAGS
+# Every leg builds with warnings as errors (CMake's own switch, 3.24+).
+cmake -B "$BUILD_DIR" -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON $CMAKE_FLAGS
 cmake --build "$BUILD_DIR" -j "$JOBS" $BUILD_TARGET
 cd "$BUILD_DIR"
 ctest --output-on-failure $CTEST_ARGS

@@ -8,27 +8,22 @@
 // plans, same view), so no negotiation is needed.
 //
 // Find() sits on the receive fast path (one lookup per bypass delivery), so
-// the table is an open-addressing flat hash rather than a std::map: one
-// Fibonacci multiply picks the bucket, a linear probe over a contiguous
-// array resolves it — typically zero probes past the home slot at our load
-// factors, no pointer chasing, no allocation after the table settles.
-// Deletion uses backward-shift (no tombstones), so probe chains never grow
-// stale; the table grows at ~70% occupancy.
+// the storage is the shared open-addressing FlatMap (src/util/flat_map.h).
+// What the table adds on top is its registration rule: an id stays bound to
+// the first route registered under it.
 
 #ifndef ENSEMBLE_SRC_BYPASS_CONN_TABLE_H_
 #define ENSEMBLE_SRC_BYPASS_CONN_TABLE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/bypass/compiler.h"
+#include "src/util/flat_map.h"
 
 namespace ensemble {
 
 class ConnTable {
  public:
-  ConnTable() { Rehash(kInitialCap); }
-
   // Registers a compiled route under its connection id.  Returns false on an
   // id collision with a different route (callers treat that as fatal — the
   // id space is 32 bits and stacks per process are few).
@@ -36,128 +31,20 @@ class ConnTable {
 
   // Same, under an explicit id: tests and the lookup microbench synthesize
   // many ids without compiling a stack per entry.  The table never
-  // dereferences `route`.
+  // dereferences `route`.  Re-registering the same route is ok.
   bool RegisterId(uint32_t key, RoutePair* route) {
-    if ((size_ + 1) * 10 >= slots_.size() * 7) {
-      Rehash(slots_.size() * 2);
-    }
-    size_t i = Home(key);
-    for (;;) {
-      Slot& s = slots_[i];
-      if (!s.used) {
-        s.used = true;
-        s.key = key;
-        s.route = route;
-        size_++;
-        return true;
-      }
-      if (s.key == key) {
-        return s.route == route;  // Re-register is ok; a different route isn't.
-      }
-      i = Next(i);
-    }
+    return map_.Insert(key, route) == route;
   }
 
-  void Unregister(uint32_t conn_id) {
-    size_t i = Home(conn_id);
-    for (;;) {
-      Slot& s = slots_[i];
-      if (!s.used) {
-        return;  // Not present.
-      }
-      if (s.key == conn_id) {
-        break;
-      }
-      i = Next(i);
-    }
-    // Backward-shift deletion: pull every displaced follower one slot up so
-    // probe chains stay gap-free without tombstones.
-    size_t hole = i;
-    for (size_t j = Next(hole);; j = Next(j)) {
-      Slot& s = slots_[j];
-      if (!s.used) {
-        break;
-      }
-      // A follower may move into the hole only if its home slot is not inside
-      // (hole, j] — i.e. the hole does not cut its probe chain.
-      size_t home = Home(s.key);
-      bool movable = hole <= j ? (home <= hole || home > j) : (home <= hole && home > j);
-      if (movable) {
-        slots_[hole] = s;
-        s.used = false;
-        hole = j;
-      }
-    }
-    slots_[hole].used = false;
-    slots_[hole].route = nullptr;
-    size_--;
-  }
+  void Unregister(uint32_t conn_id) { map_.Erase(conn_id); }
+  void Clear() { map_.Clear(); }
+  RoutePair* Find(uint32_t conn_id) const { return map_.Find(conn_id); }
 
-  void Clear() {
-    for (Slot& s : slots_) {
-      s.used = false;
-      s.route = nullptr;
-    }
-    size_ = 0;
-  }
-
-  RoutePair* Find(uint32_t conn_id) const {
-    size_t i = Home(conn_id);
-    for (;;) {
-      const Slot& s = slots_[i];
-      if (!s.used) {
-        return nullptr;
-      }
-      if (s.key == conn_id) {
-        return s.route;
-      }
-      i = Next(i);
-    }
-  }
-
-  size_t size() const { return size_; }
-  size_t capacity() const { return slots_.size(); }
+  size_t size() const { return map_.size(); }
+  size_t capacity() const { return map_.capacity(); }
 
  private:
-  static constexpr size_t kInitialCap = 16;  // Power of two, always.
-
-  struct Slot {
-    uint32_t key = 0;
-    bool used = false;
-    RoutePair* route = nullptr;
-  };
-
-  // Fibonacci hashing: the multiply spreads consecutive/structured conn ids
-  // across the high bits; shifting down by (32 - log2(cap)) picks the bucket.
-  size_t Home(uint32_t key) const {
-    return static_cast<size_t>((key * UINT32_C(2654435769)) >> shift_) & (slots_.size() - 1);
-  }
-  size_t Next(size_t i) const { return (i + 1) & (slots_.size() - 1); }
-
-  void Rehash(size_t cap) {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(cap, Slot{});
-    int log2 = 0;
-    while ((size_t{1} << log2) < cap) {
-      log2++;
-    }
-    shift_ = static_cast<uint32_t>(32 - log2);
-    size_ = 0;
-    for (const Slot& s : old) {
-      if (s.used) {
-        size_t i = Home(s.key);
-        while (slots_[i].used) {
-          i = Next(i);
-        }
-        slots_[i] = s;
-        size_++;
-      }
-    }
-  }
-
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
-  uint32_t shift_ = 28;  // 32 - log2(kInitialCap).
+  FlatMap<RoutePair> map_;
 };
 
 }  // namespace ensemble

@@ -1,12 +1,27 @@
 #include "src/net/udp.h"
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
+#include "src/net/udp_uring.h"
+#include "src/obs/trace.h"
 #include "src/util/logging.h"
 
-// Platform-independent pieces: name tables, the ENSEMBLE_INGRESS knob, the
-// shared-ingress test hook.
+#ifndef SOL_UDP
+#define SOL_UDP 17
+#endif
+#ifndef UDP_GRO
+#define UDP_GRO 104
+#endif
+
 namespace ensemble {
 
 const char* NetBackendName(NetBackend b) {
@@ -43,43 +58,7 @@ IngressMode ResolveIngressMode(IngressMode requested) {
 
 namespace {
 bool g_shared_ingress_forced_unavailable = false;
-}  // namespace
 
-void UdpNetwork::ForceSharedIngressUnavailableForTest(bool unavailable) {
-  g_shared_ingress_forced_unavailable = unavailable;
-}
-
-}  // namespace ensemble
-
-#if defined(__linux__) || defined(__APPLE__)
-
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cstring>
-
-#include "src/net/udp_uring.h"
-#include "src/obs/trace.h"
-#include "src/util/logging.h"
-
-#if defined(__linux__)
-#define ENSEMBLE_HAVE_MMSG 1
-#endif
-#ifndef SOL_UDP
-#define SOL_UDP 17
-#endif
-#ifndef UDP_GRO
-#define UDP_GRO 104
-#endif
-
-namespace ensemble {
-
-namespace {
 constexpr size_t kMaxDatagram = 65536;
 constexpr int kSocketBufBytes = 1 << 22;  // Headroom for bursty batched sends.
 
@@ -123,6 +102,10 @@ uint32_t LoadLe32(const uint8_t* p) {
 // small enough that a mostly-idle shard doesn't pin a large chunk alive.
 constexpr size_t kHdrArenaCount = 512;
 }  // namespace
+
+void UdpNetwork::ForceSharedIngressUnavailableForTest(bool unavailable) {
+  g_shared_ingress_forced_unavailable = unavailable;
+}
 
 // [kWireIngress][u32le src conn][u32le dst conn] — see wire_tags.h.  Carved
 // from hdr_arena_ so the per-send cost is a 9-byte slice, not a malloc; the
@@ -289,9 +272,6 @@ bool UdpNetwork::EnableSharedIngress(uint16_t group_port) {
   if (g_shared_ingress_forced_unavailable) {
     return unsupported();
   }
-#if !defined(SO_REUSEPORT)
-  return unsupported();
-#else
   listener_.fd = OpenUdpSocket();
   if (listener_.fd < 0) {
     return unsupported();
@@ -328,7 +308,6 @@ bool UdpNetwork::EnableSharedIngress(uint16_t group_port) {
     engine_->AddSocket(listener_.fd, 0);
   }
   return true;
-#endif
 }
 
 void UdpNetwork::DisableSharedIngress() {
@@ -713,7 +692,6 @@ void UdpNetwork::FlushEndpoint(Endpoint& ep) {
     }
     addrs[i] = LoopbackAddr(ep.ring[i].port);
   }
-#if defined(ENSEMBLE_HAVE_MMSG)
   std::vector<mmsghdr> msgs(n);
   for (size_t i = 0; i < n; i++) {
     std::memset(&msgs[i], 0, sizeof(msgs[i]));
@@ -740,23 +718,6 @@ void UdpNetwork::FlushEndpoint(Endpoint& ep) {
     }
     done += static_cast<size_t>(sent);
   }
-#else
-  for (size_t i = 0; i < n; i++) {
-    msghdr msg;
-    std::memset(&msg, 0, sizeof(msg));
-    msg.msg_name = &addrs[i];
-    msg.msg_namelen = sizeof(addrs[i]);
-    msg.msg_iov = iov.data() + starts[i];
-    msg.msg_iovlen = (i + 1 < n ? starts[i + 1] : iov.size()) - starts[i];
-    stats_.send_syscalls++;
-    if (sendmsg(ep.fd, &msg, 0) >= 0) {
-      stats_.sent++;
-      stats_.bytes_sent += ep.ring[i].gather.size();
-    } else {
-      stats_.dropped++;
-    }
-  }
-#endif
   ep.ring.clear();
 }
 
@@ -775,26 +736,7 @@ void UdpNetwork::Flush() {
 void UdpNetwork::PrewarmRecvBuffers(size_t chunks) { recv_pool_.Prewarm(chunks); }
 
 void UdpNetwork::ScheduleTimer(VTime delay, TimerFn fn) {
-  timers_.push(Timer{NowNanos() + delay, timer_seq_++, std::move(fn)});
-  timer_depth_ = timers_.size();
-}
-
-size_t UdpNetwork::RunDueTimers() {
-  // Due timers are collected first: firing may schedule new ones.
-  VTime now = NowNanos();
-  std::vector<TimerFn> due;
-  while (!timers_.empty() && timers_.top().due <= now) {
-    due.push_back(std::move(const_cast<Timer&>(timers_.top()).fn));
-    timers_.pop();
-  }
-  timer_depth_ = timers_.size();
-  for (TimerFn& fn : due) {
-    fn();
-  }
-  if (!due.empty()) {
-    ENS_TRACE(kTimerFire, -1, due.size(), 0);
-  }
-  return due.size();
+  timers_.Schedule(NowNanos() + delay, std::move(fn));
 }
 
 // Per-call budget for the shared-listener drain.  Unlike a per-endpoint
@@ -857,9 +799,7 @@ size_t UdpNetwork::DrainOneBatched(Endpoint& state, EndpointId ep,
   }
   std::vector<sockaddr_in> addrs(vlen);
   std::vector<iovec> iov(vlen);
-#if defined(ENSEMBLE_HAVE_MMSG)
   std::vector<mmsghdr> msgs(vlen);
-#endif
   while (!ingress || events < kIngressDrainBudget) {
     for (size_t i = 0; i < vlen; i++) {
       if (recv_bufs_[i].empty()) {
@@ -867,8 +807,6 @@ size_t UdpNetwork::DrainOneBatched(Endpoint& state, EndpointId ep,
       }
       iov[i] = iovec{recv_bufs_[i].MutableData(), kMaxDatagram};
     }
-    size_t got = 0;
-#if defined(ENSEMBLE_HAVE_MMSG)
     for (size_t i = 0; i < vlen; i++) {
       std::memset(&msgs[i], 0, sizeof(msgs[i]));
       msgs[i].msg_hdr.msg_name = &addrs[i];
@@ -882,7 +820,7 @@ size_t UdpNetwork::DrainOneBatched(Endpoint& state, EndpointId ep,
     if (n <= 0) {
       break;
     }
-    got = static_cast<size_t>(n);
+    size_t got = static_cast<size_t>(n);
     for (size_t i = 0; i < got; i++) {
       if (ingress) {
         DeliverIngress(recv_bufs_[i].Slice(0, msgs[i].msg_len));
@@ -902,41 +840,6 @@ size_t UdpNetwork::DrainOneBatched(Endpoint& state, EndpointId ep,
       }
       events++;
     }
-#else
-    // No recvmmsg on this platform: recvmsg per datagram, still pooled.
-    msghdr msg;
-    std::memset(&msg, 0, sizeof(msg));
-    msg.msg_name = &addrs[0];
-    msg.msg_namelen = sizeof(addrs[0]);
-    msg.msg_iov = &iov[0];
-    msg.msg_iovlen = 1;
-    stats_.recv_syscalls++;
-    ssize_t n = recvmsg(state.fd, &msg, 0);
-    if (n < 0) {
-      break;
-    }
-    got = 1;
-    if (ingress) {
-      DeliverIngress(recv_bufs_[0].Slice(0, static_cast<size_t>(n)));
-      recv_bufs_[0] = Bytes();
-      events++;
-      if (got < vlen) {
-        break;
-      }
-      continue;
-    }
-    Packet packet;
-    auto src = by_port_.find(ntohs(addrs[0].sin_port));
-    packet.src = src != by_port_.end() ? src->second : EndpointId{0};
-    packet.dst = ep;
-    packet.datagram = recv_bufs_[0].Slice(0, static_cast<size_t>(n));
-    recv_bufs_[0] = Bytes();
-    stats_.delivered++;
-    if (state.deliver) {
-      state.deliver(packet);
-    }
-    events++;
-#endif
     if (got < vlen) {
       break;  // Socket drained.
     }
@@ -1022,7 +925,10 @@ size_t UdpNetwork::Poll() {
       hook();
     }
   }
-  size_t timers = RunDueTimers();
+  size_t timers = timers_.RunDue(NowNanos());
+  if (timers > 0) {
+    ENS_TRACE(kTimerFire, -1, timers, 0);
+  }
   // The wire is caught up on Poll() exit: everything staged by deliveries,
   // drain hooks, or timer callbacks goes out before we return.
   Flush();
@@ -1032,12 +938,7 @@ size_t UdpNetwork::Poll() {
 void UdpNetwork::IdleWait(VTime max_wait) {
   // Block until traffic arrives, another thread calls Wakeup(), the next
   // timer is due, or `max_wait` passes — whichever is first.
-  VTime wait = max_wait;
-  if (!timers_.empty()) {
-    VTime now = NowNanos();
-    VTime until_timer = timers_.top().due > now ? timers_.top().due - now : 0;
-    wait = std::min(wait, until_timer);
-  }
+  VTime wait = std::min(max_wait, timers_.NanosUntilNext(NowNanos()));
   if (active_ == NetBackend::kUring) {
     // The multishot recvs and the ring-registered waker poll make every wake
     // source a CQE; the sleep is one io_uring_enter with an EXT_ARG timeout.
@@ -1087,68 +988,3 @@ size_t UdpNetwork::PollFor(VTime duration) {
 }
 
 }  // namespace ensemble
-
-#else  // Unsupported platform: every operation reports failure loudly.
-
-#include "src/net/udp_uring.h"
-#include "src/util/logging.h"
-
-namespace ensemble {
-UdpNetwork::UdpNetwork() = default;
-UdpNetwork::~UdpNetwork() = default;
-void UdpNetwork::set_backend_config(NetBackendConfig config) {
-  cfg_ = config;
-  active_ = NetBackend::kEager;  // No sockets anyway.
-}
-void UdpNetwork::ResolveBackend() {}
-void UdpNetwork::UringQuiesce(int) {}
-void UdpNetwork::Attach(EndpointId, DeliverFn) {
-  ok_ = false;
-  LogUnsupportedOnce("UdpNetwork::Attach");
-}
-void UdpNetwork::Detach(EndpointId) {}
-void UdpNetwork::Send(EndpointId, EndpointId, const Iovec&) {
-  ok_ = false;
-  stats_.dropped++;
-  LogUnsupportedOnce("UdpNetwork::Send");
-}
-void UdpNetwork::Broadcast(EndpointId, const Iovec&) {
-  ok_ = false;
-  stats_.dropped++;
-  LogUnsupportedOnce("UdpNetwork::Broadcast");
-}
-void UdpNetwork::Flush() {}
-void UdpNetwork::AddPeer(EndpointId, uint16_t) {}
-UdpNetwork::ReleasedEndpoint UdpNetwork::Release(EndpointId) { return {}; }
-void UdpNetwork::Adopt(EndpointId, ReleasedEndpoint) {}
-bool UdpNetwork::EnableSharedIngress(uint16_t) {
-  ingress_unavailable_ = true;
-  LogUnsupportedOnce(
-      "SO_REUSEPORT shared ingress (falling back to per-endpoint sockets)");
-  return false;
-}
-void UdpNetwork::DisableSharedIngress() { ingress_unavailable_ = true; }
-bool UdpNetwork::DeliverToLocal(const Packet&) { return false; }
-void UdpNetwork::DeliverIngress(Bytes) {}
-void UdpNetwork::IdleWait(VTime) {}
-void UdpNetwork::SetDrainHook(EndpointId, std::function<void()>) {}
-void UdpNetwork::PrewarmRecvBuffers(size_t) {}
-void UdpNetwork::ScheduleTimer(VTime, TimerFn) {
-  ok_ = false;
-  LogUnsupportedOnce("UdpNetwork::ScheduleTimer");
-}
-size_t UdpNetwork::Poll() { return 0; }
-size_t UdpNetwork::PollFor(VTime) { return 0; }
-size_t UdpNetwork::PollWait(VTime) { return 0; }
-uint16_t UdpNetwork::PortOf(EndpointId) const { return 0; }
-size_t UdpNetwork::RunDueTimers() { return 0; }
-size_t UdpNetwork::DrainSockets() { return 0; }
-size_t UdpNetwork::DrainOneEager(Endpoint&, EndpointId, bool) { return 0; }
-size_t UdpNetwork::DrainOneBatched(Endpoint&, EndpointId, bool) { return 0; }
-void UdpNetwork::Enqueue(Endpoint&, uint16_t, const Iovec&) {}
-void UdpNetwork::FlushEndpoint(Endpoint&) {}
-void UdpNetwork::SendEager(int, uint16_t, const Iovec&) {}
-void UdpNetwork::SendSharedWire(EndpointId, EndpointId, const Iovec&) {}
-}  // namespace ensemble
-
-#endif

@@ -14,9 +14,7 @@
 //     sendmmsg(2) when the ring fills or Flush() is called; sockets drain
 //     with recvmmsg(2) straight into refcounted pool-backed buffers, so a
 //     received payload is never copied after the kernel wrote it (the slices
-//     handed to DeliverFn alias the pool chunk).  Platforms without the mmsg
-//     syscalls fall back to a sendmsg/recvmsg loop behind the same interface
-//     and the same staging semantics; only the syscall counters differ.
+//     handed to DeliverFn alias the pool chunk).
 //   kUring — an io_uring submission/completion ring pair (UringEngine,
 //     udp_uring.h) replaces the per-burst syscalls entirely: multishot
 //     receives into registered pool chunks, batched send submission with UDP
@@ -39,36 +37,41 @@
 // socket.  Endpoints attach without sockets; every outgoing datagram gains a
 // 9-byte kWireIngress preheader ([tag][u32le src conn][u32le dst conn]) and
 // is sent to the group port, and the single listener drains the whole shard
-// in one recvmmsg/uring-multishot loop.  A flat-hash demux table (ConnTable
-// idiom) routes each received datagram to its endpoint by conn id; ids that
-// don't resolve locally go to the shared-miss handler (the sharded runtime
-// forwards them to the owning shard over its rings) or count as demux_miss
-// drops.  The dedicated send socket matters on loopback: it keeps each
-// shard's outbound traffic one stable kernel flow, so SO_REUSEPORT's
-// flow-hash lands a given sender's datagrams on one listener deterministically
-// and per-sender FIFO survives.  Kernels without SO_REUSEPORT fall back to
-// per-endpoint sockets via LogUnsupportedOnce (see EnableSharedIngress).
+// in one recvmmsg/uring-multishot loop.  A flat-hash demux table (FlatMap,
+// the same map the bypass ConnTable uses) routes each received datagram to
+// its endpoint by conn id; ids that don't resolve locally go to the
+// shared-miss handler (the sharded runtime forwards them to the owning shard
+// over its rings) or count as demux_miss drops.  The dedicated send socket
+// matters on loopback: it keeps each shard's outbound traffic one stable
+// kernel flow, so SO_REUSEPORT's flow-hash lands a given sender's datagrams on
+// one listener deterministically and per-sender FIFO survives.  When the
+// SO_REUSEPORT setup fails, the network falls back to per-endpoint sockets
+// via LogUnsupportedOnce (see EnableSharedIngress).
 //
 // Threading: a UdpNetwork belongs to one thread (its shard's worker).  The
-// only cross-thread entry point is Wakeup(), which pokes an eventfd/pipe so
+// only cross-thread entry point is Wakeup(), which pokes an eventfd so
 // an owner blocked in PollWait()/PollFor() returns immediately — that is how
 // the sharded runtime's rings get drained promptly while idle workers sleep
 // in poll(2) instead of spinning.
+//
+// Platform: Linux only (the build refuses other systems), so sendmmsg,
+// recvmmsg and eventfd are used directly.  Only io_uring keeps a runtime
+// fallback, because kernels and seccomp policies may refuse it.
 
 #ifndef ENSEMBLE_SRC_NET_UDP_H_
 #define ENSEMBLE_SRC_NET_UDP_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <vector>
-
-#include <functional>
 
 #include "src/net/network.h"
 #include "src/perf/timer.h"
+#include "src/util/flat_map.h"
 #include "src/util/pool.h"
+#include "src/util/timer_heap.h"
 #include "src/util/waker.h"
 
 namespace ensemble {
@@ -238,7 +241,7 @@ class UdpNetwork : public Network {
 
   // Timer-heap depth, maintained as a relaxed atomic so the overload
   // manager's gauge can read it from any thread.
-  uint64_t timer_depth() const { return timer_depth_.value(); }
+  uint64_t timer_depth() const { return timers_.depth(); }
 
   // See Network::SetDrainHook: hooks run after the last delivery of every
   // receive drain, before Poll() flushes the staging rings and returns.
@@ -308,121 +311,6 @@ class UdpNetwork : public Network {
     std::vector<Staged> ring;  // Outgoing staging ring (batch_sends).
   };
 
-  // Shared-ingress demux: u32 conn id → endpoint record (values point into
-  // endpoints_, whose std::map nodes are stable).  Same open-addressing
-  // flat-hash shape as bypass::ConnTable — Fibonacci multiply picks the
-  // bucket, linear probe resolves, backward-shift delete keeps probe chains
-  // gap-free — because Find() sits on the one-lookup-per-datagram receive
-  // fast path.
-  class IngressTable {
-   public:
-    IngressTable() { Rehash(kInitialCap); }
-
-    void Insert(uint32_t key, Endpoint* value) {
-      if ((size_ + 1) * 10 >= slots_.size() * 7) {
-        Rehash(slots_.size() * 2);
-      }
-      size_t i = Home(key);
-      while (slots_[i].used && slots_[i].key != key) {
-        i = Next(i);
-      }
-      if (!slots_[i].used) {
-        size_++;
-      }
-      slots_[i] = Slot{key, true, value};
-    }
-
-    Endpoint* Find(uint32_t key) const {
-      size_t i = Home(key);
-      for (;;) {
-        const Slot& s = slots_[i];
-        if (!s.used) {
-          return nullptr;
-        }
-        if (s.key == key) {
-          return s.value;
-        }
-        i = Next(i);
-      }
-    }
-
-    void Erase(uint32_t key) {
-      size_t i = Home(key);
-      for (;;) {
-        if (!slots_[i].used) {
-          return;
-        }
-        if (slots_[i].key == key) {
-          break;
-        }
-        i = Next(i);
-      }
-      size_t hole = i;
-      for (size_t j = Next(hole);; j = Next(j)) {
-        Slot& s = slots_[j];
-        if (!s.used) {
-          break;
-        }
-        size_t home = Home(s.key);
-        bool movable =
-            hole <= j ? (home <= hole || home > j) : (home <= hole && home > j);
-        if (movable) {
-          slots_[hole] = s;
-          s.used = false;
-          hole = j;
-        }
-      }
-      slots_[hole] = Slot{};
-      size_--;
-    }
-
-    size_t size() const { return size_; }
-
-   private:
-    static constexpr size_t kInitialCap = 16;  // Power of two, always.
-    struct Slot {
-      uint32_t key = 0;
-      bool used = false;
-      Endpoint* value = nullptr;
-    };
-    size_t Home(uint32_t key) const {
-      return static_cast<size_t>((key * UINT32_C(2654435769)) >> shift_) &
-             (slots_.size() - 1);
-    }
-    size_t Next(size_t i) const { return (i + 1) & (slots_.size() - 1); }
-    void Rehash(size_t cap) {
-      std::vector<Slot> old = std::move(slots_);
-      slots_.assign(cap, Slot{});
-      int log2 = 0;
-      while ((size_t{1} << log2) < cap) {
-        log2++;
-      }
-      shift_ = static_cast<uint32_t>(32 - log2);
-      size_ = 0;
-      for (const Slot& s : old) {
-        if (s.used) {
-          size_t i = Home(s.key);
-          while (slots_[i].used) {
-            i = Next(i);
-          }
-          slots_[i] = s;
-          size_++;
-        }
-      }
-    }
-    std::vector<Slot> slots_;
-    size_t size_ = 0;
-    uint32_t shift_ = 28;  // 32 - log2(kInitialCap).
-  };
-  struct Timer {
-    VTime due;
-    uint64_t seq;  // FIFO tiebreak for equal due times.
-    TimerFn fn;
-    bool operator>(const Timer& o) const {
-      return due != o.due ? due > o.due : seq > o.seq;
-    }
-  };
-
   // Staging auto-flush threshold after backpressure: 1 under pressure.
   size_t EffectiveSendBatch() const {
     return pressure_.load(std::memory_order_relaxed) > 0 ? 1 : cfg_.send_batch;
@@ -446,7 +334,6 @@ class UdpNetwork : public Network {
   // Parses the kWireIngress preheader, strips it, and demuxes: local hit →
   // deliver; miss → shared-miss handler or counted drop.
   void DeliverIngress(Bytes datagram);
-  size_t RunDueTimers();
   // Resolves cfg_.backend (auto-detection, uring setup, fallback) into
   // active_, creating or tearing down the engine as needed.
   void ResolveBackend();
@@ -470,7 +357,10 @@ class UdpNetwork : public Network {
   bool ingress_unavailable_ = false;  // Enable failed once; don't self-retry.
   Endpoint listener_;
   Endpoint tx_;
-  IngressTable demux_;
+  // Shared-ingress demux: u32 conn id → endpoint record (values point into
+  // endpoints_, whose std::map nodes are stable).  Find() sits on the
+  // one-lookup-per-datagram receive path.
+  FlatMap<Endpoint> demux_;
   SharedMissFn miss_;
   // Preheader arena: headers for many sends share one refcounted chunk; the
   // chunk is released once the last in-flight preheader slice drops its ref.
@@ -480,10 +370,7 @@ class UdpNetwork : public Network {
   std::map<EndpointId, uint16_t> peers_;  // Remote endpoints (other shards).
   std::map<uint16_t, EndpointId> by_port_;
   std::map<EndpointId, std::function<void()>> drain_hooks_;
-  // Min-heap on due time (was: unsorted vector scanned per poll).
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
-  uint64_t timer_seq_ = 0;
-  RelaxedCounter timer_depth_;     // Mirrors timers_.size() for gauges.
+  TimerHeap timers_;
   std::atomic<int> pressure_{0};   // Overload backpressure level.
   BufferPool recv_pool_{65536};  // One chunk holds any datagram.
   std::vector<Bytes> recv_bufs_;  // Reusable recvmmsg targets.

@@ -1,6 +1,6 @@
 #include "src/net/udp_uring.h"
 
-#if defined(__linux__) && !defined(ENSEMBLE_URING_OFF)
+#if !defined(ENSEMBLE_URING_OFF)
 
 #include <linux/io_uring.h>
 #include <netinet/in.h>
@@ -889,7 +889,7 @@ void UringEngine::RemoveSocket(int fd) {
 
 }  // namespace ensemble
 
-#else  // !__linux__ || ENSEMBLE_URING_OFF: inert stubs; callers fall back.
+#else  // ENSEMBLE_URING_OFF: inert stubs; callers fall back.
 
 namespace ensemble {
 

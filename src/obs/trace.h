@@ -7,7 +7,7 @@
 // best-effort on a live run) reconstruct oldest-first order from the head.
 //
 // Cost model, because the bypass fast path is the whole point of this repo:
-//   ENSEMBLE_TRACE=OFF build  — ENS_TRACE expands to nothing; zero bytes.
+//   ENSEMBLE_TRACE=OFF build  — ENS_TRACE emits no code; zero bytes.
 //   runtime disabled (default) — one relaxed atomic load + predicted branch.
 //   runtime enabled            — the load, a TLS lookup, and a ring store.
 //
@@ -112,8 +112,14 @@ void TraceToThreadRing(TraceKind kind, int32_t member, uint64_t a, uint64_t b);
 
 #if defined(ENSEMBLE_TRACE_OFF)
 inline constexpr bool kTraceCompiledIn = false;
-#define ENS_TRACE(kind, member, a, b) \
-  do {                                \
+// The arguments still appear in unevaluated operands: no code is emitted, but
+// a variable computed only for a trace site does not trip -Wunused-variable.
+#define ENS_TRACE(kind, member, a, b)                  \
+  do {                                                 \
+    (void)sizeof(::ensemble::obs::TraceKind::kind);    \
+    (void)sizeof(member);                              \
+    (void)sizeof(a);                                   \
+    (void)sizeof(b);                                   \
   } while (0)
 #else
 inline constexpr bool kTraceCompiledIn = true;

@@ -6,14 +6,10 @@
 #include <fstream>
 #include <sstream>
 
-#if defined(__linux__)
 #include <elf.h>
 #include <unistd.h>
-#endif
 
 namespace ensemble {
-
-#if defined(__linux__)
 
 namespace {
 
@@ -150,20 +146,6 @@ std::vector<const SymbolInfo*> ElfSymbolTable::FindAllByNameSubstring(
   }
   return out;
 }
-
-#else  // !__linux__
-
-ElfSymbolTable::ElfSymbolTable() = default;
-const SymbolInfo* ElfSymbolTable::FindByAddress(const void*) const { return nullptr; }
-const SymbolInfo* ElfSymbolTable::FindByNameSubstring(const std::string&) const {
-  return nullptr;
-}
-std::vector<const SymbolInfo*> ElfSymbolTable::FindAllByNameSubstring(
-    const std::string&) const {
-  return {};
-}
-
-#endif
 
 uint64_t CodeSizeOf(const void* code_addr) {
   static const ElfSymbolTable table;

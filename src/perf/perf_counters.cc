@@ -2,16 +2,12 @@
 
 #include <cstring>
 
-#if defined(__linux__)
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
 #include <sys/syscall.h>
 #include <unistd.h>
-#endif
 
 namespace ensemble {
-
-#if defined(__linux__)
 
 namespace {
 int OpenCounter(uint32_t type, uint64_t config) {
@@ -76,14 +72,5 @@ std::vector<PerfCounterGroup::Reading> PerfCounterGroup::Stop() {
   }
   return out;
 }
-
-#else  // !__linux__
-
-PerfCounterGroup::PerfCounterGroup() = default;
-PerfCounterGroup::~PerfCounterGroup() = default;
-void PerfCounterGroup::Start() {}
-std::vector<PerfCounterGroup::Reading> PerfCounterGroup::Stop() { return {}; }
-
-#endif
 
 }  // namespace ensemble

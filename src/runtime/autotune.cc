@@ -1,35 +1,13 @@
 #include "src/runtime/autotune.h"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <thread>
 
 #include "src/runtime/runtime.h"
 #include "src/stack/engine.h"
 
 namespace ensemble {
-
-namespace {
-
-// Atomic double via bit pattern (the error EWMA is written by the retune
-// thread and read by a gauge callback during live snapshots).
-double LoadDouble(const std::atomic<uint64_t>& bits) {
-  uint64_t b = bits.load(std::memory_order_relaxed);
-  double d;
-  static_assert(sizeof d == sizeof b);
-  std::memcpy(&d, &b, sizeof d);
-  return d;
-}
-
-void StoreDouble(std::atomic<uint64_t>& bits, double d) {
-  uint64_t b;
-  std::memcpy(&b, &d, sizeof b);
-  bits.store(b, std::memory_order_relaxed);
-}
-
-}  // namespace
 
 std::string TuneDecision::Describe() const {
   char buf[192];
@@ -99,20 +77,6 @@ TuneDecision Autotuner::Choose(const perf::WorkloadDesc& w) const {
   }
   return best;
 }
-
-void Autotuner::Observe(double observed_msgs_per_sec, double predicted_msgs_per_sec) {
-  if (observed_msgs_per_sec <= 0 || predicted_msgs_per_sec <= 0) {
-    return;
-  }
-  double err = std::fabs(predicted_msgs_per_sec - observed_msgs_per_sec) /
-               observed_msgs_per_sec * 100.0;
-  double prev = LoadDouble(error_pct_bits_);
-  // EWMA, half-weight on the newest tick; first observation seeds directly.
-  double next = prev == 0 ? err : 0.5 * prev + 0.5 * err;
-  StoreDouble(error_pct_bits_, next);
-}
-
-double Autotuner::model_error_pct() const { return LoadDouble(error_pct_bits_); }
 
 perf::CostModel CalibrateWithRuntime(const perf::CalibrationConfig& config) {
   perf::CostModel m = perf::Calibrate(config);

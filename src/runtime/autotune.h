@@ -1,23 +1,15 @@
-// Online autotuner: the closed loop from measurement to configuration.
+// Autotuner: from a measured cost model to a runtime configuration.
 //
 // The ShardRuntime grew six interacting hand-tuned knobs (datapath backend,
 // batch depth, message packing, flush deadline, steal threshold, ingress
 // mode).  The autotuner enumerates the small discrete knob lattice against
-// the compositional cost model (src/perf/cost_model.h), applies the
-// predicted-best configuration at ShardRuntime start — replacing the kAuto
-// probe with model-driven selection — and re-evaluates on a slow timer from
-// live metric deltas.
+// the compositional cost model (src/perf/cost_model.h) and applies the
+// predicted-best configuration once, when the ShardRuntime is constructed —
+// replacing the kAuto probe with model-driven selection.  Every knob is
+// chosen before any worker starts, so none changes while the runtime runs.
 //
-// What the autotuner may change at runtime (on the owning worker threads,
-// through the rings): the datapath backend and batch depth — UdpNetwork
-// documents set_backend_config as safe at any time.  What it may NOT change
-// after Start(): packing and the flush deadline (baked into each endpoint's
-// transport at construction) and the steal threshold (read concurrently by
-// the workers).  Those are chosen once from the model at startup.
-//
-// Observability: three gauges on the runtime's registry —
+// Observability: two gauges on the runtime's registry —
 //   tune.predicted_msgs_per_sec  the model's prediction for the active knobs
-//   tune.model_error_pct         |predicted - observed|/observed, EWMA
 //   tune.active_config           KnobVector::Encode (see cost_model.cc for
 //                                the bit layout; bits 0-1 must agree with
 //                                net.backend_active, bit 2 with
@@ -26,7 +18,6 @@
 #ifndef ENSEMBLE_SRC_RUNTIME_AUTOTUNE_H_
 #define ENSEMBLE_SRC_RUNTIME_AUTOTUNE_H_
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -34,7 +25,7 @@
 
 namespace ensemble {
 
-// How a ShardRuntime resolves its cost model and runs the loop.  Model
+// How a ShardRuntime resolves its cost model and picks its knobs.  Model
 // resolution order: explicit `model` (have_model) > `costmodel_path` on disk
 // > Calibrate() when `calibrate` > CostModel::Defaults().
 struct AutotuneConfig {
@@ -50,11 +41,6 @@ struct AutotuneConfig {
   double cross_shard_fraction = 0.0;
   size_t burst = 256;
   bool steal_eligible = false;
-  // Live re-evaluation cadence (0 = decide once at start).  Each tick reads
-  // the delivered-message delta, updates the error EWMA, refines the
-  // scheduler terms from the live histograms, and re-chooses; backend/batch
-  // changes apply on the next tick's worker drains.
-  VTime retune_interval = 0;
 };
 
 struct TuneDecision {
@@ -69,7 +55,6 @@ class Autotuner {
   explicit Autotuner(perf::CostModel model) : model_(std::move(model)) {}
 
   const perf::CostModel& model() const { return model_; }
-  perf::CostModel* mutable_model() { return &model_; }
 
   // The discrete knob lattice: available backends x batch depths x pack
   // windows x flush deadlines x steal thresholds (thresholds collapse to the
@@ -81,14 +66,8 @@ class Autotuner {
   // Predicted-best configuration for `w` over the lattice.
   TuneDecision Choose(const perf::WorkloadDesc& w) const;
 
-  // Feeds one live observation; maintains the error EWMA read by the
-  // tune.model_error_pct gauge.  Thread-safe (atomics).
-  void Observe(double observed_msgs_per_sec, double predicted_msgs_per_sec);
-  double model_error_pct() const;
-
  private:
   perf::CostModel model_;
-  std::atomic<uint64_t> error_pct_bits_{0};  // double bit-pattern.
 };
 
 // Full calibration for runtimes: the perf-layer micro-runs plus a brief

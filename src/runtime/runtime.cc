@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "src/net/udp_uring.h"
 #include "src/obs/stats_adapters.h"
 #include "src/util/logging.h"
 
-#if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
-#endif
 
 namespace ensemble {
 
@@ -117,16 +114,11 @@ void ChannelNetwork::Broadcast(EndpointId src, const Iovec& gather) {
 }
 
 void ChannelNetwork::ScheduleTimer(VTime delay, TimerFn fn) {
-  timers_.push(Timer{NowNanos() + delay, timer_seq_++, std::move(fn)});
-  timer_depth_ = timers_.size();
+  timers_.Schedule(NowNanos() + delay, std::move(fn));
 }
 
 VTime ChannelNetwork::NanosUntilNextTimer() const {
-  if (timers_.empty()) {
-    return kVTimeNever;
-  }
-  VTime now = NowNanos();
-  return timers_.top().due > now ? timers_.top().due - now : 0;
+  return timers_.NanosUntilNext(NowNanos());
 }
 
 void ChannelNetwork::DeliverLocal(const Packet& packet) {
@@ -180,21 +172,11 @@ size_t ChannelNetwork::DrainQueues() {
 
 size_t ChannelNetwork::Poll() {
   size_t n = DrainQueues();
-  // Due timers, collected first (firing may schedule new ones).
-  VTime now = NowNanos();
-  std::vector<TimerFn> due;
-  while (!timers_.empty() && timers_.top().due <= now) {
-    due.push_back(std::move(const_cast<Timer&>(timers_.top()).fn));
-    timers_.pop();
+  size_t fired = timers_.RunDue(NowNanos());
+  if (fired > 0) {
+    ENS_TRACE(kTimerFire, -1, fired, 0);
   }
-  timer_depth_ = timers_.size();
-  for (TimerFn& fn : due) {
-    fn();
-  }
-  if (!due.empty()) {
-    ENS_TRACE(kTimerFire, -1, due.size(), 0);
-  }
-  return n + due.size();
+  return n + fired;
 }
 
 // ---- ShardRuntime ----------------------------------------------------------
@@ -304,15 +286,16 @@ void ShardRuntime::ApplyAutotune() {
   if (at.save_costmodel && !at.costmodel_path.empty()) {
     model.Save(at.costmodel_path);
   }
-  tuner_ = std::make_unique<Autotuner>(std::move(model));
+  Autotuner tuner(std::move(model));
 
-  workload_.msg_bytes = at.msg_bytes;
-  workload_.cross_shard_fraction = at.cross_shard_fraction;
-  workload_.burst = at.burst;
-  workload_.workers = std::max(1, config_.num_workers);
-  workload_.steal_eligible = at.steal_eligible && config_.steal.enabled;
-  workload_.stack_ns = perf::StackCostOf(tuner_->model(), config_.ep);
-  decision_ = tuner_->Choose(workload_);
+  perf::WorkloadDesc workload;
+  workload.msg_bytes = at.msg_bytes;
+  workload.cross_shard_fraction = at.cross_shard_fraction;
+  workload.burst = at.burst;
+  workload.workers = std::max(1, config_.num_workers);
+  workload.steal_eligible = at.steal_eligible && config_.steal.enabled;
+  workload.stack_ns = perf::StackCostOf(tuner.model(), config_.ep);
+  decision_ = tuner.Choose(workload);
   if (!decision_.valid) {
     return;
   }
@@ -332,8 +315,6 @@ void ShardRuntime::ApplyAutotune() {
   if (config_.steal.enabled) {
     config_.steal.min_imbalance = decision_.knobs.steal_min_imbalance;
   }
-  tune_predicted_.store(static_cast<uint64_t>(decision_.predicted.msgs_per_sec),
-                        std::memory_order_relaxed);
   LogOncePerProcess(LogLevel::kInfo, decision_.Describe());
 }
 
@@ -537,7 +518,7 @@ void ShardRuntime::RegisterMetrics() {
   metrics_.Counter("sched.credit_parks", &credit_parks_);
   metrics_.HistogramSource("sched.delivery_latency_ns", &delivery_latency_);
   metrics_.HistogramSource("sched.steal_duration_ns", &steal_duration_);
-  if (config_.autotune.enabled && tuner_ != nullptr) {
+  if (config_.autotune.enabled) {
     // tune.active_config records what actually runs: the backend bits come
     // from active_backend() (never a fallen-back request), so they agree
     // with net.backend_active by construction — a test asserts it.  The
@@ -552,17 +533,11 @@ void ShardRuntime::RegisterMetrics() {
     } else {
       active.backend = NetBackend::kEager;
     }
-    tune_active_.store(active.Encode(shared), std::memory_order_relaxed);
-    metrics_.Gauge("tune.predicted_msgs_per_sec", [this]() {
-      return static_cast<int64_t>(tune_predicted_.load(std::memory_order_relaxed));
-    });
-    metrics_.Gauge("tune.model_error_pct", [this]() {
-      return static_cast<int64_t>(std::llround(tuner_->model_error_pct()));
-    });
-    metrics_.Gauge("tune.active_config", [this]() {
-      return static_cast<int64_t>(tune_active_.load(std::memory_order_relaxed));
-    });
-    metrics_.Counter("tune.retunes", &retunes_);
+    // The decision is made once, before Start(), so both gauges are fixed.
+    int64_t predicted = static_cast<int64_t>(decision_.predicted.msgs_per_sec);
+    int64_t encoded = static_cast<int64_t>(active.Encode(shared));
+    metrics_.Gauge("tune.predicted_msgs_per_sec", [predicted]() { return predicted; });
+    metrics_.Gauge("tune.active_config", [encoded]() { return encoded; });
   }
   for (const auto& member : members_) {
     RegisterEndpointStats(metrics_, &member->stats());
@@ -607,58 +582,6 @@ void ShardRuntime::Start() {
   if (config_.stats_interval > 0) {
     snap_thread_ = std::thread([this] { SnapshotterLoop(); });
   }
-  if (config_.autotune.enabled && tuner_ != nullptr &&
-      config_.autotune.retune_interval > 0) {
-    tune_thread_ = std::thread([this] { RetuneLoop(); });
-  }
-}
-
-void ShardRuntime::RetuneLoop() {
-  uint64_t last_delivered = total_delivered();
-  uint64_t last_ns = NowNanos();
-  std::unique_lock<std::mutex> lock(tune_mu_);
-  while (!tune_cv_.wait_for(lock,
-                            std::chrono::nanoseconds(config_.autotune.retune_interval),
-                            [this] { return tune_stop_; })) {
-    lock.unlock();
-    uint64_t now = NowNanos();
-    uint64_t cur = total_delivered();
-    double secs = static_cast<double>(now - last_ns) / 1e9;
-    double observed =
-        secs > 0 ? static_cast<double>(cur - last_delivered) / secs : 0;
-    last_ns = now;
-    last_delivered = cur;
-    if (observed > 0) {
-      tuner_->Observe(observed, decision_.predicted.msgs_per_sec);
-      // Live re-evaluation: refresh the scheduler terms from the real
-      // histograms, re-run the lattice, and apply what is changeable at
-      // runtime — backend and batch depth, through each owner's ring
-      // (set_backend_config is documented safe on the owning thread).
-      perf::RefineFromMetrics(metrics_.Snapshot(), tuner_->mutable_model());
-      TuneDecision next = tuner_->Choose(workload_);
-      if (next.valid && (next.knobs.backend != decision_.knobs.backend ||
-                         next.knobs.batch != decision_.knobs.batch)) {
-        decision_.knobs.backend = next.knobs.backend;
-        decision_.knobs.batch = next.knobs.batch;
-        decision_.predicted = next.predicted;
-        retunes_++;
-        if (config_.backend == ShardBackend::kUdp) {
-          NetBackendConfig cfg = config_.net;
-          cfg.backend = next.knobs.backend;
-          cfg.send_batch = cfg.recv_batch = next.knobs.batch;
-          for (int s = 0; s < num_workers(); s++) {
-            Post(s, [this, s, cfg] {
-              workers_[static_cast<size_t>(s)]->udp->set_backend_config(cfg);
-            });
-          }
-        }
-        tune_predicted_.store(
-            static_cast<uint64_t>(decision_.predicted.msgs_per_sec),
-            std::memory_order_relaxed);
-      }
-    }
-    lock.lock();
-  }
 }
 
 void ShardRuntime::SnapshotterLoop() {
@@ -692,14 +615,6 @@ void ShardRuntime::Stop() {
     }
     snap_cv_.notify_all();
     snap_thread_.join();
-  }
-  if (tune_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(tune_mu_);
-      tune_stop_ = true;
-    }
-    tune_cv_.notify_all();
-    tune_thread_.join();
   }
   stop_.store(true, std::memory_order_release);
   for (int s = 0; s < num_workers(); s++) {
@@ -1059,7 +974,6 @@ void ShardRuntime::IdleBlock(int shard) {
 }
 
 void ShardRuntime::PinToCore(int shard) {
-#if defined(__linux__)
   unsigned cores = std::thread::hardware_concurrency();
   if (cores == 0) {
     return;
@@ -1070,10 +984,6 @@ void ShardRuntime::PinToCore(int shard) {
   if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
     ENS_LOG(kWarn) << "pin_cores: setaffinity failed for shard " << shard;
   }
-#else
-  (void)shard;
-  LogUnsupportedOnce("pin_cores (thread affinity)");
-#endif
 }
 
 void ShardRuntime::WorkerLoop(int shard) {

@@ -74,7 +74,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -85,6 +84,7 @@
 #include "src/overload/manager.h"
 #include "src/runtime/autotune.h"
 #include "src/util/mpsc_ring.h"
+#include "src/util/timer_heap.h"
 #include "src/util/waker.h"
 
 namespace ensemble {
@@ -185,7 +185,7 @@ struct ShardSchedStats {
   uint64_t steals = 0;            // Completed ownership handoffs.
   uint64_t steal_requests = 0;    // Requests posted (incl. declined).
   uint64_t credit_parks = 0;      // Senders that ran out of credits.
-  uint64_t wakeup_writes = 0;     // Real eventfd/pipe writes.
+  uint64_t wakeup_writes = 0;     // Real eventfd writes.
   uint64_t wakeups_coalesced = 0; // Wakeups absorbed by the dirty flag.
 };
 
@@ -255,19 +255,10 @@ class ChannelNetwork : public Network {
   // mirrors of the dispatch FIFO depth and timer-heap depth, updated by the
   // owning thread at every push/pop boundary.
   uint64_t dispatch_depth() const { return dispatch_depth_.value(); }
-  uint64_t timer_depth() const { return timer_depth_.value(); }
+  uint64_t timer_depth() const { return timers_.depth(); }
   uint64_t overload_sheds() const { return overload_sheds_.value(); }
 
  private:
-  struct Timer {
-    VTime due;
-    uint64_t seq;
-    TimerFn fn;
-    bool operator>(const Timer& o) const {
-      return due != o.due ? due > o.due : seq > o.seq;
-    }
-  };
-
   void RouteOne(EndpointId src, EndpointId dst, const Bytes& flat);
   void DeliverLocal(const Packet& packet);
 
@@ -276,13 +267,11 @@ class ChannelNetwork : public Network {
   std::map<EndpointId, DeliverFn> local_;
   std::map<EndpointId, std::function<void()>> drain_hooks_;
   std::deque<Packet> local_q_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
-  uint64_t timer_seq_ = 0;
+  TimerHeap timers_;
   NetworkStats stats_;
   std::atomic<int> pressure_{0};
   size_t shed_keep_ = 4096;
   RelaxedCounter dispatch_depth_;
-  RelaxedCounter timer_depth_;
   RelaxedCounter overload_sheds_;
 };
 
@@ -354,8 +343,7 @@ class ShardRuntime {
   ShardLoad LoadOf(int shard) const;
 
   // The autotuner's startup decision (valid only when config.autotune.enabled
-  // chose a configuration); knobs/predictions may be updated by the retune
-  // thread, so read after Stop() or before Start() for exact values.
+  // chose a configuration).  Fixed at construction.
   const TuneDecision& tune_decision() const { return decision_; }
 
   // The overload manager (nullptr unless config.overload.enabled).  Exposes
@@ -467,7 +455,6 @@ class ShardRuntime {
   // Constructor helper: resolves the cost model, picks the predicted-best
   // knob vector, and rewrites config_ before any worker is created.
   void ApplyAutotune();
-  void RetuneLoop();
   size_t DrainInbox(int shard);
   size_t DrainDeferred(int shard);
   void ProcessMsg(int shard, ShardMsg msg);
@@ -542,19 +529,8 @@ class ShardRuntime {
   std::condition_variable snap_cv_;
   bool snap_stop_ = false;
 
-  // Autotuning (config_.autotune.enabled).  decision_/workload_ belong to the
-  // main thread until Start(), then to the retune thread; the gauges read the
-  // atomics only.
-  std::unique_ptr<Autotuner> tuner_;
+  // Autotuning (config_.autotune.enabled): the startup decision.
   TuneDecision decision_;
-  perf::WorkloadDesc workload_;
-  std::atomic<uint64_t> tune_predicted_{0};  // msgs/sec, rounded.
-  std::atomic<uint32_t> tune_active_{0};     // KnobVector::Encode.
-  RelaxedCounter retunes_;
-  std::thread tune_thread_;
-  std::mutex tune_mu_;
-  std::condition_variable tune_cv_;
-  bool tune_stop_ = false;
 };
 
 }  // namespace ensemble

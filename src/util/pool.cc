@@ -1,12 +1,10 @@
 #include "src/util/pool.h"
 
-#include <cstring>
-#include <new>
-
-#if defined(__linux__)
 #include <sys/syscall.h>
 #include <unistd.h>
-#endif
+
+#include <cstring>
+#include <new>
 
 namespace ensemble {
 
@@ -15,13 +13,11 @@ namespace {
 // via raw syscall so we don't need libnuma or a glibc new enough for the
 // wrapper.
 int CurrentNumaNode() {
-#if defined(__linux__) && defined(SYS_getcpu)
   unsigned cpu = 0;
   unsigned node = 0;
   if (syscall(SYS_getcpu, &cpu, &node, nullptr) == 0) {
     return static_cast<int>(node);
   }
-#endif
   return -1;
 }
 }  // namespace

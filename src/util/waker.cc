@@ -1,50 +1,28 @@
 #include "src/util/waker.h"
 
-#if defined(__linux__) || defined(__APPLE__)
-
-#include <fcntl.h>
 #include <poll.h>
-#include <unistd.h>
-
-#if defined(__linux__)
 #include <sys/eventfd.h>
-#define ENSEMBLE_HAVE_EVENTFD 1
-#endif
+#include <unistd.h>
 
 namespace ensemble {
 
-Waker::Waker() {
-#if defined(ENSEMBLE_HAVE_EVENTFD)
-  read_fd_ = write_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-#else
-  int fds[2];
-  if (pipe(fds) == 0) {
-    read_fd_ = fds[0];
-    write_fd_ = fds[1];
-    fcntl(read_fd_, F_SETFL, fcntl(read_fd_, F_GETFL, 0) | O_NONBLOCK);
-    fcntl(write_fd_, F_SETFL, fcntl(write_fd_, F_GETFL, 0) | O_NONBLOCK);
-  }
-#endif
-}
+Waker::Waker() : fd_(eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
 
 Waker::~Waker() {
-  if (read_fd_ >= 0) {
-    close(read_fd_);
-  }
-  if (write_fd_ >= 0 && write_fd_ != read_fd_) {
-    close(write_fd_);
+  if (fd_ >= 0) {
+    close(fd_);
   }
 }
 
 void Waker::Notify() {
-  if (write_fd_ < 0) {
+  if (fd_ < 0) {
     return;
   }
   uint64_t one = 1;
-  // A full pipe / saturated eventfd counter still means "pending": the owner
-  // has unconsumed notifications, so a short or failed write loses nothing.
+  // A saturated eventfd counter still means "pending": the owner has
+  // unconsumed notifications, so a failed write loses nothing.
   stats_.notifies++;
-  [[maybe_unused]] ssize_t n = write(write_fd_, &one, sizeof(one));
+  [[maybe_unused]] ssize_t n = write(fd_, &one, sizeof(one));
 }
 
 void Waker::NotifyCoalesced() {
@@ -58,23 +36,22 @@ void Waker::NotifyCoalesced() {
 }
 
 void Waker::Drain() {
-  if (read_fd_ < 0) {
+  if (fd_ < 0) {
     return;
   }
   // Disarm before consuming: a NotifyCoalesced that lands mid-drain re-arms
-  // and performs a real write, which either this read loop or the owner's
-  // next poll(2) observes — never lost.
+  // and performs a real write, which either this read or the owner's next
+  // poll(2) observes — never lost.  One read resets the eventfd counter.
   armed_.store(false, std::memory_order_release);
-  uint64_t buf[8];
-  while (read(read_fd_, buf, sizeof(buf)) > 0) {
-  }
+  uint64_t count;
+  [[maybe_unused]] ssize_t n = read(fd_, &count, sizeof(count));
 }
 
 bool Waker::WaitFor(uint64_t ns) {
-  if (read_fd_ < 0) {
+  if (fd_ < 0) {
     return false;
   }
-  pollfd pfd{read_fd_, POLLIN, 0};
+  pollfd pfd{fd_, POLLIN, 0};
   int timeout_ms = static_cast<int>((ns + 999'999) / 1'000'000);
   int r = ::poll(&pfd, 1, timeout_ms);
   if (r > 0) {
@@ -85,26 +62,3 @@ bool Waker::WaitFor(uint64_t ns) {
 }
 
 }  // namespace ensemble
-
-#else  // Non-POSIX: no fd; waits degrade to plain sleeps.
-
-#include <chrono>
-#include <thread>
-
-#include "src/util/logging.h"
-
-namespace ensemble {
-
-Waker::Waker() { LogUnsupportedOnce("Waker (fd-based wakeup)"); }
-Waker::~Waker() = default;
-void Waker::Notify() {}
-void Waker::NotifyCoalesced() {}
-void Waker::Drain() { armed_.store(false, std::memory_order_release); }
-bool Waker::WaitFor(uint64_t ns) {
-  std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-  return false;
-}
-
-}  // namespace ensemble
-
-#endif

@@ -2,11 +2,9 @@
 //
 // An idle shard worker blocks in poll(2) on its sockets; when another thread
 // posts into its cross-shard ring it must break that sleep immediately.  The
-// Waker is an eventfd (Linux) or a non-blocking pipe (other POSIX) whose read
-// end joins the worker's poll set; Notify() is a single write(2) and is the
-// only operation that may be called from foreign threads.  On platforms with
-// neither, Notify is a no-op and WaitFor degrades to a plain sleep — callers
-// still make progress, just without prompt wakeups.
+// Waker is one non-blocking eventfd that joins the worker's poll set;
+// Notify() is a single write(2) and is the only operation that may be called
+// from foreign threads.
 
 #ifndef ENSEMBLE_SRC_UTIL_WAKER_H_
 #define ENSEMBLE_SRC_UTIL_WAKER_H_
@@ -51,17 +49,16 @@ class Waker {
   // granularity).  Returns true if a notification was consumed.
   bool WaitFor(uint64_t ns);
 
-  // Pollable read end for embedding in a caller-owned poll(2) set, or -1 when
-  // the platform has no fd to offer.
-  int fd() const { return read_fd_; }
+  // Pollable fd for embedding in a caller-owned poll(2) set, or -1 when
+  // eventfd(2) failed (fd exhaustion): Notify is then a no-op.
+  int fd() const { return fd_; }
 
-  bool ok() const { return read_fd_ >= 0; }
+  bool ok() const { return fd_ >= 0; }
 
   const WakerStats& stats() const { return stats_; }
 
  private:
-  int read_fd_ = -1;
-  int write_fd_ = -1;  // Same as read_fd_ for eventfd.
+  int fd_ = -1;
   // True between the first NotifyCoalesced of a burst and the next Drain().
   std::atomic<bool> armed_{false};
   WakerStats stats_;

@@ -215,17 +215,6 @@ TEST(AutotunerTest, RingKnobsStableOnLocalWorkloadsGrowUnderBursts) {
   EXPECT_EQ(d2.knobs.Label(), d.knobs.Label());
 }
 
-TEST(AutotunerTest, ObserveTracksErrorEwma) {
-  Autotuner tuner(perf::CostModel::Defaults());
-  EXPECT_DOUBLE_EQ(tuner.model_error_pct(), 0.0);
-  tuner.Observe(/*observed=*/100.0, /*predicted=*/120.0);
-  EXPECT_NEAR(tuner.model_error_pct(), 20.0, 1e-9);  // Seeded directly.
-  tuner.Observe(100.0, 100.0);
-  EXPECT_NEAR(tuner.model_error_pct(), 10.0, 1e-9);  // Half-weight decay.
-  tuner.Observe(0.0, 100.0);  // Degenerate ticks are ignored.
-  EXPECT_NEAR(tuner.model_error_pct(), 10.0, 1e-9);
-}
-
 // The contract the ISSUE's satellite asserts: the gauges the autotuner
 // exports must agree with what the network layer actually resolved — bits
 // 0-1 of tune.active_config are net.backend_active, bit 2 is
@@ -260,8 +249,6 @@ TEST(AutotunerTest, ActiveConfigGaugeAgreesWithNetworkGauges) {
   EXPECT_EQ(enc & 0x3u, snap.Value("net.backend_active"));
   EXPECT_EQ((enc >> 2) & 0x1u, snap.Value("net.ingress_mode"));
   EXPECT_GT(snap.Value("tune.predicted_msgs_per_sec"), 0u);
-  // Decide-once mode: no retune thread, error gauge stays at its seed.
-  EXPECT_EQ(snap.Value("tune.retunes"), 0u);
 }
 
 // Channel backend: the autotuner still decides (and the gauges still agree —

@@ -95,7 +95,7 @@ TEST(PerfCountersTest, StartStopNeverCrashes) {
   group.Start();
   volatile uint64_t sink = 0;
   for (int i = 0; i < 100000; i++) {
-    sink += static_cast<uint64_t>(i);
+    sink = sink + static_cast<uint64_t>(i);
   }
   auto readings = group.Stop();
   if (group.available()) {
@@ -113,7 +113,7 @@ TEST(PhaseTimerTest, AccumulatesAcrossStartStop) {
   t.Start();
   volatile int x = 0;
   for (int i = 0; i < 10000; i++) {
-    x += i;
+    x = x + i;
   }
   t.Stop();
   uint64_t first = t.total_ns();

@@ -1,4 +1,5 @@
-// Unit tests: RNG determinism, sequence windows, hashing, virtual time.
+// Unit tests: RNG determinism, sequence windows, hashing, virtual time,
+// the timer heap.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "src/util/pool.h"
 #include "src/util/rng.h"
 #include "src/util/seqwin.h"
+#include "src/util/timer_heap.h"
 #include "src/util/vtime.h"
 
 namespace ensemble {
@@ -165,6 +167,54 @@ TEST(VTimeTest, UnitConversions) {
   EXPECT_EQ(Millis(1), 1000u * 1000u);
   EXPECT_EQ(Seconds(1), 1000u * 1000u * 1000u);
   EXPECT_EQ(Millis(3) + Micros(500), 3500000u);
+}
+
+// Explicit `now` values: equal deadlines really are equal, so the FIFO
+// tiebreak is exercised (a wall-clock schedule never produces exact ties).
+TEST(TimerHeapTest, FiresByDeadlineThenFifoAmongEqualDeadlines) {
+  TimerHeap heap;
+  std::vector<int> order;
+  heap.Schedule(90, [&] { order.push_back(9); });
+  heap.Schedule(50, [&] { order.push_back(50); });
+  heap.Schedule(10, [&] { order.push_back(1); });
+  heap.Schedule(50, [&] { order.push_back(51); });
+  heap.Schedule(50, [&] { order.push_back(52); });
+  EXPECT_EQ(heap.NanosUntilNext(0), 10u);
+  EXPECT_EQ(heap.RunDue(9), 0u);  // Nothing due yet.
+  EXPECT_EQ(heap.RunDue(50), 4u);
+  EXPECT_EQ(order, (std::vector<int>{1, 50, 51, 52}));
+  EXPECT_EQ(heap.NanosUntilNext(60), 30u);
+  EXPECT_EQ(heap.NanosUntilNext(100), 0u);  // Overdue.
+  EXPECT_EQ(heap.RunDue(100), 1u);
+  EXPECT_EQ(heap.NanosUntilNext(100), kVTimeNever);
+}
+
+TEST(TimerHeapTest, TimerScheduledByCallbackWaitsForNextRunDue) {
+  TimerHeap heap;
+  int fired = 0;
+  heap.Schedule(5, [&] {
+    fired++;
+    heap.Schedule(5, [&] { fired += 10; });  // 0-delay: due at the same now.
+  });
+  EXPECT_EQ(heap.RunDue(5), 1u);
+  EXPECT_EQ(fired, 1);  // The re-armed timer did not fire in the same pass.
+  EXPECT_EQ(heap.size(), 1u);
+  EXPECT_EQ(heap.RunDue(5), 1u);
+  EXPECT_EQ(fired, 11);
+}
+
+TEST(TimerHeapTest, DepthMirrorFollowsSize) {
+  TimerHeap heap;
+  EXPECT_EQ(heap.depth(), 0u);
+  for (VTime due = 1; due <= 3; due++) {
+    heap.Schedule(due, [] {});
+    EXPECT_EQ(heap.depth(), heap.size());
+  }
+  EXPECT_EQ(heap.depth(), 3u);
+  heap.RunDue(2);
+  EXPECT_EQ(heap.depth(), 1u);
+  heap.RunDue(3);
+  EXPECT_EQ(heap.depth(), 0u);
 }
 
 TEST(LiveCounterTest, TracksLiveAndPeakWithClampedSub) {
