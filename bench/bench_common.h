@@ -31,7 +31,7 @@ namespace ensemble {
 // Every bench_* artifact opens with the same "header" block so results files
 // are comparable across machines and traceable to the tree that produced
 // them: git SHA (configure-time), host core count, kernel release, and the
-// backend/ingress a kAuto config would resolve to on this host.
+// backend a kAuto config would resolve to on this host.
 
 #ifndef ENSEMBLE_GIT_SHA
 #define ENSEMBLE_GIT_SHA "unknown"
@@ -57,19 +57,9 @@ inline std::string ResolvedAutoBackendName() {
   return NetBackendName(probe.active_backend());
 }
 
-inline std::string ResolvedAutoIngressName() {
-  UdpNetwork probe;
-  probe.set_backend_config(NetBackendConfig::Auto());
-  probe.Attach(EndpointId{1}, [](const Packet&) {});
-  if (!probe.ok()) {
-    return "unavailable";
-  }
-  return probe.shared_ingress() ? "shared" : "per_endpoint";
-}
-
 // Writes the common header block under "header" into an already-open object:
 //   {"header": {"bench": ..., "git_sha": ..., "host_cores": ...,
-//               "kernel": ..., "auto_backend": ..., "auto_ingress": ...}, ...}
+//               "kernel": ..., "auto_backend": ...}, ...}
 inline void AppendBenchHeader(obs::JsonWriter& w, const std::string& bench_name) {
   w.Key("header");
   w.BeginObject();
@@ -78,7 +68,6 @@ inline void AppendBenchHeader(obs::JsonWriter& w, const std::string& bench_name)
   w.KV("host_cores", static_cast<uint64_t>(std::thread::hardware_concurrency()));
   w.KV("kernel", KernelRelease());
   w.KV("auto_backend", ResolvedAutoBackendName());
-  w.KV("auto_ingress", ResolvedAutoIngressName());
   w.EndObject();
 }
 

@@ -86,8 +86,7 @@ std::vector<int> SkewedPlacement(int workers, int* pairs_out) {
   return placement;
 }
 
-SkewRow RunConfig(int workers, bool stealing, double warmup_secs, double measure_secs,
-                  IngressMode ingress) {
+SkewRow RunConfig(int workers, bool stealing, double warmup_secs, double measure_secs) {
   SkewRow row;
   row.stealing = stealing;
   row.workers = workers;
@@ -107,7 +106,6 @@ SkewRow RunConfig(int workers, bool stealing, double warmup_secs, double measure
   config.backend = ShardBackend::kUdp;
   config.num_workers = workers;
   config.net = NetBackendConfig::Batched(16);
-  config.net.ingress = ingress;
   config.initial_shard = placement;
   config.steal.enabled = stealing;
   config.steal.min_victim_load = 4;
@@ -210,14 +208,13 @@ std::string ResidentsJson(const std::vector<int>& residents) {
   return out;
 }
 
-void WriteJson(const std::vector<SkewRow>& rows, double ratio, const char* ingress) {
+void WriteJson(const std::vector<SkewRow>& rows, double ratio) {
   obs::JsonWriter w;
   w.BeginObject();
   AppendBenchHeader(w, "skew");
   w.KV("msg_bytes", static_cast<uint64_t>(kMsgSize));
   w.KV("window_per_pair", kWindow);
   w.KV("skew", "8:1");
-  w.KV("ingress", ingress);
   w.KV("steal_vs_static", ratio);
   w.Key("rows").BeginArray();
   for (const SkewRow& r : rows) {
@@ -249,22 +246,16 @@ int main(int argc, char** argv) {
   using namespace ensemble;
 
   bool smoke = false;
-  IngressMode ingress = IngressMode::kAuto;
   for (int i = 1; i < argc; i++) {
     if (std::string(argv[i]) == "--smoke") {
       smoke = true;
-    } else if (std::string(argv[i]) == "--ingress=shared") {
-      ingress = IngressMode::kShared;
-    } else if (std::string(argv[i]) == "--ingress=per_endpoint") {
-      ingress = IngressMode::kPerEndpoint;
     }
   }
-  const char* ingress_name = IngressModeName(ResolveIngressMode(ingress));
 
   unsigned host_cores = std::thread::hardware_concurrency();
   std::printf("Skewed-placement scheduling over kernel UDP loopback "
-              "(%zu-byte msgs, window %d/pair, host cores: %u, ingress: %s%s)\n",
-              kMsgSize, kWindow, host_cores, ingress_name, smoke ? ", smoke" : "");
+              "(%zu-byte msgs, window %d/pair, host cores: %u%s)\n",
+              kMsgSize, kWindow, host_cores, smoke ? ", smoke" : "");
   if (!UdpAvailable()) {
     return 0;
   }
@@ -277,7 +268,7 @@ int main(int argc, char** argv) {
               "msgs/sec", "p50_us", "p99_us", "steals", "final_residents");
   std::vector<SkewRow> rows;
   for (bool stealing : {false, true}) {
-    SkewRow row = RunConfig(workers, stealing, warmup, measure, ingress);
+    SkewRow row = RunConfig(workers, stealing, warmup, measure);
     if (row.delivered == 0) {
       return 0;  // No sockets.
     }
@@ -295,8 +286,8 @@ int main(int argc, char** argv) {
   PrintMetricsBlock("registry snapshot (stealing run, delta over the run):",
                     rows[1].metrics);
   // Smoke runs write the JSON too: CI asserts a valid BENCH_skew.json exists
-  // after the shared-ingress smoke leg.
-  WriteJson(rows, ratio, ingress_name);
+  // after the smoke run.
+  WriteJson(rows, ratio);
 
   // The stealing run exported TRACE_skew.json (only meaningful when the
   // trace path is compiled in); make sure it stays loadable.

@@ -44,7 +44,6 @@ struct Row {
   std::string backend;  // active_backend() — what actually ran.
   size_t sent = 0;
   size_t delivered = 0;
-  size_t sockets = 0;  // Kernel sockets the network owned (ingress tier).
   double secs = 0;
   double msgs_per_sec = 0;
   double syscalls_per_msg = 0;
@@ -121,60 +120,6 @@ Row RunRaw(const std::string& label, const NetBackendConfig& cfg,
     }
     net.Flush();
     // Drain the wave; a deadline guards against (unlikely) loopback loss.
-    uint64_t deadline = NowNanos() + Seconds(1);
-    while (got < sent && NowNanos() < deadline) {
-      net.Poll();
-    }
-  }
-  t.Stop();
-  row.sent = sent;
-  row.delivered = got;
-  FinishRow(&row, net.stats(), t.total_ns());
-  return row;
-}
-
-// ---- tier 1b: ingress model (per-endpoint sockets vs shared listener) ------
-//
-// One sender fans 64-byte messages round-robin across N receivers on the same
-// network.  Per-endpoint mode drains N+1 sockets per poll; shared mode binds
-// one SO_REUSEPORT listener and demuxes by conn id, so the drain cost (and
-// net.recv_syscalls) is independent of N — the property the acceptance
-// criterion asserts at N = 32.
-
-Row RunIngress(const std::string& label, size_t n_receivers, bool shared) {
-  Row row;
-  row.section = "ingress";
-  row.label = label;
-  NetBackendConfig cfg = NetBackendConfig::Batched(16);
-  cfg.ingress = shared ? IngressMode::kShared : IngressMode::kPerEndpoint;
-  UdpNetwork net;
-  net.set_backend_config(cfg);
-  row.backend = NetBackendName(net.active_backend());
-  EndpointId src{1};
-  size_t got = 0;
-  net.Attach(src, [](const Packet&) {});
-  for (size_t i = 0; i < n_receivers; i++) {
-    net.Attach(EndpointId{2 + i}, [&](const Packet&) { got++; });
-  }
-  if (!net.ok()) {
-    return row;
-  }
-  row.sockets = net.OwnedSocketCount();
-
-  Bytes payload = Bytes::Allocate(kMsgSize);
-  std::memset(payload.MutableData(), 0x5A, kMsgSize);
-
-  PhaseTimer t;
-  t.Start();
-  size_t sent = 0;
-  while (sent < kRawMsgs) {
-    size_t n = std::min(kWave, kRawMsgs - sent);
-    for (size_t i = 0; i < n; i++) {
-      EndpointId dst{2 + (sent + i) % n_receivers};
-      net.Send(src, dst, Iovec(payload));
-    }
-    sent += n;
-    net.Flush();
     uint64_t deadline = NowNanos() + Seconds(1);
     while (got < sent && NowNanos() < deadline) {
       net.Poll();
@@ -276,7 +221,6 @@ void WriteJson(const std::vector<Row>& rows) {
     w.KV("msg_bytes", static_cast<uint64_t>(kMsgSize));
     w.KV("sent", static_cast<uint64_t>(r.sent));
     w.KV("delivered", static_cast<uint64_t>(r.delivered));
-    w.KV("sockets", static_cast<uint64_t>(r.sockets));
     w.KV("seconds", r.secs);
     w.KV("msgs_per_sec", r.msgs_per_sec);
     w.KV("syscalls_per_msg", r.syscalls_per_msg);
@@ -350,37 +294,6 @@ int main(int argc, char** argv) {
                   r.syscalls_per_msg, r.syscalls_per_msg < 1.0 ? "<" : ">=");
     }
   }
-
-  std::printf("\n== Tier 1b: ingress model, 1 sender fanning to N receivers "
-              "(%zu msgs per config) ==\n", kRawMsgs);
-  std::vector<Row> ingress_rows;
-  ingress_rows.push_back(RunIngress("per-endpoint n=8", 8, false));
-  ingress_rows.push_back(RunIngress("shared n=8", 8, true));
-  ingress_rows.push_back(RunIngress("per-endpoint n=32", 32, false));
-  ingress_rows.push_back(RunIngress("shared n=32", 32, true));
-  PrintRows(ingress_rows);
-  for (const Row& r : ingress_rows) {
-    double recv_per_msg =
-        r.delivered == 0 ? 0
-                         : static_cast<double>(r.net.Value("net.recv_syscalls")) /
-                               static_cast<double>(r.delivered);
-    std::printf("  %-24s sockets=%zu recv_syscalls/msg=%.3f ingress_mode=%llu\n",
-                r.label.c_str(), r.sockets, recv_per_msg,
-                static_cast<unsigned long long>(r.net.Value("net.ingress_mode")));
-  }
-  if (ingress_rows[3].net.Value("net.ingress_mode") == 1 &&
-      ingress_rows[2].delivered > 0 && ingress_rows[3].delivered > 0) {
-    std::printf("\nshared vs per-endpoint at n=32: %.2fx msgs/sec, "
-                "recv syscalls/msg %.3f vs %.3f\n",
-                ingress_rows[3].msgs_per_sec / ingress_rows[2].msgs_per_sec,
-                static_cast<double>(ingress_rows[3].net.Value("net.recv_syscalls")) /
-                    static_cast<double>(ingress_rows[3].delivered),
-                static_cast<double>(ingress_rows[2].net.Value("net.recv_syscalls")) /
-                    static_cast<double>(ingress_rows[2].delivered));
-  } else if (ingress_rows[3].delivered > 0) {
-    std::printf("\nshared ingress unavailable here (rows ran per-endpoint)\n");
-  }
-  rows.insert(rows.end(), ingress_rows.begin(), ingress_rows.end());
 
   std::printf("\n== Tier 2: MACH 10-layer stack, bypass casts (%zu casts per config) ==\n",
               kStackCasts);

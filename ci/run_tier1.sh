@@ -7,14 +7,12 @@
 # the per-leg knobs (build dir, cmake flags, environment, test selection,
 # post-suite smoke benches), so adding a leg is one case arm.
 #
-#   (none)      full suite + skew scheduler smokes (per-endpoint and shared)
+#   (none)      full suite + skew scheduler smoke
 #   --tsan      separate tree, -DENSEMBLE_TSAN=ON: concurrency suite (MPSC
 #               ring + sharded runtime + observability) under ThreadSanitizer
 #   --notrace   separate tree, -DENSEMBLE_TRACE=OFF (ENS_TRACE compiled out)
 #   --nouring   separate tree, -DENSEMBLE_URING=OFF (io_uring stubbed): the
 #               mmsg fallback must carry every uring-tagged configuration
-#   --shared    full suite with ENSEMBLE_INGRESS=shared: every kAuto network
-#               on the SO_REUSEPORT shard-listener ingress
 #   --autotune  cost-model/autotuner tests + bench_autotune --smoke: the
 #               predict-before-measure gate plus strict validation of
 #               BENCH_autotune.json and COSTMODEL.json
@@ -41,7 +39,7 @@ CTEST_ARGS="-j $JOBS"
 SMOKES=""
 
 case "$LEG" in
-  default)  SMOKES="skew skew_shared" ;;
+  default)  SMOKES="skew" ;;
   tsan)     BUILD_DIR=build-tsan; CMAKE_FLAGS="-DENSEMBLE_TSAN=ON"
             BUILD_TARGET="--target ensemble_tests"
             # Any reported race fails the run even if the tests pass.
@@ -49,7 +47,6 @@ case "$LEG" in
             CTEST_ARGS="-R MpscRing|ShardRuntime|GroupHarnessSharded|Obs" ;;
   notrace)  BUILD_DIR=build-notrace; CMAKE_FLAGS="-DENSEMBLE_TRACE=OFF" ;;
   nouring)  BUILD_DIR=build-nouring; CMAKE_FLAGS="-DENSEMBLE_URING=OFF" ;;
-  shared)   export ENSEMBLE_INGRESS=shared ;;
   autotune) CTEST_ARGS="-R CostModel|Autotuner"; SMOKES="autotune" ;;
   overload) CTEST_ARGS="-R Overload|Watermark|SendWindow|LiveCounter|BufferPool"
             SMOKES="overload" ;;
@@ -72,20 +69,11 @@ run_smoke() {
   case "$1" in
     skew)
       # Shrunk skew run: fails if work stealing stops moving endpoints, and
-      # the Chrome trace export must stay loadable.
-      rm -f TRACE_skew.json
+      # the result file and Chrome trace export must stay loadable.
+      rm -f BENCH_skew.json TRACE_skew.json
       ./bench/bench_skew --smoke > skew_smoke.out 2>&1 || { cat skew_smoke.out; exit 1; }
       cat skew_smoke.out
-      grep -q "unavailable" skew_smoke.out || json_check TRACE_skew.json
-      ;;
-    skew_shared)
-      # Same smoke over the shared-ingress datapath: stealing must still move
-      # endpoints when migrations are in-memory transfers.
-      rm -f BENCH_skew.json TRACE_skew.json
-      ./bench/bench_skew --smoke --ingress=shared > skew_shared.out 2>&1 \
-        || { cat skew_shared.out; exit 1; }
-      cat skew_shared.out
-      if ! grep -q "unavailable" skew_shared.out; then
+      if ! grep -q "unavailable" skew_smoke.out; then
         json_check BENCH_skew.json
         json_check TRACE_skew.json
       fi

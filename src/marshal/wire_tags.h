@@ -20,16 +20,6 @@ constexpr uint8_t kWireCompressed = 0x43;  // 'C' — bypass header compression.
 //   u8 kWirePacked | u8 count | count × (u32 length, body)
 constexpr uint8_t kWirePacked = 0x50;  // 'P'
 
-// Shared-ingress demux preheader: prepended to every datagram sent to an
-// SO_REUSEPORT listener group, where the receiving socket no longer
-// identifies the destination endpoint.  Layout (fixed 9 bytes so GSO
-// equal-size run coalescing still fires):
-//   u8 kWireIngress | u32le src conn id | u32le dst conn id
-// The body that follows is a complete ordinary datagram (generic,
-// compressed, or packed).  Each GRO segment carries its own preheader.
-constexpr uint8_t kWireIngress = 0x49;  // 'I'
-constexpr size_t kWireIngressHeaderLen = 9;
-
 }  // namespace ensemble
 
 #endif  // ENSEMBLE_SRC_MARSHAL_WIRE_TAGS_H_

@@ -70,15 +70,10 @@ struct NetworkStats {
   RelaxedCounter gro_recvs = 0;          // Coalesced receives (UDP_GRO trains).
   RelaxedCounter gro_segments = 0;       // Logical datagrams split out of them.
   RelaxedCounter bufring_refills = 0;    // Registered buffer-ring re-provisions.
-  // Shared-ingress demux observability (zero in per-endpoint mode).
-  RelaxedCounter demux_miss = 0;  // Ingress datagrams with an unknown conn id.
-  RelaxedCounter demux_bad = 0;   // Ingress datagrams with a malformed preheader.
-  // Gauge-like mode fields (written with `=`, never incremented): what the
-  // datapath actually resolved to after probing and fallback.  The obs
-  // adapters export them as net.ingress_mode / net.backend_active gauges so
-  // BENCH/TRACE artifacts record the configuration that ran, not the one
-  // requested.
-  RelaxedCounter ingress_mode = 0;    // 0 per-endpoint sockets, 1 shared listener.
+  // Gauge-like mode field (written with `=`, never incremented): the backend
+  // the datapath actually resolved to after probing and fallback.  The obs
+  // adapters export it as the net.backend_active gauge so BENCH/TRACE
+  // artifacts record the configuration that ran, not the one requested.
   RelaxedCounter backend_active = 0;  // NetBackend: 0 eager, 1 mmsg, 2 uring.
 
   // Accumulates another instance's counters into this one (max for the max
@@ -109,13 +104,8 @@ struct NetworkStats {
     gro_recvs += o.gro_recvs;
     gro_segments += o.gro_segments;
     bufring_refills += o.bufring_refills;
-    demux_miss += o.demux_miss;
-    demux_bad += o.demux_bad;
-    // Mode fields take max: "shared" / "uring" dominates an aggregate row
-    // when any contributing shard ran it.
-    if (o.ingress_mode.value() > ingress_mode.value()) {
-      ingress_mode = o.ingress_mode.value();
-    }
+    // The mode field takes max: "uring" dominates an aggregate row when any
+    // contributing shard ran it.
     if (o.backend_active.value() > backend_active.value()) {
       backend_active = o.backend_active.value();
     }

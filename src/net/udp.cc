@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/net/udp_uring.h"
@@ -34,31 +33,7 @@ const char* NetBackendName(NetBackend b) {
   return "?";
 }
 
-const char* IngressModeName(IngressMode m) {
-  switch (m) {
-    case IngressMode::kAuto: return "auto";
-    case IngressMode::kPerEndpoint: return "per_endpoint";
-    case IngressMode::kShared: return "shared";
-  }
-  return "?";
-}
-
-IngressMode ResolveIngressMode(IngressMode requested) {
-  if (requested != IngressMode::kAuto) {
-    return requested;
-  }
-  const char* env = std::getenv("ENSEMBLE_INGRESS");
-  IngressMode resolved = (env != nullptr && std::strcmp(env, "shared") == 0)
-                             ? IngressMode::kShared
-                             : IngressMode::kPerEndpoint;
-  LogOncePerProcess(LogLevel::kInfo, std::string("net: auto ingress resolved to ") +
-                                         IngressModeName(resolved));
-  return resolved;
-}
-
 namespace {
-bool g_shared_ingress_forced_unavailable = false;
-
 constexpr size_t kMaxDatagram = 65536;
 constexpr int kSocketBufBytes = 1 << 22;  // Headroom for bursty batched sends.
 
@@ -84,46 +59,7 @@ int OpenUdpSocket() {
   setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &buf, sizeof(buf));
   return fd;
 }
-
-void StoreLe32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-  p[2] = static_cast<uint8_t>(v >> 16);
-  p[3] = static_cast<uint8_t>(v >> 24);
-}
-
-uint32_t LoadLe32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-// Preheaders per arena chunk: big enough that the allocation amortizes away,
-// small enough that a mostly-idle shard doesn't pin a large chunk alive.
-constexpr size_t kHdrArenaCount = 512;
 }  // namespace
-
-void UdpNetwork::ForceSharedIngressUnavailableForTest(bool unavailable) {
-  g_shared_ingress_forced_unavailable = unavailable;
-}
-
-// [kWireIngress][u32le src conn][u32le dst conn] — see wire_tags.h.  Carved
-// from hdr_arena_ so the per-send cost is a 9-byte slice, not a malloc; the
-// regions are disjoint, so writing this one never races a prior in-flight
-// slice sharing the chunk.
-Bytes UdpNetwork::NextIngressHeader(uint64_t src, uint64_t dst) {
-  if (hdr_arena_used_ + kWireIngressHeaderLen > hdr_arena_.size()) {
-    hdr_arena_ = Bytes::Allocate(kWireIngressHeaderLen * kHdrArenaCount);
-    hdr_arena_used_ = 0;
-  }
-  Bytes b = hdr_arena_.Slice(hdr_arena_used_, kWireIngressHeaderLen);
-  hdr_arena_used_ += kWireIngressHeaderLen;
-  uint8_t* p = b.MutableData();
-  p[0] = kWireIngress;
-  StoreLe32(p + 1, static_cast<uint32_t>(src));
-  StoreLe32(p + 5, static_cast<uint32_t>(dst));
-  return b;
-}
 
 UdpNetwork::UdpNetwork() = default;
 
@@ -134,12 +70,6 @@ UdpNetwork::~UdpNetwork() {
     if (state.fd >= 0) {
       close(state.fd);
     }
-  }
-  if (listener_.fd >= 0) {
-    close(listener_.fd);
-  }
-  if (tx_.fd >= 0) {
-    close(tx_.fd);
   }
 }
 
@@ -171,13 +101,6 @@ void UdpNetwork::ResolveBackend() {
     auto engine = std::make_unique<UringEngine>(&recv_pool_, &stats_, opts);
     bool up = engine->Init(
         [this](uint64_t cookie, uint16_t src_port, Bytes payload) {
-          if (shared_ && cookie == 0) {
-            // The listener's sentinel cookie: endpoint identity comes from
-            // the preheader, not the socket.  GRO segments arrive here one
-            // at a time, each with its own preheader.
-            DeliverIngress(std::move(payload));
-            return;
-          }
           auto it = endpoints_.find(EndpointId{cookie});
           if (it == endpoints_.end()) {
             stats_.dropped++;  // Raced a detach; nowhere to deliver.
@@ -195,12 +118,8 @@ void UdpNetwork::ResolveBackend() {
     if (up) {
       engine_ = std::move(engine);
       engine_->SetWakerFd(waker_.fd());
-      if (shared_) {
-        engine_->AddSocket(listener_.fd, 0);
-      } else {
-        for (auto& [ep, state] : endpoints_) {
-          engine_->AddSocket(state.fd, ep.id);
-        }
+      for (auto& [ep, state] : endpoints_) {
+        engine_->AddSocket(state.fd, ep.id);
       }
     } else {
       LogUnsupportedOnce("io_uring backend (falling back to mmsg)");
@@ -220,23 +139,14 @@ void UdpNetwork::ShutdownUring(NetBackend to) {
   // Cancel each armed multishot recv and wait for it to terminate before the
   // ring closes — otherwise a datagram the ring pulls into a provided buffer
   // between the final reap and close(ring_fd) is silently dropped.
-  if (shared_) {
-    engine_->RemoveSocket(listener_.fd);
-  } else {
-    for (auto& [ep, state] : endpoints_) {
-      engine_->RemoveSocket(state.fd);
-    }
+  for (auto& [ep, state] : endpoints_) {
+    engine_->RemoveSocket(state.fd);
   }
   engine_->ReapAndDeliver();  // Endpoints are still attached: deliver it all.
   engine_.reset();
-  if (shared_) {
+  for (auto& [ep, state] : endpoints_) {
     int zero = 0;
-    setsockopt(listener_.fd, SOL_UDP, UDP_GRO, &zero, sizeof(zero));
-  } else {
-    for (auto& [ep, state] : endpoints_) {
-      int zero = 0;
-      setsockopt(state.fd, SOL_UDP, UDP_GRO, &zero, sizeof(zero));
-    }
+    setsockopt(state.fd, SOL_UDP, UDP_GRO, &zero, sizeof(zero));
   }
 }
 
@@ -247,101 +157,7 @@ void UdpNetwork::UringQuiesce(int fd) {
   engine_->DeliverPending();
 }
 
-bool UdpNetwork::EnableSharedIngress(uint16_t group_port) {
-  if (shared_) {
-    return true;
-  }
-  if (!endpoints_.empty() || ingress_unavailable_) {
-    return false;  // Too late (per-endpoint sockets exist) or already failed.
-  }
-  auto unsupported = [this]() {
-    if (listener_.fd >= 0) {
-      close(listener_.fd);
-      listener_.fd = -1;
-    }
-    if (tx_.fd >= 0) {
-      close(tx_.fd);
-      tx_.fd = -1;
-    }
-    listener_.port = 0;
-    ingress_unavailable_ = true;
-    LogUnsupportedOnce(
-        "SO_REUSEPORT shared ingress (falling back to per-endpoint sockets)");
-    return false;
-  };
-  if (g_shared_ingress_forced_unavailable) {
-    return unsupported();
-  }
-  listener_.fd = OpenUdpSocket();
-  if (listener_.fd < 0) {
-    return unsupported();
-  }
-  int one = 1;
-  if (setsockopt(listener_.fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-      0) {
-    return unsupported();
-  }
-  sockaddr_in addr = LoopbackAddr(group_port);
-  if (bind(listener_.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return unsupported();
-  }
-  socklen_t len = sizeof(addr);
-  getsockname(listener_.fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  listener_.port = ntohs(addr.sin_port);
-  // The dedicated send socket: binding it (rather than sending from the
-  // listener) keeps this network's outbound traffic a single kernel flow
-  // distinct from the group port, so the reuseport flow-hash spreads shards'
-  // flows across listeners instead of collapsing everything onto one.
-  tx_.fd = OpenUdpSocket();
-  if (tx_.fd < 0) {
-    return unsupported();
-  }
-  sockaddr_in tx_addr = LoopbackAddr(0);
-  if (bind(tx_.fd, reinterpret_cast<sockaddr*>(&tx_addr), sizeof(tx_addr)) !=
-      0) {
-    return unsupported();
-  }
-  shared_ = true;
-  stats_.ingress_mode = 1;
-  if (engine_) {
-    engine_->AddSocket(listener_.fd, 0);
-  }
-  return true;
-}
-
-void UdpNetwork::DisableSharedIngress() {
-  if (shared_) {
-    if (engine_) {
-      engine_->RemoveSocket(listener_.fd);
-    }
-    close(listener_.fd);
-    listener_.fd = -1;
-    listener_.port = 0;
-    close(tx_.fd);
-    tx_.fd = -1;
-    shared_ = false;
-    stats_.ingress_mode = 0;
-  }
-  ingress_unavailable_ = true;
-}
-
 void UdpNetwork::Attach(EndpointId ep, DeliverFn deliver) {
-  if (!shared_ && !ingress_unavailable_ && endpoints_.empty() &&
-      ResolveIngressMode(cfg_.ingress) == IngressMode::kShared) {
-    EnableSharedIngress(0);  // Standalone self-enable: a group of one.
-  }
-  if (shared_) {
-    // No kernel state per endpoint: record the deliver callback and index it
-    // in the demux table (endpoint ids are the wire conn ids; the sharded
-    // runtime's ids are small, so the u32 truncation is lossless).
-    Endpoint state;
-    state.port = listener_.port;
-    state.deliver = std::move(deliver);
-    endpoints_[ep] = std::move(state);
-    demux_.Insert(static_cast<uint32_t>(ep.id), &endpoints_[ep]);
-    return;
-  }
   Endpoint state;
   state.fd = OpenUdpSocket();
   if (state.fd < 0) {
@@ -372,12 +188,6 @@ void UdpNetwork::Detach(EndpointId ep) {
   if (it == endpoints_.end()) {
     return;
   }
-  if (shared_ && it->second.fd < 0) {
-    Flush();  // Staged farewells (Leave) still go out.
-    demux_.Erase(static_cast<uint32_t>(ep.id));
-    endpoints_.erase(it);
-    return;
-  }
   FlushEndpoint(it->second);  // Staged farewells (Leave) still go out.
   if (engine_) {
     // Remove WITHOUT delivering pending receives.  Detach runs from endpoint
@@ -402,34 +212,13 @@ void UdpNetwork::AddPeer(EndpointId ep, uint16_t port) {
     return;  // Local endpoints already resolve; port 0 means "not bound".
   }
   peers_[ep] = port;
-  if (!shared_) {
-    // Shared mode: every peer publishes the same group port (source
-    // attribution comes from the preheader), so the port index is useless.
-    by_port_[port] = ep;
-  }
+  by_port_[port] = ep;
 }
 
 UdpNetwork::ReleasedEndpoint UdpNetwork::Release(EndpointId ep) {
   ReleasedEndpoint out;
   auto it = endpoints_.find(ep);
   if (it == endpoints_.end()) {
-    return out;
-  }
-  if (shared_ && it->second.fd < 0) {
-    // Pure in-memory release: no socket quiesce, no kernel state moves.
-    Flush();  // Staged sends go out before ownership moves.
-    out.shared = true;
-    out.port = it->second.port;
-    out.deliver = std::move(it->second.deliver);
-    if (auto hook = drain_hooks_.find(ep); hook != drain_hooks_.end()) {
-      out.drain_hook = std::move(hook->second);
-      drain_hooks_.erase(hook);
-    }
-    demux_.Erase(static_cast<uint32_t>(ep.id));
-    endpoints_.erase(it);
-    // Keep the endpoint reachable from local senders and broadcasts: the
-    // wire address (group port + conn id) is location-independent.
-    peers_[ep] = out.port;
     return out;
   }
   FlushEndpoint(it->second);  // Staged sends go out before ownership moves.
@@ -455,19 +244,6 @@ UdpNetwork::ReleasedEndpoint UdpNetwork::Release(EndpointId ep) {
 }
 
 void UdpNetwork::Adopt(EndpointId ep, ReleasedEndpoint state) {
-  if (state.shared) {
-    // In-memory adopt: install the deliver callback into the demux table.
-    peers_.erase(ep);
-    Endpoint local;
-    local.port = shared_ ? listener_.port : 0;
-    local.deliver = std::move(state.deliver);
-    if (state.drain_hook) {
-      drain_hooks_[ep] = std::move(state.drain_hook);
-    }
-    endpoints_[ep] = std::move(local);
-    demux_.Insert(static_cast<uint32_t>(ep.id), &endpoints_[ep]);
-    return;
-  }
   if (state.fd < 0) {
     return;
   }
@@ -524,56 +300,10 @@ void UdpNetwork::SendEager(int fd, uint16_t port, const Iovec& gather) {
   }
 }
 
-void UdpNetwork::SendSharedWire(EndpointId src, EndpointId dst,
-                                const Iovec& gather) {
-  // The preheader is its own arena-backed part, so the staged parts stay
-  // uniform in size across a burst and GSO run-coalescing still fires.
-  Bytes hdr = NextIngressHeader(src.id, dst.id);
-  if (active_ == NetBackend::kMmsg) {
-    // Stage straight into the tx ring slot: one sized part-list build, no
-    // intermediate Iovec to copy and tear down per message.
-    tx_.ring.push_back(Staged{listener_.port, Iovec()});
-    Iovec& wire = tx_.ring.back().gather;
-    wire.Reserve(1 + gather.part_count());
-    wire.Append(std::move(hdr));
-    wire.Append(gather);
-    stats_.batched_datagrams++;
-    if (tx_.ring.size() >= EffectiveSendBatch()) {
-      FlushEndpoint(tx_);
-    }
-    return;
-  }
-  Iovec wire;
-  wire.Reserve(1 + gather.part_count());
-  wire.Append(std::move(hdr));
-  wire.Append(gather);
-  if (active_ == NetBackend::kUring) {
-    engine_->StageSend(tx_.fd, listener_.port, wire);
-  } else {
-    SendEager(tx_.fd, listener_.port, wire);
-  }
-}
-
 void UdpNetwork::Send(EndpointId src, EndpointId dst, const Iovec& gather) {
   auto from = endpoints_.find(src);
   if (from == endpoints_.end()) {
     stats_.dropped++;
-    return;
-  }
-  if (shared_) {
-    // Destination check for drop parity with per-endpoint resolution; the
-    // wire address is always (group port, dst conn id) regardless of where
-    // the endpoint currently lives.
-    if (endpoints_.count(dst) == 0 && peers_.count(dst) == 0) {
-      stats_.dropped++;
-      return;
-    }
-    CountIfPacked(&stats_, gather);
-    SendSharedWire(src, dst, gather);
-    if (active_ == NetBackend::kUring &&
-        engine_->staged_sends() >= EffectiveSendBatch()) {
-      engine_->SubmitSends();  // Submit, don't wait: Flush() is the barrier.
-    }
     return;
   }
   // Destination resolution: a locally attached endpoint, else a published
@@ -603,29 +333,6 @@ void UdpNetwork::Send(EndpointId src, EndpointId dst, const Iovec& gather) {
 }
 
 void UdpNetwork::Broadcast(EndpointId src, const Iovec& gather) {
-  if (shared_) {
-    auto from = endpoints_.find(src);
-    if (from == endpoints_.end()) {
-      stats_.dropped++;
-      return;
-    }
-    CountIfPacked(&stats_, gather);
-    // One wire datagram per destination; the payload parts are refcounted,
-    // so fan-out shares the bytes and only the 9-byte preheaders differ.
-    for (const auto& [ep, state] : endpoints_) {
-      if (ep != src) {
-        SendSharedWire(src, ep, gather);
-      }
-    }
-    for (const auto& [ep, port] : peers_) {
-      SendSharedWire(src, ep, gather);
-    }
-    if (active_ == NetBackend::kUring &&
-        engine_->staged_sends() >= EffectiveSendBatch()) {
-      engine_->SubmitSends();
-    }
-    return;
-  }
   if (active_ != NetBackend::kEager) {
     auto from = endpoints_.find(src);
     if (from == endpoints_.end()) {
@@ -725,7 +432,6 @@ void UdpNetwork::Flush() {
   for (auto& [ep, state] : endpoints_) {
     FlushEndpoint(state);
   }
-  FlushEndpoint(tx_);  // Shared mode stages everything on the tx socket.
   if (engine_) {
     // Wait for the send CQEs: on return the wire (and the sent/bytes
     // counters) are caught up, matching the synchronous backends.
@@ -739,20 +445,10 @@ void UdpNetwork::ScheduleTimer(VTime delay, TimerFn fn) {
   timers_.Schedule(NowNanos() + delay, std::move(fn));
 }
 
-// Per-call budget for the shared-listener drain.  Unlike a per-endpoint
-// socket — which only ever receives traffic addressed to its own port — the
-// listener funnels EVERY flow on the shard, including our own tx_ when the
-// kernel's REUSEPORT hash points it back at us.  An echo workload can then
-// feed the drain as fast as it empties (deliver → send → flush → arrive),
-// and an unbounded loop would never return to the worker loop to check
-// stop_/rings.  The budget keeps batching wins intact while guaranteeing
-// Poll() terminates.
-constexpr size_t kIngressDrainBudget = 1024;
-
-size_t UdpNetwork::DrainOneEager(Endpoint& state, EndpointId ep, bool ingress) {
+size_t UdpNetwork::DrainOneEager(Endpoint& state, EndpointId ep) {
   size_t events = 0;
   uint8_t buf[kMaxDatagram];
-  while (!ingress || events < kIngressDrainBudget) {
+  while (true) {
     sockaddr_in from;
     socklen_t from_len = sizeof(from);
     stats_.recv_syscalls++;
@@ -760,11 +456,6 @@ size_t UdpNetwork::DrainOneEager(Endpoint& state, EndpointId ep, bool ingress) {
                          reinterpret_cast<sockaddr*>(&from), &from_len);
     if (n < 0) {
       break;  // EWOULDBLOCK: drained.
-    }
-    if (ingress) {
-      DeliverIngress(Bytes::Copy(buf, static_cast<size_t>(n)));
-      events++;
-      continue;
     }
     Packet packet;
     auto src = by_port_.find(ntohs(from.sin_port));
@@ -780,27 +471,20 @@ size_t UdpNetwork::DrainOneEager(Endpoint& state, EndpointId ep, bool ingress) {
   return events;
 }
 
-size_t UdpNetwork::DrainOneBatched(Endpoint& state, EndpointId ep,
-                                   bool ingress) {
+size_t UdpNetwork::DrainOneBatched(Endpoint& state, EndpointId ep) {
   // Pooled zero-copy receive: the kernel writes each datagram into a pool
   // chunk and the delivered Bytes slice aliases it — no post-recv copy.  A
   // chunk whose slice was handed out is replaced (the consumer's last ref
   // recycles it); untouched chunks are reused for the next syscall.
   size_t events = 0;
   size_t vlen = std::max<size_t>(1, cfg_.recv_batch);
-  if (ingress) {
-    // The shared listener feeds every endpoint on the shard, so it earns a
-    // deeper batch than a single per-endpoint socket: 4x the configured
-    // depth, capped so the standing pool buffers stay bounded (64 * 64KiB).
-    vlen = std::min<size_t>(64, vlen * 4);
-  }
   if (recv_bufs_.size() < vlen) {
     recv_bufs_.resize(vlen);
   }
   std::vector<sockaddr_in> addrs(vlen);
   std::vector<iovec> iov(vlen);
   std::vector<mmsghdr> msgs(vlen);
-  while (!ingress || events < kIngressDrainBudget) {
+  while (true) {
     for (size_t i = 0; i < vlen; i++) {
       if (recv_bufs_[i].empty()) {
         recv_bufs_[i] = recv_pool_.Allocate(kMaxDatagram);
@@ -822,12 +506,6 @@ size_t UdpNetwork::DrainOneBatched(Endpoint& state, EndpointId ep,
     }
     size_t got = static_cast<size_t>(n);
     for (size_t i = 0; i < got; i++) {
-      if (ingress) {
-        DeliverIngress(recv_bufs_[i].Slice(0, msgs[i].msg_len));
-        recv_bufs_[i] = Bytes();  // Chunk now owned by the delivered slice.
-        events++;
-        continue;
-      }
       Packet packet;
       auto src = by_port_.find(ntohs(addrs[i].sin_port));
       packet.src = src != by_port_.end() ? src->second : EndpointId{0};
@@ -858,61 +536,12 @@ size_t UdpNetwork::DrainSockets() {
     LogUnsupportedOnce("io_uring multishot recv (falling back to mmsg)");
     ShutdownUring(NetBackend::kMmsg);
   }
-  if (shared_) {
-    // The whole shard drains through the one listener, whatever the
-    // endpoint count — this is the syscall win the ingress bench measures.
-    return active_ == NetBackend::kMmsg
-               ? DrainOneBatched(listener_, EndpointId{0}, /*ingress=*/true)
-               : DrainOneEager(listener_, EndpointId{0}, /*ingress=*/true);
-  }
   size_t events = 0;
   for (auto& [ep, state] : endpoints_) {
     events += active_ == NetBackend::kMmsg ? DrainOneBatched(state, ep)
                                            : DrainOneEager(state, ep);
   }
   return events;
-}
-
-void UdpNetwork::DeliverIngress(Bytes datagram) {
-  if (datagram.size() < kWireIngressHeaderLen ||
-      datagram[0] != kWireIngress) {
-    stats_.demux_bad++;
-    stats_.dropped++;
-    return;
-  }
-  const uint8_t* p = datagram.data();
-  Packet packet;
-  packet.src = EndpointId{LoadLe32(p + 1)};
-  packet.dst = EndpointId{LoadLe32(p + 5)};
-  packet.datagram = datagram.Slice(kWireIngressHeaderLen);
-  if (Endpoint* ep = demux_.Find(static_cast<uint32_t>(packet.dst.id))) {
-    stats_.delivered++;
-    if (ep->deliver) {
-      ep->deliver(packet);
-    }
-    return;
-  }
-  // Not ours: the reuseport flow-hash routes by sender, not destination, so
-  // in the sharded runtime this is how traffic for other shards (and for
-  // members mid-migration) arrives.  The handler forwards it; without one
-  // (standalone network) an unknown conn id is a counted drop.
-  if (miss_ && miss_(packet)) {
-    return;
-  }
-  stats_.demux_miss++;
-  stats_.dropped++;
-}
-
-bool UdpNetwork::DeliverToLocal(const Packet& packet) {
-  Endpoint* ep = demux_.Find(static_cast<uint32_t>(packet.dst.id));
-  if (ep == nullptr) {
-    return false;
-  }
-  stats_.delivered++;
-  if (ep->deliver) {
-    ep->deliver(packet);
-  }
-  return true;
 }
 
 size_t UdpNetwork::Poll() {
@@ -947,12 +576,8 @@ void UdpNetwork::IdleWait(VTime max_wait) {
     return;
   }
   std::vector<pollfd> fds;
-  if (shared_) {
-    fds.push_back(pollfd{listener_.fd, POLLIN, 0});  // O(1) poll set, too.
-  } else {
-    for (const auto& [ep, state] : endpoints_) {
-      fds.push_back(pollfd{state.fd, POLLIN, 0});
-    }
+  for (const auto& [ep, state] : endpoints_) {
+    fds.push_back(pollfd{state.fd, POLLIN, 0});
   }
   if (waker_.fd() >= 0) {
     fds.push_back(pollfd{waker_.fd(), POLLIN, 0});

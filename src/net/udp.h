@@ -23,30 +23,14 @@
 //     LogUnsupportedOnce line.
 //   kAuto — kUring when the probe succeeds, else kMmsg, silently.
 //
-// Endpoint identity ↔ address (per-endpoint ingress, the default): every
-// attached endpoint gets its own UDP socket bound to 127.0.0.1 with an
-// ephemeral port; the registry maps ports back to endpoint ids for packet
-// source attribution.  Endpoints owned by *another* UdpNetwork instance
-// (another shard's, in the sharded runtime) are reachable after AddPeer()
-// publishes their port here — the kernel is the cross-shard data plane.
+// Endpoint identity ↔ address: every attached endpoint gets its own UDP
+// socket bound to 127.0.0.1 with an ephemeral port, so the receiving socket
+// names the destination endpoint and the registry maps source ports back to
+// endpoint ids.  Endpoints owned by *another* UdpNetwork instance (another
+// shard's, in the sharded runtime) are reachable after AddPeer() publishes
+// their port here — the kernel is the cross-shard data plane, and a datagram
+// always lands on the socket of the shard that owns its destination.
 // Cross-process use would only need the same port exchange out of band.
-//
-// Shared ingress (IngressMode::kShared): the network binds exactly TWO
-// sockets regardless of endpoint count — one listener in an SO_REUSEPORT
-// group shared with the other shards' networks, and one ephemeral-port send
-// socket.  Endpoints attach without sockets; every outgoing datagram gains a
-// 9-byte kWireIngress preheader ([tag][u32le src conn][u32le dst conn]) and
-// is sent to the group port, and the single listener drains the whole shard
-// in one recvmmsg/uring-multishot loop.  A flat-hash demux table (FlatMap,
-// the same map the bypass ConnTable uses) routes each received datagram to
-// its endpoint by conn id; ids that don't resolve locally go to the
-// shared-miss handler (the sharded runtime forwards them to the owning shard
-// over its rings) or count as demux_miss drops.  The dedicated send socket
-// matters on loopback: it keeps each shard's outbound traffic one stable
-// kernel flow, so SO_REUSEPORT's flow-hash lands a given sender's datagrams on
-// one listener deterministically and per-sender FIFO survives.  When the
-// SO_REUSEPORT setup fails, the network falls back to per-endpoint sockets
-// via LogUnsupportedOnce (see EnableSharedIngress).
 //
 // Threading: a UdpNetwork belongs to one thread (its shard's worker).  The
 // only cross-thread entry point is Wakeup(), which pokes an eventfd so
@@ -69,7 +53,6 @@
 
 #include "src/net/network.h"
 #include "src/perf/timer.h"
-#include "src/util/flat_map.h"
 #include "src/util/pool.h"
 #include "src/util/timer_heap.h"
 #include "src/util/waker.h"
@@ -83,18 +66,10 @@ enum class NetBackend { kEager, kMmsg, kUring, kAuto };
 
 const char* NetBackendName(NetBackend b);
 
-// Who owns the kernel receive sockets (see the file comment).
-//   kPerEndpoint — one socket per attached endpoint (the PR 1–6 model).
-//   kShared — one SO_REUSEPORT listener + one send socket per network.
-//   kAuto — kShared when the ENSEMBLE_INGRESS environment variable says
-//     "shared", else kPerEndpoint.  Lets CI force the whole test suite
-//     through the shared path without touching every config literal.
-enum class IngressMode { kAuto, kPerEndpoint, kShared };
-
-const char* IngressModeName(IngressMode m);
-
-// Resolves kAuto against ENSEMBLE_INGRESS; never returns kAuto.
-IngressMode ResolveIngressMode(IngressMode requested);
+// Who owns the kernel receive sockets: one socket per attached endpoint
+// (see the file comment).  The enum has a single value only because the
+// benchmark's workload setup still assigns NetBackendConfig::ingress.
+enum class IngressMode { kPerEndpoint };
 
 // The one knob bundle every backend consumer (GroupHarness, ShardRuntime,
 // benches) passes around — batching thresholds for eager/mmsg plus the uring
@@ -108,10 +83,7 @@ struct NetBackendConfig {
   unsigned uring_recv_buffers = 32;  // Registered buffer-ring slots.
   bool uring_gso = true;         // Coalesce same-size send runs (UDP_SEGMENT).
   bool uring_gro = true;         // Kernel-coalesced receives (UDP_GRO).
-  // Socket-ownership model; orthogonal to `backend` (any backend drains a
-  // shared listener).  Default kAuto == per-endpoint unless ENSEMBLE_INGRESS
-  // forces shared.
-  IngressMode ingress = IngressMode::kAuto;
+  IngressMode ingress = IngressMode::kPerEndpoint;  // See IngressMode.
 
   static NetBackendConfig Eager() { return NetBackendConfig{}; }
   static NetBackendConfig Batched(size_t batch = 16) {
@@ -161,69 +133,15 @@ class UdpNetwork : public Network {
   // receive buffer travel with the fd: nothing in flight is lost or
   // reordered.  Adopt() installs a released endpoint on the thief's network
   // and drops any peer entry for it.
-  //
-  // Under shared ingress no kernel state moves at all: Release() just pulls
-  // the deliver callback + drain hook out of the demux table (fd stays -1,
-  // `shared` is set) and Adopt() installs them into the thief's table — a
-  // pure in-memory ownership transfer.  The runtime fences it with the same
-  // home-shard marker the channel backend uses so per-sender FIFO holds.
   struct ReleasedEndpoint {
     int fd = -1;
     uint16_t port = 0;
     DeliverFn deliver;
     std::function<void()> drain_hook;
-    bool shared = false;  // Released from a shared-ingress demux table.
-    bool ok() const { return fd >= 0 || shared; }
+    bool ok() const { return fd >= 0; }
   };
   ReleasedEndpoint Release(EndpointId ep);
   void Adopt(EndpointId ep, ReleasedEndpoint state);
-
-  // Switches this network to shared ingress: binds the listener (joining the
-  // SO_REUSEPORT group at `group_port`, or founding a new group on an
-  // ephemeral port when 0) and the dedicated send socket.  Must run before
-  // the first Attach().  Returns false — leaving the network in per-endpoint
-  // mode, via LogUnsupportedOnce — when SO_REUSEPORT or the binds are
-  // unavailable.  Attach() self-enables (group of one) when the resolved
-  // config asks for shared mode and nobody called this first; the sharded
-  // runtime always calls it explicitly to share one group port across shards.
-  bool EnableSharedIngress(uint16_t group_port = 0);
-  // Rolls back to per-endpoint mode (setup-time only, before any Attach) and
-  // blocks later self-enabling — the runtime uses it when another shard's
-  // listener failed to join the group.
-  void DisableSharedIngress();
-  bool shared_ingress() const { return shared_; }
-  // The SO_REUSEPORT group port (0 when not in shared mode).
-  uint16_t shared_port() const { return listener_.port; }
-
-  // Ring-delivery entry for the sharded runtime (shared mode): looks `dst`
-  // up in the demux table and delivers on a hit.  Returns false (untouched
-  // stats) when the endpoint is not attached here — the caller routes it
-  // through the pre-adoption machinery or counts the drop.
-  bool DeliverToLocal(const Packet& packet);
-  // Called on listener datagrams whose dst conn id is not local.  Return
-  // true if the packet was consumed (e.g. forwarded to the owning shard);
-  // false falls through to a demux_miss drop.  The handler runs on this
-  // network's owning thread, but note the payload aliases this network's
-  // receive pool — copy it before handing it to another thread.
-  using SharedMissFn = std::function<bool(const Packet&)>;
-  void SetSharedMissHandler(SharedMissFn handler) { miss_ = std::move(handler); }
-  // Records a datagram that survived routing but found no endpoint (the
-  // runtime's terminal pre-adoption miss).
-  void CountIngressDrop() {
-    stats_.demux_miss++;
-    stats_.dropped++;
-  }
-
-  // Kernel sockets this network owns: endpoint count in per-endpoint mode,
-  // exactly 2 (listener + send) in shared mode.  The O(1)-ingress runtime
-  // test asserts on this.
-  size_t OwnedSocketCount() const {
-    return shared_ ? 2 : endpoints_.size();
-  }
-
-  // Test hook: pretend SO_REUSEPORT is unavailable so the per-endpoint
-  // fallback path is exercised on kernels that do support it.
-  static void ForceSharedIngressUnavailableForTest(bool unavailable);
 
   // Pushes every staged datagram to the wire (no-op when nothing is staged).
   void Flush() override;
@@ -320,20 +238,9 @@ class UdpNetwork : public Network {
   void FlushEndpoint(Endpoint& ep);
   // One scatter-gather sendmsg(2) on `fd` (the kEager datapath).
   void SendEager(int fd, uint16_t port, const Iovec& gather);
-  // Shared mode: prepends the ingress preheader and stages/sends the result
-  // on the tx socket toward the group port, via whatever backend is active.
-  void SendSharedWire(EndpointId src, EndpointId dst, const Iovec& gather);
-  // Carves the next 9-byte preheader slice out of hdr_arena_ (refilling it
-  // when exhausted) so the per-send cost is a slice, not an allocation.
-  Bytes NextIngressHeader(uint64_t src, uint64_t dst);
   size_t DrainSockets();
-  // `ingress` routes each received datagram through DeliverIngress (shared
-  // listener) instead of delivering to `state`'s endpoint directly.
-  size_t DrainOneEager(Endpoint& state, EndpointId ep, bool ingress = false);
-  size_t DrainOneBatched(Endpoint& state, EndpointId ep, bool ingress = false);
-  // Parses the kWireIngress preheader, strips it, and demuxes: local hit →
-  // deliver; miss → shared-miss handler or counted drop.
-  void DeliverIngress(Bytes datagram);
+  size_t DrainOneEager(Endpoint& state, EndpointId ep);
+  size_t DrainOneBatched(Endpoint& state, EndpointId ep);
   // Resolves cfg_.backend (auto-detection, uring setup, fallback) into
   // active_, creating or tearing down the engine as needed.
   void ResolveBackend();
@@ -350,22 +257,6 @@ class UdpNetwork : public Network {
   NetBackendConfig cfg_;
   NetBackend active_ = NetBackend::kEager;
   std::unique_ptr<UringEngine> engine_;  // Live iff active_ == kUring.
-  // Shared-ingress state.  listener_ (receive) and tx_ (send staging ring +
-  // outbound flow identity) are the only kernel sockets in shared mode;
-  // endpoints_ entries then carry fd = -1 and port = the group port.
-  bool shared_ = false;
-  bool ingress_unavailable_ = false;  // Enable failed once; don't self-retry.
-  Endpoint listener_;
-  Endpoint tx_;
-  // Shared-ingress demux: u32 conn id → endpoint record (values point into
-  // endpoints_, whose std::map nodes are stable).  Find() sits on the
-  // one-lookup-per-datagram receive path.
-  FlatMap<Endpoint> demux_;
-  SharedMissFn miss_;
-  // Preheader arena: headers for many sends share one refcounted chunk; the
-  // chunk is released once the last in-flight preheader slice drops its ref.
-  Bytes hdr_arena_;
-  size_t hdr_arena_used_ = 0;
   std::map<EndpointId, Endpoint> endpoints_;
   std::map<EndpointId, uint16_t> peers_;  // Remote endpoints (other shards).
   std::map<uint16_t, EndpointId> by_port_;

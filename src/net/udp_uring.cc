@@ -818,9 +818,9 @@ size_t UringEngine::ReapAndDeliver() {
   delivering_ = true;
   size_t events = 0;
   // Alternate reap/deliver until quiescent: a delivery can trigger sends
-  // whose completions land immediately on loopback.  Bounded — with shared
-  // ingress every flow on the shard (including our own echoes) lands on the
-  // one listener, so "quiescent" may never come; the caller re-polls anyway.
+  // whose completions land immediately on loopback.  Bounded — an echo
+  // workload keeps completions arriving, so "quiescent" may never come; the
+  // caller re-polls anyway.
   for (int round = 0; round < 32; round++) {
     ProcessCompletions();
     size_t got = DeliverPending();

@@ -32,12 +32,8 @@ void RegisterNetworkStats(MetricsRegistry& reg, const NetworkStats* s) {
   reg.Counter("net.gro_recvs", &s->gro_recvs);
   reg.Counter("net.gro_segments", &s->gro_segments);
   reg.Counter("net.bufring_refills", &s->bufring_refills);
-  reg.Counter("net.demux_miss", &s->demux_miss);
-  reg.Counter("net.demux_bad", &s->demux_bad);
-  // Mode gauges: what the datapath resolved to after probing and fallback,
+  // Mode gauge: what the datapath resolved to after probing and fallback,
   // so BENCH/TRACE artifacts record the configuration that actually ran.
-  reg.Gauge("net.ingress_mode",
-            [s]() { return static_cast<int64_t>(s->ingress_mode.value()); });
   reg.Gauge("net.backend_active",
             [s]() { return static_cast<int64_t>(s->backend_active.value()); });
 }

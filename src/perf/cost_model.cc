@@ -461,7 +461,6 @@ CostModel Calibrate(const CalibrationConfig& config) {
       NetBackendConfig cfg;
       cfg.backend = p.backend;
       cfg.send_batch = cfg.recv_batch = p.batch;
-      cfg.ingress = IngressMode::kPerEndpoint;
       // Probe each backend as requested; a uring probe that falls back to
       // mmsg would poison the uring fit, so verify what actually ran.
       UdpNetwork check;
@@ -499,7 +498,6 @@ CostModel Calibrate(const CalibrationConfig& config) {
     // terms already explain.
     if (m.backend[static_cast<int>(NetBackend::kMmsg)].available) {
       NetBackendConfig cfg = NetBackendConfig::Batched(16);
-      cfg.ingress = IngressMode::kPerEndpoint;
       const size_t kPack = 16;
       double packed = UdpProbeNsPerMsg(cfg, kPack, config.msgs_per_probe, 64);
       if (packed > 0) {
@@ -549,9 +547,9 @@ std::string KnobVector::Label() const {
   return buf;
 }
 
-uint32_t KnobVector::Encode(bool shared_ingress) const {
+uint32_t KnobVector::Encode() const {
   // bits 0-1  backend (NetBackend value, never kAuto)
-  // bit  2    shared ingress
+  // bit  2    unused (zero)
   // bits 3-9  batch (clamped to 127)
   // bits 10-16 pack window (clamped to 127)
   // bits 17-24 flush deadline in 100us units (clamped to 255)
@@ -559,7 +557,6 @@ uint32_t KnobVector::Encode(bool shared_ingress) const {
   // bits 29-30 ring capacity as log4(capacity / 1024): 1k=0, 4k=1, 16k=2
   // bit  31    credit floor: 0 = 32/link, 1 = 128/link
   uint32_t v = static_cast<uint32_t>(BackendIndex(backend)) & 0x3u;
-  v |= (shared_ingress ? 1u : 0u) << 2;
   v |= (static_cast<uint32_t>(std::min<size_t>(batch, 127)) & 0x7Fu) << 3;
   v |= (static_cast<uint32_t>(std::min<size_t>(pack_window, 127)) & 0x7Fu) << 10;
   uint32_t flush_100us =

@@ -142,7 +142,7 @@ struct KnobVector {
 
   std::string Label() const;
   // Gauge encoding for tune.active_config (documented in autotune.h).
-  uint32_t Encode(bool shared_ingress) const;
+  uint32_t Encode() const;
 };
 
 struct WorkloadDesc {

@@ -1,8 +1,7 @@
 // Autotuner: from a measured cost model to a runtime configuration.
 //
-// The ShardRuntime grew six interacting hand-tuned knobs (datapath backend,
-// batch depth, message packing, flush deadline, steal threshold, ingress
-// mode).  The autotuner enumerates the small discrete knob lattice against
+// The ShardRuntime grew five interacting hand-tuned knobs (datapath backend,
+// batch depth, message packing, flush deadline, steal threshold).  The autotuner enumerates the small discrete knob lattice against
 // the compositional cost model (src/perf/cost_model.h) and applies the
 // predicted-best configuration once, when the ShardRuntime is constructed —
 // replacing the kAuto probe with model-driven selection.  Every knob is
@@ -12,8 +11,7 @@
 //   tune.predicted_msgs_per_sec  the model's prediction for the active knobs
 //   tune.active_config           KnobVector::Encode (see cost_model.cc for
 //                                the bit layout; bits 0-1 must agree with
-//                                net.backend_active, bit 2 with
-//                                net.ingress_mode — a test asserts it).
+//                                net.backend_active — a test asserts it).
 
 #ifndef ENSEMBLE_SRC_RUNTIME_AUTOTUNE_H_
 #define ENSEMBLE_SRC_RUNTIME_AUTOTUNE_H_

@@ -218,46 +218,6 @@ ShardRuntime::ShardRuntime(ShardRuntimeConfig config) : config_(std::move(config
     }
     workers_.push_back(std::move(worker));
   }
-  if (config_.backend == ShardBackend::kUdp &&
-      ResolveIngressMode(config_.net.ingress) == IngressMode::kShared) {
-    SetupSharedIngress();
-  }
-}
-
-void ShardRuntime::SetupSharedIngress() {
-  // All-or-nothing: the first worker binds port 0 and thereby picks the
-  // group's port; the rest join it.  Any failure (no SO_REUSEPORT, bind
-  // error) rolls every shard back to per-endpoint sockets so the runtime
-  // never runs half shared, half not.
-  uint16_t group_port = 0;
-  bool ok = true;
-  for (auto& worker : workers_) {
-    if (!worker->udp->EnableSharedIngress(group_port)) {
-      ok = false;
-      break;
-    }
-    if (group_port == 0) {
-      group_port = worker->udp->shared_port();
-    }
-  }
-  if (!ok) {
-    for (auto& worker : workers_) {
-      worker->udp->DisableSharedIngress();
-    }
-    return;
-  }
-  for (int s = 0; s < num_workers(); s++) {
-    Worker* w = workers_[static_cast<size_t>(s)].get();
-    // Listener-drain miss: the kernel's flow hash landed a datagram on a
-    // shard that does not (or no longer does) own its conn id.  The payload
-    // is a pool-backed receive slice that must not be released off-shard, so
-    // copy it to the heap before it rides the rings via the home shard.
-    w->udp->SetSharedMissHandler([this, s](const Packet& p) {
-      Packet copy = p;
-      copy.datagram = Bytes::Copy(p.datagram.data(), p.datagram.size());
-      return RoutePacketFrom(s, std::move(copy));
-    });
-  }
 }
 
 ShardRuntime::~ShardRuntime() { Stop(); }
@@ -525,17 +485,15 @@ void ShardRuntime::RegisterMetrics() {
     // channel backend reports eager (NetworkStats' backend_active default):
     // the backend knob is inert without kernel sockets.
     perf::KnobVector active = decision_.knobs;
-    bool shared = false;
     Worker& w0 = *workers_.front();
     if (w0.udp != nullptr) {
       active.backend = w0.udp->active_backend();
-      shared = w0.udp->shared_ingress();
     } else {
       active.backend = NetBackend::kEager;
     }
     // The decision is made once, before Start(), so both gauges are fixed.
     int64_t predicted = static_cast<int64_t>(decision_.predicted.msgs_per_sec);
-    int64_t encoded = static_cast<int64_t>(active.Encode(shared));
+    int64_t encoded = static_cast<int64_t>(active.Encode());
     metrics_.Gauge("tune.predicted_msgs_per_sec", [predicted]() { return predicted; });
     metrics_.Gauge("tune.active_config", [encoded]() { return encoded; });
   }
@@ -705,7 +663,7 @@ void ShardRuntime::HoldOwnInbox(int shard) {
     }
     w.held.push_back(std::move(msg));
     if (w.held.size() >= cap) {
-      break;  // Backstop for tasks and shared-ingress UDP packets only.
+      break;  // Backstop for tasks only.
     }
   }
 }
@@ -845,20 +803,6 @@ bool ShardRuntime::HandleOrphanPacket(int shard, const Packet& packet) {
   return false;  // Stale routing (migration raced with shutdown): drop.
 }
 
-void ShardRuntime::DeliverUdpShared(int shard, const Packet& packet) {
-  Worker& w = *workers_[static_cast<size_t>(shard)];
-  if (w.udp->DeliverToLocal(packet)) {
-    return;
-  }
-  // Not in our demux table: mid-migration, ahead of the adoption, or stale.
-  // NOT re-routed via RoutePacketFrom — a ring packet already passed through
-  // the home shard, and bouncing it again would let it overtake forwards
-  // posted after the owner table flipped, breaking per-sender FIFO.
-  if (!HandleOrphanPacket(shard, packet)) {
-    w.udp->CountIngressDrop();  // The member left the group: counted drop.
-  }
-}
-
 // ---- Worker loop -----------------------------------------------------------
 
 void ShardRuntime::ProcessMsg(int shard, ShardMsg msg) {
@@ -868,16 +812,11 @@ void ShardRuntime::ProcessMsg(int shard, ShardMsg msg) {
     msg.post_ns = 0;  // A re-route (below) restamps rather than double-counts.
   }
   if (msg.is_packet) {
-    if (w.chan != nullptr) {
-      // Deferred, not delivered in place: ALL ring packets funnel through the
-      // dispatch FIFO in pop order, so packets enqueued by a parked
-      // HoldOwnInbox and packets popped here keep per-sender FIFO.
-      w.chan->EnqueueFromRing(std::move(msg.packet));
-    } else if (w.udp != nullptr && w.udp->shared_ingress()) {
-      // Shared-ingress re-route: a listener miss elsewhere sent this packet
-      // through the home shard to us (the owner).
-      DeliverUdpShared(shard, msg.packet);
-    }  // Per-endpoint UDP rings carry tasks only.
+    // Channel backend only (UDP rings carry tasks).  Deferred, not delivered
+    // in place: ALL ring packets funnel through the dispatch FIFO in pop
+    // order, so packets enqueued by a parked HoldOwnInbox and packets popped
+    // here keep per-sender FIFO.
+    w.chan->EnqueueFromRing(std::move(msg.packet));
     return;
   }
   if (msg.member >= 0) {
@@ -1170,44 +1109,14 @@ void ShardRuntime::StartHandoff(int shard, int member, int thief, bool from_stea
   w.stats.steals_out++;
   EndpointId id = all_ids_[static_cast<size_t>(member)];
 
-  if (w.udp != nullptr && !w.udp->shared_ingress()) {
-    // Per-endpoint mode: the socket (with its kernel receive queue) travels
-    // with the endpoint — in-flight datagrams are neither lost nor reordered,
-    // and Release keeps the port as a peer here so our endpoints still reach
-    // it.
+  if (w.udp != nullptr) {
+    // The socket (with its kernel receive queue) travels with the endpoint —
+    // in-flight datagrams are neither lost nor reordered, and Release keeps
+    // the port as a peer here so our endpoints still reach it.
     UdpNetwork::ReleasedEndpoint state = w.udp->Release(id);
     owner_of_[static_cast<size_t>(member)].store(thief, std::memory_order_release);
     Post(thief, [this, thief, member, state, from_steal, start_ns] {
       FinishAdopt(thief, member, {}, state, {}, from_steal, start_ns);
-    });
-    return;
-  }
-
-  if (w.udp != nullptr) {
-    // Shared ingress: no kernel object moves — Release just unhooks the demux
-    // entry and hands back the deliver callback.  Routing discipline matches
-    // the channel backend (listener misses travel via the home shard's ring),
-    // so the handoff uses the same home-shard marker fence to keep per-sender
-    // FIFO across the migration.
-    UdpNetwork::ReleasedEndpoint state = w.udp->Release(id);
-    int home = home_of_[static_cast<size_t>(member)];
-    if (home == shard) {
-      owner_of_[static_cast<size_t>(member)].store(thief, std::memory_order_release);
-      Post(thief, [this, thief, member, state, from_steal, start_ns] {
-        FinishAdopt(thief, member, {}, state, {}, from_steal, start_ns);
-      });
-      return;
-    }
-    Migration mig;
-    mig.thief = thief;
-    mig.from_steal = from_steal;
-    mig.start_ns = start_ns;
-    mig.udp = std::move(state);
-    w.migrations[member] = std::move(mig);
-    int victim = shard;
-    Post(home, [this, victim, member, thief] {
-      owner_of_[static_cast<size_t>(member)].store(thief, std::memory_order_release);
-      Post(victim, [this, victim, member] { CompleteMarker(victim, member); });
     });
     return;
   }
@@ -1251,9 +1160,9 @@ void ShardRuntime::CompleteMarker(int shard, int member) {
   int thief = mig.thief;
   ENS_TRACE(kHandoffMarker, member, static_cast<uint64_t>(thief), mig.backlog.size());
   Post(thief, [this, thief, member, chan = std::move(mig.chan),
-               udp = std::move(mig.udp), backlog = std::move(mig.backlog),
-               from_steal = mig.from_steal, start_ns = mig.start_ns] {
-    FinishAdopt(thief, member, chan, udp, backlog, from_steal, start_ns);
+               backlog = std::move(mig.backlog), from_steal = mig.from_steal,
+               start_ns = mig.start_ns] {
+    FinishAdopt(thief, member, chan, {}, backlog, from_steal, start_ns);
   });
 }
 
@@ -1289,21 +1198,6 @@ void ShardRuntime::FinishAdopt(int shard, int member, ChannelNetwork::ReleasedEn
       w.pending.erase(pit);
       for (const Packet& p : q) {
         w.chan->DeliverFromRing(p);
-      }
-    }
-  } else if (w.udp->shared_ingress()) {
-    // Same ordering discipline as the channel backend: the backlog that
-    // accumulated on the victim mid-migration predates anything that raced
-    // ahead of the adoption into our pre-adopt queue.
-    for (const Packet& p : backlog) {
-      DeliverUdpShared(shard, p);
-    }
-    auto pit = w.pending.find(member);
-    if (pit != w.pending.end()) {
-      std::deque<Packet> q = std::move(pit->second);
-      w.pending.erase(pit);
-      for (const Packet& p : q) {
-        DeliverUdpShared(shard, p);
       }
     }
   }

@@ -17,13 +17,9 @@
 //     full ring.
 //   - the kernel, for the UDP backend: every endpoint owns a real socket, and
 //     AddPeer() teaches each shard's UdpNetwork the ports of endpoints living
-//     on other shards, so cross-shard datagrams are ordinary loopback sends.
-//     With `ingress = shared` every shard instead binds ONE listener in a
-//     common SO_REUSEPORT group: kernel sockets per shard drop to O(1) in
-//     endpoint count, the whole shard drains in a single recvmmsg/uring loop,
-//     and a demux preheader (kWireIngress) routes each datagram to its
-//     endpoint.  A listener-drain datagram whose conn id is not local routes
-//     through the owner via RoutePacketFrom, exactly like a channel packet.
+//     on other shards, so cross-shard datagrams are ordinary loopback sends
+//     that land directly on the owning shard's socket.  UDP rings carry
+//     tasks only, never packets.
 //
 // Idle workers block in poll(2) (UDP: sockets + eventfd wakeup; channel:
 // eventfd only) instead of spinning; posting into a ring wakes the owner
@@ -47,17 +43,14 @@
 // steal request to the hottest shard; the victim quiesces one whole
 // GroupEndpoint (flush staged traffic, invalidate its timers via a rebind
 // epoch) and hands ownership to the thief over the ordinary rings — the
-// stack itself never sees a second thread.  For the per-endpoint UDP backend
-// the endpoint's socket moves with it (datagrams queued in the kernel travel
-// along, so nothing in flight is lost or reordered); with shared ingress the
-// handoff is a pure in-memory transfer (demux entry + deliver callback — no
-// kernel object), fenced through the home shard like a channel handoff so
-// per-sender FIFO holds across the migration.  For the channel
-// backend, packets always route to the endpoint's HOME shard, which
-// forwards to the current owner; a handoff away from a foreign owner is
-// fenced with a marker bounced off the home shard, and packets that arrive
-// at the new owner early wait in a pre-adoption queue — preserving
-// per-sender FIFO across the migration.
+// stack itself never sees a second thread.  A handoff takes one of two
+// paths.  For the UDP backend the endpoint's socket moves with it (datagrams
+// queued in the kernel travel along, so nothing in flight is lost or
+// reordered).  For the channel backend, packets always route to the
+// endpoint's HOME shard, which forwards to the current owner; a handoff away
+// from a foreign owner is fenced with a marker bounced off the home shard,
+// and packets that arrive at the new owner early wait in a pre-adoption
+// queue — preserving per-sender FIFO across the migration.
 //
 // Lifecycle: construct → Build(n) → Start() → Post*/run → Stop().  Build and
 // Start run on the caller's thread before any worker exists; after Start(),
@@ -164,12 +157,10 @@ struct ShardRuntimeConfig {
   // at one predicted branch; the compile-out build removes even that.
   bool trace_enabled = false;
 };
-// The issue-tracker name for the sharding knobs; same type.
-using ShardConfig = ShardRuntimeConfig;
 
 // One message in a cross-shard ring: a control task, a member-targeted task
-// (re-routed if the member migrated between post and drain), or (channel
-// backend) a packet being delivered to an endpoint owned by the receiver.
+// (re-routed if the member migrated between post and drain), or a packet
+// being delivered to an endpoint owned by the receiver (channel backend only).
 struct ShardMsg {
   std::function<void()> task;
   std::function<void(GroupEndpoint&)> member_task;
@@ -378,25 +369,18 @@ class ShardRuntime {
   // Main thread, only before Start() or after Stop().
   GroupEndpoint& member(int i) { return *members_[static_cast<size_t>(i)]; }
 
-  // Internal (ChannelNetwork): routes a flattened packet toward the shard
-  // owning `dst` via its home shard; `src_shard` is the calling worker.
-  // Returns false on drop (no such endpoint).
+  // Internal (ChannelNetwork; channel backend only): routes a flattened
+  // packet toward the shard owning `dst` via its home shard; `src_shard` is
+  // the calling worker.  Returns false on drop (no such endpoint).
   bool RoutePacketFrom(int src_shard, Packet packet);
-  // Internal (ChannelNetwork): a ring/local packet for an endpoint the shard
-  // no longer (or does not yet) own: stash it in a migration backlog or
+  // Internal (ChannelNetwork; channel backend only): a ring/local packet for
+  // an endpoint the shard no longer (or does not yet) own: stash it in a migration backlog or
   // pre-adoption queue, or forward it toward the current owner.  Returns
   // false only when the endpoint is unknown (caller counts the drop).
   bool HandleOrphanPacket(int shard, const Packet& packet);
   // Internal (ChannelNetwork): every endpoint id in the runtime, in member
   // order.  Immutable after Build().
   const std::vector<EndpointId>& AllIds() const { return all_ids_; }
-  // Kernel sockets owned by shard `s`'s network backend (0 for the channel
-  // backend).  With shared ingress this is 2 (listener + tx) regardless of
-  // endpoint count — the O(1) property the runtime tests assert.
-  size_t KernelSocketsOf(int shard) const {
-    const Worker& w = *workers_[static_cast<size_t>(shard)];
-    return w.udp != nullptr ? w.udp->OwnedSocketCount() : 0;
-  }
 
  private:
   static constexpr uint64_t kEwmaScale = 256;  // Fixed-point EWMA unit.
@@ -412,14 +396,14 @@ class ShardRuntime {
     RelaxedCounter steals_out;
   };
 
-  // Victim-side record of a handoff awaiting its home-shard marker: the
-  // released backend state plus every packet that arrived mid-migration.
+  // Victim-side record of a channel handoff awaiting its home-shard marker:
+  // the released endpoint plus every packet that arrived mid-migration.
+  // Channel backend only (a UDP handoff moves the socket and needs no fence).
   struct Migration {
     int thief = -1;
     bool from_steal = false;  // Clears steal_inflight_ when adopted.
     uint64_t start_ns = 0;    // StartHandoff stamp → sched.steal_duration_ns.
     ChannelNetwork::ReleasedEndpoint chan;
-    UdpNetwork::ReleasedEndpoint udp;  // Shared-ingress UDP handoffs only.
     std::deque<Packet> backlog;
   };
 
@@ -435,8 +419,9 @@ class ShardRuntime {
     // Worker-local (owning thread only after Start).
     std::deque<ShardMsg> held;      // Popped while parked; runs next drain.
     std::deque<ShardMsg> deferred;  // Member tasks awaiting an adoption.
-    std::map<int, Migration> migrations;           // member → in-flight handoff.
-    std::map<int, std::deque<Packet>> pending;     // member → pre-adopt packets.
+    // Channel backend only: member → in-flight handoff / pre-adopt packets.
+    std::map<int, Migration> migrations;
+    std::map<int, std::deque<Packet>> pending;
     std::vector<uint8_t> resident;                 // member → owned here?
 
     // Published for other threads (the steal signal).
@@ -458,12 +443,6 @@ class ShardRuntime {
   size_t DrainInbox(int shard);
   size_t DrainDeferred(int shard);
   void ProcessMsg(int shard, ShardMsg msg);
-  // Shared-ingress UDP: delivers a ring-routed packet into the local demux
-  // table, or stashes/forwards it via the orphan chain (mid-migration).
-  void DeliverUdpShared(int shard, const Packet& packet);
-  // Enables the SO_REUSEPORT listener group across all workers (constructor
-  // helper); rolls back to per-endpoint sockets if any shard fails.
-  void SetupSharedIngress();
   void PublishLoad(int shard, size_t events, uint64_t busy_ns);
   void IdleBlock(int shard);
   void MaybeSteal(int shard, int idle_streak, uint64_t* last_attempt_ns);

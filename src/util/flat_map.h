@@ -1,7 +1,7 @@
 // FlatMap — open-addressing hash map from a u32 id to a pointer.
 //
 // Built for one-lookup-per-datagram receive paths (the bypass connection
-// table, the shared-ingress demux): one Fibonacci multiply picks the bucket
+// table): one Fibonacci multiply picks the bucket
 // and a linear probe over a contiguous array resolves it — typically zero
 // probes past the home slot at our load factors, no pointer chasing, no
 // allocation after the table settles.  Deletion uses backward-shift (no

@@ -118,9 +118,9 @@ TEST(CostModelTest, EncodePacksEveryKnobDistinctly) {
   k.pack_window = 32;
   k.flush_deadline = Millis(1);
   k.steal_min_imbalance = 3.0;
-  uint32_t enc = k.Encode(/*shared_ingress=*/true);
+  uint32_t enc = k.Encode();
   EXPECT_EQ(enc & 0x3u, 2u);                  // Backend bits.
-  EXPECT_EQ((enc >> 2) & 0x1u, 1u);           // Shared-ingress bit.
+  EXPECT_EQ((enc >> 2) & 0x1u, 0u);           // Unused bit.
   EXPECT_EQ((enc >> 3) & 0x7Fu, 16u);         // Batch.
   EXPECT_EQ((enc >> 10) & 0x7Fu, 32u);        // Pack window.
   EXPECT_EQ((enc >> 17) & 0xFFu, 10u);        // Flush deadline, 100us units.
@@ -130,12 +130,12 @@ TEST(CostModelTest, EncodePacksEveryKnobDistinctly) {
   // Ring provisioning bits (29-31).
   k.ring_capacity = 16384;
   k.credit_floor = 128;
-  enc = k.Encode(true);
+  enc = k.Encode();
   EXPECT_EQ((enc >> 29) & 0x3u, 2u);          // log4(16384/1024).
   EXPECT_EQ((enc >> 31) & 0x1u, 1u);          // Raised credit floor.
   k.ring_capacity = 1024;
   k.credit_floor = 32;
-  enc = k.Encode(true);
+  enc = k.Encode();
   EXPECT_EQ((enc >> 29) & 0x3u, 0u);
   EXPECT_EQ((enc >> 31) & 0x1u, 0u);
   EXPECT_NE(k.Label().find("r1024"), std::string::npos);
@@ -215,10 +215,8 @@ TEST(AutotunerTest, RingKnobsStableOnLocalWorkloadsGrowUnderBursts) {
   EXPECT_EQ(d2.knobs.Label(), d.knobs.Label());
 }
 
-// The contract the ISSUE's satellite asserts: the gauges the autotuner
-// exports must agree with what the network layer actually resolved — bits
-// 0-1 of tune.active_config are net.backend_active, bit 2 is
-// net.ingress_mode.
+// The gauges the autotuner exports must agree with what the network layer
+// actually resolved: bits 0-1 of tune.active_config are net.backend_active.
 TEST(AutotunerTest, ActiveConfigGaugeAgreesWithNetworkGauges) {
   if (!UdpAvailable()) {
     GTEST_SKIP() << "no UDP sockets in this environment";
@@ -247,12 +245,11 @@ TEST(AutotunerTest, ActiveConfigGaugeAgreesWithNetworkGauges) {
   ASSERT_NE(active, nullptr);
   uint32_t enc = static_cast<uint32_t>(active->value);
   EXPECT_EQ(enc & 0x3u, snap.Value("net.backend_active"));
-  EXPECT_EQ((enc >> 2) & 0x1u, snap.Value("net.ingress_mode"));
   EXPECT_GT(snap.Value("tune.predicted_msgs_per_sec"), 0u);
 }
 
 // Channel backend: the autotuner still decides (and the gauges still agree —
-// the channel transport reports the eager/per-endpoint defaults).
+// the channel transport reports the eager default).
 TEST(AutotunerTest, ChannelRuntimeDecidesAndExportsGauges) {
   ShardRuntimeConfig config;
   config.backend = ShardBackend::kChannel;
@@ -276,7 +273,6 @@ TEST(AutotunerTest, ChannelRuntimeDecidesAndExportsGauges) {
   ASSERT_NE(active, nullptr);
   uint32_t enc = static_cast<uint32_t>(active->value);
   EXPECT_EQ(enc & 0x3u, snap.Value("net.backend_active"));
-  EXPECT_EQ((enc >> 2) & 0x1u, snap.Value("net.ingress_mode"));
 }
 
 }  // namespace

@@ -417,138 +417,26 @@ TEST(ShardRuntimeTest, MigrateMemberHandsOffWithInflightTraffic) {
   EXPECT_EQ(rt.AggregateNetStats().dropped.value(), 0u);
 }
 
-// Same handoff over the UDP backend: the socket (and its kernel queue) must
-// travel with the endpoint, so the stream stays gapless there too.
-TEST(ShardRuntimeTest, MigrateMemberUdpSocketTravelsWithEndpoint) {
+// Same handoff over the UDP backend, on every datapath: the socket (and its
+// kernel queue) must travel with the endpoint, there and back, so the stream
+// stays gapless and lossless.
+class ShardRuntimeUdpTest : public ::testing::TestWithParam<NetBackend> {};
+
+TEST_P(ShardRuntimeUdpTest, MigrateSocketTravels) {
   if (!UdpAvailable()) {
     GTEST_SKIP() << "no UDP sockets in this environment";
   }
-  ShardRuntimeConfig config;
-  config.backend = ShardBackend::kUdp;
-  config.num_workers = 2;
-  // Socket travel is the point here; shared ingress (where nothing travels)
-  // has its own migration test below.
-  config.net.ingress = IngressMode::kPerEndpoint;
-  config.ep = FastEndpointConfig();
-  config.ep.params.pt2pt_window = 1u << 30;
-  config.trace_enabled = true;
-  config.trace_capacity = 1u << 18;
-  SeqTap tap;
-  std::vector<GroupEndpoint*> eps(4, nullptr);
-  WireSeqTap(&config, &tap, &eps);
-
-  ShardRuntime rt(config);
-  ASSERT_TRUE(rt.Build(4, /*group_size=*/2));
-  for (int i = 0; i < 4; i++) {
-    eps[static_cast<size_t>(i)] = &rt.member(i);
-  }
-  rt.Start();
-  PrimePair(&rt, &tap, 0, 8);
-  ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= 100u; }, 5000));
-  rt.MigrateMember(0, 1);
-  rt.MigrateMember(1, 1);
-  ASSERT_TRUE(WaitUntil(
-      [&] { return rt.ShardOf(0) == 1 && rt.ShardOf(1) == 1; }, 5000));
-  uint64_t mark = rt.total_delivered();
-  ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= mark + 100u; }, 5000));
-  tap.echo.store(false);
-  rt.Stop();
-  EXPECT_TRUE(tap.in_order.load());
-  ExpectMigrationSpans(rt, 2u);
-}
-
-// ---- Shared ingress at runtime scope ---------------------------------------
-
-bool SharedIngressAvailable() {
-  if (!UdpAvailable()) {
-    return false;
-  }
-  UdpNetwork probe;
-  NetBackendConfig cfg;
-  cfg.ingress = IngressMode::kShared;
-  probe.set_backend_config(cfg);
-  probe.Attach(EndpointId{1}, [](const Packet&) {});
-  return probe.shared_ingress();
-}
-
-TEST(ShardRuntimeTest, SharedIngressCastCrossesShards) {
-  if (!SharedIngressAvailable()) {
-    GTEST_SKIP() << "shared ingress unavailable in this environment";
+  if (GetParam() == NetBackend::kUring && !UringEngine::Available()) {
+    GTEST_SKIP() << "no io_uring in this environment";
   }
   ShardRuntimeConfig config;
   config.backend = ShardBackend::kUdp;
   config.num_workers = 2;
-  config.net = NetBackendConfig::Batched(16);
-  config.net.ingress = IngressMode::kShared;
-  config.ep = FastEndpointConfig();
-
-  ShardRuntime rt(config);
-  ASSERT_TRUE(rt.Build(4));
-  rt.Start();
-  for (int i = 0; i < 4; i++) {
-    rt.PostToMember(i, [](GroupEndpoint& ep) {
-      ep.Cast(Iovec(Bytes::CopyString("one-listener")));
-    });
+  switch (GetParam()) {
+    case NetBackend::kMmsg: config.net = NetBackendConfig::Batched(16); break;
+    case NetBackend::kUring: config.net = NetBackendConfig::Uring(16); break;
+    default: config.net = NetBackendConfig::Eager(); break;
   }
-  bool done = WaitUntil([&] { return rt.total_delivered() >= 4u * 3u; }, 5000);
-  rt.Stop();
-  EXPECT_TRUE(done) << "delivered " << rt.total_delivered();
-  // Every shard ran on the group listener: O(1) kernel sockets per shard.
-  for (int s = 0; s < 2; s++) {
-    EXPECT_EQ(rt.KernelSocketsOf(s), 2u) << "shard " << s;
-  }
-  NetworkStats net = rt.AggregateNetStats();
-  EXPECT_EQ(net.ingress_mode.value(), 1u);
-  EXPECT_EQ(net.dropped.value(), 0u);
-  EXPECT_EQ(rt.metrics().Snapshot().Value("net.ingress_mode"), 1u);
-}
-
-// The scaling claim from the paper angle: per-endpoint ingress owns one
-// kernel socket per attached endpoint, shared ingress owns exactly two per
-// shard (listener + tx) no matter how many endpoints pile on.
-TEST(ShardRuntimeTest, SharedIngressKernelSocketsStayConstant) {
-  if (!SharedIngressAvailable()) {
-    GTEST_SKIP() << "shared ingress unavailable in this environment";
-  }
-  for (int members : {8, 32}) {
-    ShardRuntimeConfig config;
-    config.backend = ShardBackend::kUdp;
-    config.num_workers = 2;
-    config.net = NetBackendConfig::Batched(16);
-    config.net.ingress = IngressMode::kShared;
-    config.ep = FastEndpointConfig();
-    ShardRuntime rt(config);
-    ASSERT_TRUE(rt.Build(members, /*group_size=*/2));
-    for (int s = 0; s < 2; s++) {
-      EXPECT_EQ(rt.KernelSocketsOf(s), 2u)
-          << "shard " << s << " with " << members << " members";
-    }
-  }
-  // Per-endpoint reference: sockets grow with membership.
-  ShardRuntimeConfig config;
-  config.backend = ShardBackend::kUdp;
-  config.num_workers = 2;
-  config.net = NetBackendConfig::Batched(16);
-  config.net.ingress = IngressMode::kPerEndpoint;
-  config.ep = FastEndpointConfig();
-  ShardRuntime rt(config);
-  ASSERT_TRUE(rt.Build(32, /*group_size=*/2));
-  EXPECT_EQ(rt.KernelSocketsOf(0) + rt.KernelSocketsOf(1), 32u);
-}
-
-// Migration under shared ingress is a pure in-memory transfer: no kernel
-// object moves, mid-migration datagrams park in the pre-adoption queue and
-// replay FIFO after adopt.  Covers both handoff flavours — owner == home on
-// the way out, the marker-fenced foreign-owner path on the way back.
-TEST(ShardRuntimeTest, MigrateMemberSharedIngressStaysInOrder) {
-  if (!SharedIngressAvailable()) {
-    GTEST_SKIP() << "shared ingress unavailable in this environment";
-  }
-  ShardRuntimeConfig config;
-  config.backend = ShardBackend::kUdp;
-  config.num_workers = 2;
-  config.net = NetBackendConfig::Batched(16);
-  config.net.ingress = IngressMode::kShared;
   config.ep = FastEndpointConfig();
   config.ep.params.pt2pt_window = 1u << 30;
   config.trace_enabled = true;
@@ -566,7 +454,6 @@ TEST(ShardRuntimeTest, MigrateMemberSharedIngressStaysInOrder) {
   PrimePair(&rt, &tap, 0, 8);
   ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= 100u; }, 5000));
 
-  // Away: owner == home handoffs while the partner keeps firing.
   rt.MigrateMember(0, 1);
   rt.MigrateMember(1, 1);
   ASSERT_TRUE(WaitUntil(
@@ -574,7 +461,6 @@ TEST(ShardRuntimeTest, MigrateMemberSharedIngressStaysInOrder) {
   uint64_t mark = rt.total_delivered();
   ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= mark + 100u; }, 5000));
 
-  // Back: owner (1) != home (0) — the marker-fenced Migration.udp path.
   rt.MigrateMember(0, 0);
   rt.MigrateMember(1, 0);
   ASSERT_TRUE(WaitUntil(
@@ -583,9 +469,9 @@ TEST(ShardRuntimeTest, MigrateMemberSharedIngressStaysInOrder) {
   ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= mark + 100u; }, 5000));
 
   tap.echo.store(false);
-  // Echo off stops new sends; pt2pt retransmits whatever is still in flight.
-  // Wait for both streams to quiesce BEFORE Stop() — unlike the channel
-  // backend, datagrams sitting in kernel queues at shutdown read as loss.
+  // Echo off stops new sends.  Wait for both streams to quiesce BEFORE
+  // Stop(): unlike the channel backend, datagrams still sitting in kernel
+  // queues at shutdown would read as loss.
   ASSERT_TRUE(WaitUntil(
       [&] {
         return tap.next_rx[1].load() == tap.next_tx[0].load() &&
@@ -597,11 +483,15 @@ TEST(ShardRuntimeTest, MigrateMemberSharedIngressStaysInOrder) {
   ExpectMigrationSpans(rt, 4u);
   EXPECT_EQ(tap.next_rx[1].load(), tap.next_tx[0].load());
   EXPECT_EQ(tap.next_rx[0].load(), tap.next_tx[1].load());
-  // Four adoptions later the socket census is unchanged: nothing traveled.
-  EXPECT_EQ(rt.KernelSocketsOf(0), 2u);
-  EXPECT_EQ(rt.KernelSocketsOf(1), 2u);
   EXPECT_EQ(rt.AggregateNetStats().dropped.value(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, ShardRuntimeUdpTest,
+                         ::testing::Values(NetBackend::kEager, NetBackend::kMmsg,
+                                           NetBackend::kUring),
+                         [](const ::testing::TestParamInfo<NetBackend>& info) {
+                           return std::string(NetBackendName(info.param));
+                         });
 
 // Stealing policy end to end: all four pairs start on shard 0, the idle
 // worker notices and pulls whole groups over until both shards carry load.

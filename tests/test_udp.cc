@@ -4,7 +4,6 @@
 
 #include "src/app/endpoint.h"
 #include "src/app/harness.h"
-#include "src/marshal/wire_tags.h"
 #include "src/net/udp.h"
 #include "src/net/udp_uring.h"
 #include "src/trans/transport.h"
@@ -28,11 +27,6 @@ TEST(UdpNetworkTest, RawSendReceive) {
     GTEST_SKIP() << "no UDP sockets in this environment";
   }
   UdpNetwork net;
-  // This test asserts per-socket semantics (distinct ports per endpoint), so
-  // pin the ingress mode against the ENSEMBLE_INGRESS=shared CI leg.
-  NetBackendConfig cfg;
-  cfg.ingress = IngressMode::kPerEndpoint;
-  net.set_backend_config(cfg);
   std::vector<std::pair<uint64_t, std::string>> received;
   net.Attach(EndpointId{1}, [&](const Packet& p) {
     received.push_back({p.src.id, p.datagram.ToString()});
@@ -505,11 +499,7 @@ TEST(UdpUringTest, ReleaseAdoptHandsRingsAcrossNetworks) {
   // its own ring.
   UdpNetwork net_a;
   UdpNetwork net_b;
-  // Socket-travel semantics require per-endpoint sockets: two standalone
-  // networks have separate listener groups, so a shared-mode fd-less handoff
-  // cannot reach across them.  Pin against the ENSEMBLE_INGRESS=shared leg.
   NetBackendConfig cfg = NetBackendConfig::Uring(8);
-  cfg.ingress = IngressMode::kPerEndpoint;
   net_a.set_backend_config(cfg);
   net_b.set_backend_config(cfg);
   std::vector<std::string> got;
@@ -547,9 +537,7 @@ TEST(UdpUringTest, ReleaseAdoptChurnReusesRingSlots) {
   // deliver, proving no stale user_data or double-armed recv survives.
   UdpNetwork net_a;
   UdpNetwork net_b;
-  // Same as above: fd travel is the point, so pin per-endpoint ingress.
   NetBackendConfig cfg = NetBackendConfig::Uring(8);
-  cfg.ingress = IngressMode::kPerEndpoint;
   net_a.set_backend_config(cfg);
   net_b.set_backend_config(cfg);
   std::vector<std::string> got;
@@ -635,260 +623,6 @@ TEST(UdpUringTest, FallsBackToMmsgWhenUnavailable) {
   auto_net.set_backend_config(NetBackendConfig::Auto(16));
   EXPECT_NE(auto_net.active_backend(), NetBackend::kAuto);
   EXPECT_NE(auto_net.active_backend(), NetBackend::kEager);
-}
-
-// ---- shared ingress (SO_REUSEPORT listener + conn-id demux) ----------------
-
-NetBackendConfig WithSharedIngress(NetBackendConfig base) {
-  base.ingress = IngressMode::kShared;
-  return base;
-}
-
-// True when this host can actually run the shared listener (SO_REUSEPORT +
-// loopback binds); the fallback test covers the rest.
-bool SharedIngressAvailable() {
-  if (!UdpAvailable()) {
-    return false;
-  }
-  UdpNetwork probe;
-  probe.set_backend_config(WithSharedIngress(NetBackendConfig::Eager()));
-  probe.Attach(EndpointId{1}, [](const Packet&) {});
-  return probe.shared_ingress();
-}
-
-TEST(UdpSharedIngressTest, RoundTripAcrossBackendsWithTwoSockets) {
-  if (!SharedIngressAvailable()) {
-    GTEST_SKIP() << "shared ingress unavailable in this environment";
-  }
-  std::vector<NetBackendConfig> configs;
-  configs.push_back(NetBackendConfig::Eager());
-  configs.push_back(NetBackendConfig::Batched(8));
-  if (UringAvailable()) {
-    configs.push_back(NetBackendConfig::Uring(8));
-  }
-  for (const NetBackendConfig& base : configs) {
-    UdpNetwork net;
-    net.set_backend_config(WithSharedIngress(base));
-    std::vector<std::pair<uint64_t, std::string>> got;
-    auto tap = [&](const Packet& p) {
-      got.push_back({p.src.id, p.datagram.ToString()});
-    };
-    net.Attach(EndpointId{1}, tap);
-    net.Attach(EndpointId{2}, tap);
-    net.Attach(EndpointId{3}, tap);
-    ASSERT_TRUE(net.ok());
-    EXPECT_TRUE(net.shared_ingress());
-    // The O(1) claim at network level: 3 endpoints, still listener + tx only.
-    EXPECT_EQ(net.OwnedSocketCount(), 2u);
-    EXPECT_EQ(net.stats().ingress_mode, 1u);
-    net.Send(EndpointId{1}, EndpointId{2}, Iovec(Bytes::CopyString("a")));
-    net.Send(EndpointId{2}, EndpointId{3}, Iovec(Bytes::CopyString("b")));
-    net.Send(EndpointId{3}, EndpointId{1}, Iovec(Bytes::CopyString("c")));
-    net.Flush();
-    for (int spins = 0; spins < 100000 && got.size() < 3; spins++) {
-      net.Poll();
-    }
-    ASSERT_EQ(got.size(), 3u) << NetBackendName(net.active_backend());
-    // One tx socket = one kernel flow: arrival order matches send order, and
-    // src ids come from the demux preheader (there is no port map to consult).
-    EXPECT_EQ(got[0], (std::pair<uint64_t, std::string>{1, "a"}));
-    EXPECT_EQ(got[1], (std::pair<uint64_t, std::string>{2, "b"}));
-    EXPECT_EQ(got[2], (std::pair<uint64_t, std::string>{3, "c"}));
-  }
-}
-
-TEST(UdpSharedIngressTest, UnknownStaleOrMalformedIngressIsCountedDrop) {
-  if (!SharedIngressAvailable()) {
-    GTEST_SKIP() << "shared ingress unavailable in this environment";
-  }
-  UdpNetwork net;
-  net.set_backend_config(WithSharedIngress(NetBackendConfig::Batched(8)));
-  size_t delivered = 0;
-  net.Attach(EndpointId{1}, [&](const Packet&) { delivered++; });
-  net.Attach(EndpointId{2}, [&](const Packet&) { delivered++; });
-  ASSERT_TRUE(net.shared_ingress());
-
-  // Injector: a per-endpoint network aimed at the group port, so we can put
-  // arbitrary bytes on the listener without going through SendSharedWire.
-  UdpNetwork injector;
-  NetBackendConfig pe;
-  pe.ingress = IngressMode::kPerEndpoint;
-  injector.set_backend_config(pe);
-  injector.Attach(EndpointId{50}, [](const Packet&) {});
-  injector.AddPeer(EndpointId{99}, net.shared_port());
-  ASSERT_TRUE(injector.ok());
-
-  // (a) Valid preheader, conn id that never existed: demux_miss, no crash.
-  Bytes unknown = Bytes::Allocate(kWireIngressHeaderLen + 4);
-  uint8_t* w = unknown.MutableData();
-  std::memset(w, 0, unknown.size());
-  w[0] = kWireIngress;
-  w[1] = 7;   // src conn id 7 (le32).
-  w[5] = 42;  // dst conn id 42 (le32): nobody home.
-  injector.Send(EndpointId{50}, EndpointId{99}, Iovec(unknown));
-  // (b) Malformed: no preheader at all — first byte fails the tag check.
-  injector.Send(EndpointId{50}, EndpointId{99},
-                Iovec(Bytes::CopyString("garbage-no-preheader")));
-  // (c) Stale: endpoint 2 released (migrated away) — its id demux-misses.
-  UdpNetwork::ReleasedEndpoint moved = net.Release(EndpointId{2});
-  EXPECT_TRUE(moved.ok());
-  net.Send(EndpointId{1}, EndpointId{2}, Iovec(Bytes::CopyString("late")));
-  net.Flush();
-  injector.Flush();
-  for (int spins = 0;
-       spins < 100000 && (net.stats().demux_miss < 2 || net.stats().demux_bad < 1);
-       spins++) {
-    net.Poll();
-  }
-  EXPECT_EQ(net.stats().demux_miss, 2u);  // (a) + (c).
-  EXPECT_EQ(net.stats().demux_bad, 1u);   // (b).
-  EXPECT_EQ(delivered, 0u);
-
-  // The listener survived all three: normal traffic still flows.
-  net.Adopt(EndpointId{2}, std::move(moved));
-  net.Send(EndpointId{1}, EndpointId{2}, Iovec(Bytes::CopyString("ok")));
-  net.Flush();
-  for (int spins = 0; spins < 100000 && delivered < 1; spins++) {
-    net.Poll();
-  }
-  EXPECT_EQ(delivered, 1u);
-}
-
-TEST(UdpSharedIngressTest, PackedDatagramDemuxesPerSubMessage) {
-  if (!SharedIngressAvailable()) {
-    GTEST_SKIP() << "shared ingress unavailable in this environment";
-  }
-  // A packed (kWirePacked) datagram rides the wire as ONE body behind ONE
-  // preheader; the demux must hand the intact packed train to the endpoint,
-  // whose transport unpacks every sub-message.
-  UdpNetwork net;
-  net.set_backend_config(WithSharedIngress(NetBackendConfig::Batched(8)));
-  std::vector<std::string> subs_got;
-  Transport unpacker;
-  net.Attach(EndpointId{1}, [](const Packet&) {});
-  net.Attach(EndpointId{2}, [&](const Packet& p) {
-    ASSERT_TRUE(Transport::IsPacked(p.datagram));
-    std::vector<Bytes> subs;
-    ASSERT_TRUE(unpacker.Unpack(p.datagram, &subs));
-    for (const Bytes& b : subs) {
-      subs_got.push_back(b.ToString());
-    }
-  });
-  ASSERT_TRUE(net.shared_ingress());
-
-  Transport packer;
-  packer.EnablePacking(
-      [&](const Transport::PackDest&, const Iovec& wire) {
-        net.Send(EndpointId{1}, EndpointId{2}, wire);
-      },
-      /*window=*/4, /*max_bytes=*/60000);
-  for (int i = 0; i < 4; i++) {
-    packer.PackSend(EndpointId{2}, Iovec(Bytes::CopyString("sub" + std::to_string(i))));
-  }
-  packer.FlushPacked();
-  net.Flush();
-  for (int spins = 0; spins < 100000 && subs_got.size() < 4; spins++) {
-    net.Poll();
-  }
-  ASSERT_EQ(subs_got.size(), 4u);
-  for (int i = 0; i < 4; i++) {
-    EXPECT_EQ(subs_got[static_cast<size_t>(i)], "sub" + std::to_string(i));
-  }
-  // The packing classifier ran on the original datagram, before the ingress
-  // preheader was prepended.
-  EXPECT_EQ(net.stats().packed_datagrams, 1u);
-  EXPECT_EQ(net.stats().packed_submsgs, 4u);
-}
-
-TEST(UdpSharedIngressTest, GsoGroSegmentsDemuxPerSubMessage) {
-  if (!UringAvailable() || !SharedIngressAvailable()) {
-    GTEST_SKIP() << "io_uring or shared ingress unavailable";
-  }
-  // Equal-size run through GSO: the 9-byte preheader is uniform, so segment
-  // sizes stay equal and the coalescer still fires; on receive each GRO-split
-  // segment carries its own preheader and demuxes independently.
-  UdpNetwork net;
-  net.set_backend_config(WithSharedIngress(NetBackendConfig::Uring(64)));
-  std::vector<std::string> received;
-  net.Attach(EndpointId{1}, [](const Packet&) {});
-  net.Attach(EndpointId{2}, [&](const Packet& p) {
-    received.push_back(p.datagram.ToString());
-  });
-  ASSERT_TRUE(net.shared_ingress());
-  ASSERT_EQ(net.active_backend(), NetBackend::kUring);
-  for (int i = 0; i < 16; i++) {
-    char tag = static_cast<char>('a' + i);
-    net.Send(EndpointId{1}, EndpointId{2},
-             Iovec(Bytes::CopyString(std::string(64, tag))));
-  }
-  net.Flush();
-  EXPECT_EQ(net.stats().sent, 16u);
-  for (int spins = 0; spins < 100000 && received.size() < 16; spins++) {
-    net.Poll();
-  }
-  ASSERT_EQ(received.size(), 16u);
-  for (int i = 0; i < 16; i++) {
-    EXPECT_EQ(received[static_cast<size_t>(i)],
-              std::string(64, static_cast<char>('a' + i)));
-  }
-  EXPECT_GT(net.stats().gso_sends, 0u);
-  EXPECT_EQ(net.stats().gso_segments, 16u);
-}
-
-TEST(UdpSharedIngressTest, ReleaseAdoptIsInMemoryTransfer) {
-  if (!SharedIngressAvailable()) {
-    GTEST_SKIP() << "shared ingress unavailable in this environment";
-  }
-  UdpNetwork net;
-  net.set_backend_config(WithSharedIngress(NetBackendConfig::Batched(8)));
-  std::vector<std::string> got;
-  net.Attach(EndpointId{1}, [](const Packet&) {});
-  net.Attach(EndpointId{2},
-             [&](const Packet& p) { got.push_back(p.datagram.ToString()); });
-  ASSERT_TRUE(net.shared_ingress());
-
-  UdpNetwork::ReleasedEndpoint state = net.Release(EndpointId{2});
-  ASSERT_TRUE(state.ok());
-  EXPECT_TRUE(state.shared);
-  EXPECT_EQ(state.fd, -1);  // No kernel object travels.
-  EXPECT_EQ(net.OwnedSocketCount(), 2u);
-
-  net.Adopt(EndpointId{2}, std::move(state));
-  net.Send(EndpointId{1}, EndpointId{2}, Iovec(Bytes::CopyString("back")));
-  net.Flush();
-  for (int spins = 0; spins < 100000 && got.empty(); spins++) {
-    net.Poll();
-  }
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], "back");
-}
-
-TEST(UdpSharedIngressTest, FallsBackToPerEndpointWhenUnavailable) {
-  if (!UdpAvailable()) {
-    GTEST_SKIP() << "no UDP sockets in this environment";
-  }
-  UdpNetwork::ForceSharedIngressUnavailableForTest(true);
-  UdpNetwork net;
-  net.set_backend_config(WithSharedIngress(NetBackendConfig::Batched(8)));
-  std::vector<std::string> got;
-  net.Attach(EndpointId{1}, [](const Packet&) {});
-  net.Attach(EndpointId{2},
-             [&](const Packet& p) { got.push_back(p.datagram.ToString()); });
-  net.Attach(EndpointId{3}, [](const Packet&) {});
-  UdpNetwork::ForceSharedIngressUnavailableForTest(false);
-  ASSERT_TRUE(net.ok());
-  EXPECT_FALSE(net.shared_ingress());
-  EXPECT_EQ(net.OwnedSocketCount(), 3u);      // One socket per endpoint again.
-  EXPECT_EQ(net.stats().ingress_mode, 0u);
-  EXPECT_EQ(net.stats().demux_miss, 0u);
-
-  net.Send(EndpointId{1}, EndpointId{2}, Iovec(Bytes::CopyString("fallback")));
-  net.Flush();
-  for (int spins = 0; spins < 100000 && got.empty(); spins++) {
-    net.Poll();
-  }
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], "fallback");
 }
 
 }  // namespace
