@@ -24,6 +24,9 @@
 #               sweep over every adversarial class, the thousand-group soak,
 #               and the injected-bug oracle self-test; a failing seed prints
 #               on stdout and leaves SCHEDULE_*/TRACE_* artifacts in build/
+#   --asan      separate tree under AddressSanitizer + UndefinedBehaviorSanitizer
+#               with libstdc++ assertions: full suite + bench_scenario --smoke;
+#               any memory error or undefined behaviour fails the run
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -51,6 +54,11 @@ case "$LEG" in
   overload) CTEST_ARGS="-R Overload|Watermark|SendWindow|LiveCounter|BufferPool"
             SMOKES="overload" ;;
   scenario) CTEST_ARGS="-R Scenario|SpanCheck|SimQueueReplay|OverloadLadder"
+            SMOKES="scenario" ;;
+  asan)     BUILD_DIR=build-asan
+            # CMake seeds a fresh tree's compile and link flags from these.
+            export CXXFLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
+            export LDFLAGS="-fsanitize=address,undefined"
             SMOKES="scenario" ;;
   *) echo "unknown leg: $LEG" >&2; exit 2 ;;
 esac

@@ -74,6 +74,9 @@ std::string RenderOptimizationTheorem(LayerId layer, FCase fcase) {
     }
     os << "}";
   }
+  if (rule->update != nullptr) {
+    os << " UPDATING " << rule->update_desc;
+  }
   if (rule->split_deliver) {
     os << " AND DELIVERS LOCALLY (split)";
   }

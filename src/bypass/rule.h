@@ -84,6 +84,7 @@ struct BypassRule {
   const char* ccp_desc = "true";
   CcpFn ccp = nullptr;        // nullptr = always true.
   UpdateFn update = nullptr;  // nullptr = no state change.
+  const char* update_desc = "";  // What `update` changes, for the rendering.
   PredictFn predict = nullptr;
 
   // Header plan, parallel to the layer's HeaderDescriptor fields.  Empty
@@ -148,6 +149,7 @@ const BypassRule* FindBypassRule(LayerId layer, FCase fcase);
 // Human-readable rendering of a rule as an optimization theorem, e.g.
 //   OPTIMIZING LAYER mnak FOR EVENT Dn/Cast ASSUMING true
 //   YIELDS header {kind=0 const, seqno var, lo=0 const, hi=0 const}
+//   UPDATING send_seqno++, sent[seqno] = msg
 std::string RenderOptimizationTheorem(LayerId layer, FCase fcase);
 
 }  // namespace ensemble

@@ -68,6 +68,7 @@ BypassRule MnakDnCast() {
   // SaveSent copies the whole event into the retransmit buffer — heavier
   // than the structural estimate (header materialization + map insert).
   r.cost_units = 14;
+  r.update_desc = "seqno = send_seqno++, sent[seqno] = msg";
   r.update = +[](BypassCtx& ctx) {
     auto* f = MutSt<MnakFast>(ctx);
     ctx.vars_out[0] = f->send_seqno;
@@ -90,6 +91,7 @@ BypassRule MnakUpCast() {
     return ctx.vars_in[0] == f->self->Expected(ctx.ev->origin) &&
            f->self->NoBacklog(ctx.ev->origin);
   };
+  r.update_desc = "recv_window[origin].low++, seq_hint = seqno";
   r.update = +[](BypassCtx& ctx) {
     auto* f = MutSt<MnakFast>(ctx);
     f->self->FastReceive(ctx.ev->origin, ctx.vars_in[0]);
@@ -117,6 +119,7 @@ BypassRule Pt2ptDnSend() {
   r.ccp_desc = "true (sender side always eligible)";
   r.needs_upper_headers = true;  // The unacked buffer keeps the upper headers.
   r.cost_units = 14;  // FastSend buffers the event, like mnak's SaveSent.
+  r.update_desc = "seqno = next_seqno[dest]++, unacked[dest][seqno] = msg";
   r.update = +[](BypassCtx& ctx) {
     auto* f = MutSt<Pt2ptFast>(ctx);
     ctx.vars_out[0] = f->self->NextSendSeqno(ctx.ev->dest);
@@ -137,6 +140,7 @@ BypassRule Pt2ptUpSend() {
     return ctx.vars_in[0] == f->self->Expected(ctx.ev->origin) &&
            f->self->NoBacklog(ctx.ev->origin);
   };
+  r.update_desc = "recv_window[origin].low++";
   r.update = +[](BypassCtx& ctx) {
     auto* f = MutSt<Pt2ptFast>(ctx);
     f->self->FastReceive(ctx.ev->origin, ctx.vars_in[0]);
@@ -153,6 +157,7 @@ BypassRule MflowDnCast() {
   BypassRule r;
   r.ccp_desc = "send credit available";
   r.ccp = +[](const BypassCtx& ctx) { return St<MflowFast>(ctx)->HasCredit(); };
+  r.update_desc = "sent++";
   r.update = +[](BypassCtx& ctx) { MutSt<MflowFast>(ctx)->sent++; };
   r.fields = {FieldPlan::Const(kMflowData), FieldPlan::Const(0)};
   return r;
@@ -164,6 +169,7 @@ BypassRule MflowUpCast() {
   r.ccp = +[](const BypassCtx& ctx) {
     return St<MflowFast>(ctx)->self->NoGrantDue(ctx.ev->origin);
   };
+  r.update_desc = "consumed[origin]++";
   r.update = +[](BypassCtx& ctx) {
     MutSt<MflowFast>(ctx)->self->FastConsume(ctx.ev->origin);
   };
@@ -188,6 +194,7 @@ BypassRule Pt2ptwDnSend() {
   r.ccp = +[](const BypassCtx& ctx) {
     return St<Pt2ptwFast>(ctx)->self->HasCredit(ctx.ev->dest);
   };
+  r.update_desc = "sent[dest]++";
   r.update = +[](BypassCtx& ctx) {
     MutSt<Pt2ptwFast>(ctx)->self->FastSendConsume(ctx.ev->dest);
   };
@@ -201,6 +208,7 @@ BypassRule Pt2ptwUpSend() {
   r.ccp = +[](const BypassCtx& ctx) {
     return St<Pt2ptwFast>(ctx)->self->NoGrantDue(ctx.ev->origin);
   };
+  r.update_desc = "consumed[origin]++";
   r.update = +[](BypassCtx& ctx) {
     MutSt<Pt2ptwFast>(ctx)->self->FastConsume(ctx.ev->origin);
   };
@@ -238,6 +246,9 @@ BypassRule FragUp() {
 BypassRule CollectDnCast() {
   BypassRule r;
   r.ccp_desc = "true (data header only)";
+  // Arms the timer's stability gossip round, as CollectLayer::Dn does.
+  r.update_desc = "data_since_gossip = 1";
+  r.update = +[](BypassCtx& ctx) { MutSt<CollectFast>(ctx)->data_since_gossip = 1; };
   r.fields = {FieldPlan::Const(kCollectData)};
   return r;
 }
@@ -249,6 +260,7 @@ BypassRule CollectUpCast() {
     auto* f = St<CollectFast>(ctx);
     return f->since_gossip + 1 < f->interval;
   };
+  r.update_desc = "acks[origin] = seq_hint + 1, since_gossip++, data_since_gossip = 1";
   r.update = +[](BypassCtx& ctx) {
     MutSt<CollectFast>(ctx)->self->CountDelivered(ctx.ev->origin, ctx.ev->seq_hint,
                                                   /*is_data=*/true);
@@ -282,6 +294,7 @@ BypassRule TotalDnCast() {
     auto* f = St<TotalFast>(ctx);
     return f->HoldsToken(f->my_rank);
   };
+  r.update_desc = "gseq = next_gseq++";
   r.update = +[](BypassCtx& ctx) {
     auto* f = MutSt<TotalFast>(ctx);
     ctx.vars_out[0] = f->next_gseq++;
@@ -300,6 +313,7 @@ BypassRule TotalUpCast() {
     auto* f = St<TotalFast>(ctx);
     return ctx.vars_in[0] == f->expected_gseq && f->self->HoldbackEmpty();
   };
+  r.update_desc = "expected_gseq++";
   r.update = +[](BypassCtx& ctx) { MutSt<TotalFast>(ctx)->expected_gseq++; };
   r.fields = {FieldPlan::Const(kTotalData), FieldPlan::Var()};
   return r;
@@ -320,6 +334,7 @@ BypassRule PartialApplDn() {
   BypassRule r;
   r.ccp_desc = "stack not blocked for a view change";
   r.ccp = +[](const BypassCtx& ctx) { return St<PartialApplFast>(ctx)->blocked == 0; };
+  r.update_desc = "casts++";
   r.update = +[](BypassCtx& ctx) { MutSt<PartialApplFast>(ctx)->casts++; };
   return r;
 }
@@ -327,6 +342,7 @@ BypassRule PartialApplDn() {
 BypassRule PartialApplUp() {
   BypassRule r;
   r.ccp_desc = "true";
+  r.update_desc = "delivered++";
   r.update = +[](BypassCtx& ctx) { MutSt<PartialApplFast>(ctx)->delivered++; };
   return r;
 }

@@ -42,6 +42,10 @@ struct Event {
   // Reliability sequence number of a delivered cast, stamped by mnak so the
   // stability layer above can account in mnak's own seqno space.
   uint64_t seq_hint = 0;
+  // Set on a cast a layer originates for its own protocol (collect's
+  // stability gossip): mflow passes it without charging a send credit, so
+  // protocol traffic never queues behind application casts.  Local only.
+  bool protocol_cast = false;
 
   Event() = default;
 

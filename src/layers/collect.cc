@@ -20,14 +20,14 @@ bool CollectLayer::CountDelivered(Rank origin, uint64_t seq_hint, bool is_data) 
   if (!is_data) {
     return true;
   }
-  data_since_gossip_ = true;
+  fast_.data_since_gossip = 1;
   fast_.since_gossip++;
   return fast_.since_gossip < fast_.interval;
 }
 
 void CollectLayer::Gossip(EventSink& sink) {
   fast_.since_gossip = 0;
-  data_since_gossip_ = false;
+  fast_.data_since_gossip = 0;
   last_gossiped_ = acks_;
   WireWriter w;
   w.U16(static_cast<uint16_t>(acks_.size()));
@@ -35,6 +35,7 @@ void CollectLayer::Gossip(EventSink& sink) {
     w.U64(a);
   }
   Event gossip = Event::Cast(Iovec(w.Take()));
+  gossip.protocol_cast = true;
   gossip.hdrs.Push(LayerId::kCollect, CollectHeader{kCollectGossip});
   sink.PassDn(std::move(gossip));
   // Our own vector participates in the aggregate directly.
@@ -79,14 +80,16 @@ void CollectLayer::Aggregate(Rank from, const std::vector<uint64_t>& their_acks,
 void CollectLayer::Dn(Event ev, EventSink& sink) {
   switch (ev.type) {
     case EventType::kCast:
+      fast_.data_since_gossip = 1;
       ev.hdrs.Push(LayerId::kCollect, CollectHeader{kCollectData});
       sink.PassDn(std::move(ev));
       return;
     case EventType::kTimer:
       // Quiescence gossip: when data traffic stops mid-interval, the
       // counters still reach the group so stability keeps advancing.  Gated
-      // on data (not protocol) deliveries to damp gossip ping-pong.
-      if (data_since_gossip_ && acks_ != last_gossiped_) {
+      // on data (not protocol) traffic — delivered or cast — to damp gossip
+      // ping-pong.
+      if (fast_.data_since_gossip != 0 && acks_ != last_gossiped_) {
         Gossip(sink);
       }
       sink.PassDn(std::move(ev));
@@ -141,7 +144,7 @@ void CollectLayer::Up(Event ev, EventSink& sink) {
 void CollectLayer::ResetForView() {
   size_t n = view_ ? static_cast<size_t>(nmembers_) : 0;
   fast_.since_gossip = 0;
-  data_since_gossip_ = false;
+  fast_.data_since_gossip = 0;
   last_gossiped_.assign(n, 0);
   acks_.assign(n, 0);
   peer_acks_.assign(n, std::vector<uint64_t>(n, 0));
@@ -151,6 +154,7 @@ void CollectLayer::ResetForView() {
 uint64_t CollectLayer::StateDigest() const {
   uint64_t h = kFnvOffset;
   h = FnvMixU64(h, fast_.since_gossip);
+  h = FnvMixU64(h, fast_.data_since_gossip);
   for (uint64_t a : acks_) {
     h = FnvMixU64(h, a);
   }

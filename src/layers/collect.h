@@ -4,11 +4,20 @@
 // in mnak's sequence-number space, via the seq_hint mnak stamps on every
 // delivery (data and protocol casts alike, so gossip traffic itself becomes
 // stable).  The vector is gossiped to the group every `stable_interval` data
-// deliveries (plus a quiescence round on the timer); each member aggregates
-// everyone's vectors and announces, for each sender, the minimum over the
-// *other* members' rows (a sender trivially has its own casts) as a kStable
-// event travelling *down* so the reliability layers (mnak) can prune their
-// retransmission buffers.
+// deliveries, plus a round on the timer when the member has delivered or
+// cast data since its last gossip and the vector moved.  Each member
+// aggregates everyone's vectors and announces, for each sender, the minimum
+// over the *other* members' rows (a sender trivially has its own casts) as a
+// kStable event travelling *down* so the reliability layers (mnak) can prune
+// their retransmission buffers.
+//
+// Who gossips: every member that takes part in data traffic.  A member that
+// only casts never delivers data through this layer (`local` sits above it
+// and self-delivers), yet the other members' gossip casts become stable only
+// once it reports them — so casting data arms the timer round too.
+// Delivering gossip arms nothing, which keeps an idle group from
+// ping-ponging gossip.  Gossip is marked Event::protocol_cast, so mflow
+// carries it without a flow-control charge.
 
 #ifndef ENSEMBLE_SRC_LAYERS_COLLECT_H_
 #define ENSEMBLE_SRC_LAYERS_COLLECT_H_
@@ -32,6 +41,7 @@ enum CollectKind : uint8_t {
 struct CollectFast {
   uint32_t since_gossip = 0;  // Deliveries since the last gossip round.
   uint32_t interval = 16;
+  uint8_t data_since_gossip = 0;  // Delivered or cast data since the last gossip.
   class CollectLayer* self = nullptr;
 };
 
@@ -61,7 +71,6 @@ class CollectLayer : public Layer {
   void ResetForView();
 
   CollectFast fast_;
-  bool data_since_gossip_ = false;                  // Damps gossip ping-pong.
   std::vector<uint64_t> last_gossiped_;             // acks_ as of the last gossip.
   std::vector<uint64_t> acks_;                      // acks_[r]: watermark of r's casts.
   std::vector<std::vector<uint64_t>> peer_acks_;    // Last vector heard from each member.

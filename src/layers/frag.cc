@@ -21,6 +21,7 @@ void FragLayer::Fragment(Event ev, EventSink& sink) {
     Event piece;
     piece.type = ev.type;
     piece.dest = ev.dest;
+    piece.protocol_cast = ev.protocol_cast;  // Large-group gossip stays uncharged.
     piece.hdrs = ev.hdrs;  // Upper-layer headers replicate onto each piece.
     size_t off = static_cast<size_t>(i) * max;
     size_t len = std::min(max, total - off);

@@ -48,6 +48,11 @@ void MflowLayer::SendGrant(Rank origin, EventSink& sink) {
 void MflowLayer::Dn(Event ev, EventSink& sink) {
   switch (ev.type) {
     case EventType::kCast: {
+      if (ev.protocol_cast) {
+        ev.hdrs.Push(LayerId::kMflow, MflowHeader{kMflowPass, 0});
+        sink.PassDn(std::move(ev));
+        return;
+      }
       if (!fast_.HasCredit()) {
         pending_.push_back(std::move(ev));
         return;
@@ -76,6 +81,10 @@ void MflowLayer::Up(Event ev, EventSink& sink) {
   switch (ev.type) {
     case EventType::kDeliverCast: {
       MflowHeader hdr = ev.hdrs.Pop<MflowHeader>(LayerId::kMflow);
+      if (hdr.kind == kMflowPass) {
+        sink.PassUp(std::move(ev));  // Protocol cast: no credit to account.
+        return;
+      }
       ENS_CHECK(hdr.kind == kMflowData);
       Rank origin = ev.origin;
       sink.PassUp(std::move(ev));

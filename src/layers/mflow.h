@@ -5,6 +5,12 @@
 // (point-to-point) after consuming half a window of casts from that sender.
 // Casts that find no credit are queued and released when credits arrive
 // (the non-common case the bypass CCP excludes).
+//
+// Protocol casts (Event::protocol_cast — collect's stability gossip) carry no
+// charge: they pass at once with a kMflowPass header, whatever the credit,
+// and receivers do not count them toward a grant.  Stability is what frees
+// the retransmission buffers below, so it must never wait for credit that
+// only application traffic consumes.
 
 #ifndef ENSEMBLE_SRC_LAYERS_MFLOW_H_
 #define ENSEMBLE_SRC_LAYERS_MFLOW_H_
@@ -25,7 +31,7 @@ struct MflowHeader {
 
 enum MflowKind : uint8_t {
   kMflowData = 0,
-  kMflowPass = 1,    // Upper-layer point-to-point message passing through.
+  kMflowPass = 1,    // Send, or protocol cast, passing through uncharged.
   kMflowCredit = 2,  // Credit grant.
 };
 

@@ -1,5 +1,7 @@
 #include "src/layers/mnak.h"
 
+#include <algorithm>
+
 #include "src/marshal/header_desc.h"
 #include "src/util/hash.h"
 #include "src/util/logging.h"
@@ -148,12 +150,22 @@ void MnakLayer::DeliverInOrder(Rank origin, EventSink& sink) {
 }
 
 void MnakLayer::AdvertiseWatermark(EventSink& sink) {
-  // Re-advertise while our watermark is news or while any of our casts might
-  // still need retransmission (the buffer empties as stability advances).
-  if (fast_.send_seqno == 0 || (advertised_ == fast_.send_seqno && sent_.empty())) {
+  // Advertise a new watermark at once.  Re-advertise an unchanged one, with
+  // exponential backoff, while any of our casts might still need
+  // retransmission (the buffer empties as stability advances).
+  if (fast_.send_seqno == 0) {
     return;
   }
-  advertised_ = fast_.send_seqno;
+  if (advertised_ != fast_.send_seqno) {
+    advertised_ = fast_.send_seqno;
+    hi_backoff_ = 1;
+    hi_wait_ = 1;
+  } else if (sent_.empty() || --hi_wait_ > 0) {
+    return;
+  } else {
+    hi_backoff_ = std::min(hi_backoff_ * 2, kMaxHiBackoffTicks);
+    hi_wait_ = hi_backoff_;
+  }
   Event hi = Event::Send(kNoRank, Iovec());
   hi.type = EventType::kCast;
   hi.hdrs.Push(LayerId::kMnak, MnakHeader{kMnakHi, fast_.send_seqno, 0, 0});
@@ -199,6 +211,8 @@ void MnakLayer::HandleNak(Rank from, uint32_t lo, uint32_t hi, EventSink& sink) 
 void MnakLayer::ResetForView() {
   fast_.send_seqno = 0;
   advertised_ = 0;
+  hi_backoff_ = 1;
+  hi_wait_ = 0;
   peers_.clear();
   sent_.clear();
 }

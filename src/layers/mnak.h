@@ -10,6 +10,15 @@
 // window is equal to the sequence number in the event ... that message may be
 // delivered and the low end of the window moved up, without a need for
 // buffering."
+//
+// Buffer bound: a sent cast is pruned when collect reports it stable, so the
+// retransmission buffer holds only the unstable window, not all traffic.
+// The send watermark (kMnakHi) lets receivers detect a lost tail.  A new
+// watermark is advertised on the next timer tick; while casts stay
+// unstable an unchanged one is re-advertised after 1, 2, 4, ... ticks up to
+// kMaxHiBackoffTicks.  A member's last gossip cast stays unstable in an idle
+// group (reporting it would take another gossip), so without the backoff
+// every such member would broadcast once per tick forever.
 
 #ifndef ENSEMBLE_SRC_LAYERS_MNAK_H_
 #define ENSEMBLE_SRC_LAYERS_MNAK_H_
@@ -37,6 +46,10 @@ enum MnakKind : uint8_t {
   kMnakRetrans = 3,  // Retransmission of the sender's own cast `seqno`.
   kMnakHi = 4,       // Send-watermark advertisement: "I have cast [0, seqno)".
 };
+
+// Cap, in timer ticks, on the gap between re-advertisements of an unchanged
+// send watermark.
+constexpr uint32_t kMaxHiBackoffTicks = 1024;
 
 // A buffered message: payload plus the headers of the layers above mnak,
 // exactly as they were when the message passed down (retransmissions must
@@ -97,6 +110,8 @@ class MnakLayer : public Layer {
   std::map<Rank, PeerState> peers_;
   std::map<Seqno, MnakSavedMsg> sent_;  // My own casts, for retransmission.
   uint32_t advertised_ = 0;             // Watermark last announced via kMnakHi.
+  uint32_t hi_backoff_ = 1;             // Ticks between re-advertisements of it.
+  uint32_t hi_wait_ = 0;                // Ticks left until the next one.
 };
 
 }  // namespace ensemble

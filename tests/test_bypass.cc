@@ -6,6 +6,7 @@
 #include "src/bypass/compiler.h"
 #include "src/bypass/conn_table.h"
 #include "src/bypass/hand.h"
+#include "src/layers/collect.h"
 #include "src/layers/mnak.h"
 #include "src/layers/total.h"
 #include "src/marshal/generic_codec.h"
@@ -116,6 +117,22 @@ TEST(CompilerTest, DescribeRendersComposedTheorem) {
   EXPECT_NE(text.find("OPTIMIZING LAYER mnak"), std::string::npos);
   EXPECT_NE(text.find("seqno var"), std::string::npos);
   EXPECT_NE(text.find("s_bottom.enabled"), std::string::npos);
+  EXPECT_NE(text.find("YIELDS header {kind=0 const} UPDATING data_since_gossip = 1"),
+            std::string::npos);
+}
+
+TEST(CompilerTest, BypassedCastArmsStabilityGossip) {
+  // The compiled Dn/Cast route must do what CollectLayer::Dn does: mark that
+  // this member cast data, so its timer reports acks even if it never
+  // delivers data itself.
+  BypassFixture f(TenLayerStack());
+  auto* collect = f.tx->FindLayer(LayerId::kCollect);
+  const auto* fast = static_cast<const CollectFast*>(collect->FastState());
+  EXPECT_EQ(fast->data_since_gossip, 0);
+  Event ev = Event::Cast(Iovec(Bytes::CopyString("x")));
+  Iovec wire;
+  ASSERT_TRUE(f.tx_route->TryDown(ev, &wire, nullptr));
+  EXPECT_EQ(fast->data_since_gossip, 1);
 }
 
 TEST(RoundTripTest, BypassToBypassDelivers) {

@@ -115,11 +115,29 @@ TEST(ScaleTest, SoloGroupWorks) {
 // Stability actually prunes retransmission buffers.
 // ---------------------------------------------------------------------------
 
-TEST(StabilityTest, GossipPrunesMnakBuffers) {
+struct StabilityCase {
+  int n;
+  bool local_loopback;
+};
+
+std::string StabilityCaseName(const StabilityCase& sc) {
+  return "n" + std::to_string(sc.n) + (sc.local_loopback ? "_loopback" : "_noloopback");
+}
+
+void PrintTo(const StabilityCase& sc, std::ostream* os) { *os << StabilityCaseName(sc); }
+
+class StabilityTest : public ::testing::TestWithParam<StabilityCase> {};
+
+// Member 0 casts, everyone else only gossips.  Every member's buffer — the
+// gossip casts of members 1..n-1 included — must shrink to the unstable
+// tail, and once idle the group must go quiet rather than re-advertise its
+// send watermarks every tick.
+TEST_P(StabilityTest, GossipPrunesMnakBuffers) {
+  const StabilityCase& sc = GetParam();
   HarnessConfig config;
-  config.n = 2;
+  config.n = sc.n;
   config.ep.layers = TenLayerStack();
-  config.ep.params.local_loopback = false;
+  config.ep.params.local_loopback = sc.local_loopback;
   config.ep.params.stable_interval = 4;  // Gossip often.
   GroupHarness g(config);
   g.StartAll();
@@ -127,11 +145,29 @@ TEST(StabilityTest, GossipPrunesMnakBuffers) {
     g.CastFrom(0, "m" + std::to_string(i));
     g.Run(Millis(1));
   }
-  g.Run(Millis(300));
-  auto* mnak = static_cast<MnakLayer*>(g.member(0).stack()->FindLayer(LayerId::kMnak));
-  // All but the most recent unstable tail must be pruned.
-  EXPECT_LT(mnak->retrans_buffer_size(), 32u);
+  g.Run(Millis(200));
+  uint64_t sent_before = g.network().stats().sent;
+  g.Run(Millis(100));  // The third 100 ms of idle time.
+  uint64_t idle_sent = g.network().stats().sent - sent_before;
+  // At most one watermark re-advertisement per member (backed off to 64+
+  // ticks by now), each reaching n-1 peers.
+  EXPECT_LE(idle_sent, static_cast<uint64_t>(sc.n * (sc.n - 1)));
+  for (int m = 0; m < sc.n; m++) {
+    auto* mnak = static_cast<MnakLayer*>(g.member(m).stack()->FindLayer(LayerId::kMnak));
+    EXPECT_LE(mnak->retrans_buffer_size(), config.ep.params.stable_interval) << "member " << m;
+  }
+  for (int m = 1; m < sc.n; m++) {
+    EXPECT_EQ(g.CastPayloadsFrom(m, 0).size(), 32u) << "member " << m;
+  }
 }
+
+std::string StabilityName(const ::testing::TestParamInfo<StabilityCase>& info) {
+  return StabilityCaseName(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Groups, StabilityTest,
+                         ::testing::Values(StabilityCase{2, false}, StabilityCase{4, true}),
+                         StabilityName);
 
 // ---------------------------------------------------------------------------
 // View change + virtual synchrony.

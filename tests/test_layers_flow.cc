@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/app/harness.h"
 #include "src/layers/frag.h"
 #include "src/layers/mflow.h"
+#include "src/layers/mnak.h"
 #include "src/layers/pt2ptw.h"
 #include "src/util/rng.h"
 #include "tests/layer_tester.h"
@@ -81,6 +85,85 @@ TEST(MflowTest, SingletonGroupIsUnthrottled) {
   LayerTester t(LayerId::kMflow, 1, 0, SmallWindow());
   for (int i = 0; i < 50; i++) {
     EXPECT_EQ(t.Dn(Event::Cast(LayerTester::Payload("m"))).dn.size(), 1u);
+  }
+}
+
+TEST(MflowTest, ProtocolCastPassesWithoutCredit) {
+  LayerTester t(LayerId::kMflow, 2, 0, SmallWindow());
+  for (int i = 0; i < 8; i++) {
+    t.Dn(Event::Cast(LayerTester::Payload("m")));
+  }
+  ASSERT_FALSE(t.As<MflowLayer>().fast().HasCredit());
+  Event gossip = Event::Cast(LayerTester::Payload("g"));
+  gossip.protocol_cast = true;
+  auto& out = t.Dn(std::move(gossip));
+  ASSERT_EQ(out.dn.size(), 1u);
+  EXPECT_EQ(out.dn[0].hdrs.Pop<MflowHeader>(LayerId::kMflow).kind, kMflowPass);
+  EXPECT_EQ(t.As<MflowLayer>().fast().sent, 8u);
+  EXPECT_EQ(t.As<MflowLayer>().QueuedCasts(), 0u);
+}
+
+TEST(MflowTest, ReceiverDoesNotCountProtocolCasts) {
+  LayerTester t(LayerId::kMflow, 2, 1, SmallWindow());
+  auto deliver = [&](MflowKind kind) -> CollectSink& {
+    Event ev = Event::DeliverCast(0, LayerTester::Payload("d"));
+    ev.hdrs.Push(LayerId::kMflow, MflowHeader{kind, 0});
+    return t.Up(std::move(ev));
+  };
+  for (int i = 0; i < 3; i++) {
+    EXPECT_TRUE(deliver(kMflowData).dn.empty());
+  }
+  // Protocol casts go up untouched and move no grant closer.
+  for (int i = 0; i < 5; i++) {
+    auto& out = deliver(kMflowPass);
+    EXPECT_EQ(out.up.size(), 1u);
+    EXPECT_TRUE(out.dn.empty());
+  }
+  auto& out = deliver(kMflowData);
+  ASSERT_EQ(out.dn.size(), 1u);
+  EXPECT_EQ(out.dn[0].hdrs.Pop<MflowHeader>(LayerId::kMflow).credits, 12u);  // 4 + window.
+}
+
+// The perfbench `bulk` shape: 8 casts of 16 KiB (128 fragments, half the
+// default window) kept outstanding.  Stability gossip from the caster must
+// not push it over the credit edge, and neither member's retransmission
+// buffer may grow with the traffic.
+TEST(MflowTest, BulkShapedLoopNeverQueuesForCredit) {
+  HarnessConfig config;
+  config.n = 2;
+  config.ep.mode = StackMode::kMachine;
+  config.ep.layers = TenLayerStack();
+  GroupHarness g(config);
+  g.StartAll();
+  auto mnak = [&](int m) {
+    return static_cast<MnakLayer*>(g.member(m).stack()->FindLayer(LayerId::kMnak));
+  };
+  auto* mflow0 = static_cast<MflowLayer*>(g.member(0).stack()->FindLayer(LayerId::kMflow));
+  const std::string payload(16 * 1024, 'b');
+  constexpr size_t kCasts = 2000;
+  size_t issued = 0;
+  size_t max_queued = 0;
+  size_t max_buffer = 0;
+  while (g.deliveries(1).size() < kCasts) {
+    while (issued < kCasts && issued - g.deliveries(1).size() < 8) {
+      g.CastFrom(0, payload);
+      issued++;
+      max_queued = std::max(max_queued, mflow0->QueuedCasts());
+    }
+    g.Run(Micros(50));
+    max_queued = std::max(max_queued, mflow0->QueuedCasts());
+    max_buffer = std::max({max_buffer, mnak(0)->retrans_buffer_size(),
+                           mnak(1)->retrans_buffer_size()});
+    ASSERT_LT(g.queue().now(), Seconds(10)) << "stalled at " << g.deliveries(1).size();
+  }
+  EXPECT_EQ(max_queued, 0u);
+  // Unstable casts: at most a credit window of data plus what one gossip
+  // interval has not yet reported.
+  EXPECT_LE(max_buffer,
+            size_t{config.ep.params.mflow_window} + config.ep.params.stable_interval);
+  g.Run(Millis(300));
+  for (int m = 0; m < 2; m++) {
+    EXPECT_LE(mnak(m)->retrans_buffer_size(), config.ep.params.stable_interval) << "member " << m;
   }
 }
 
@@ -163,6 +246,19 @@ TEST(FragTest, LargePayloadSplitsAtMtu) {
   }
   EXPECT_EQ(out.dn[0].payload.Flatten().view(), "0123456789");
   EXPECT_EQ(out.dn[2].payload.Flatten().view(), "KLM");
+}
+
+TEST(FragTest, ProtocolCastPiecesStayProtocolCasts) {
+  // A large group's gossip may fragment; mflow must still carry every piece
+  // uncharged.
+  LayerTester t(LayerId::kFrag, 2, 0, SmallMtu());
+  Event gossip = Event::Cast(LayerTester::Payload("0123456789abcdefghijKLM"));
+  gossip.protocol_cast = true;
+  auto& out = t.Dn(std::move(gossip));
+  ASSERT_EQ(out.dn.size(), 3u);
+  for (const Event& piece : out.dn) {
+    EXPECT_TRUE(piece.protocol_cast);
+  }
 }
 
 TEST(FragTest, ReassemblesInOrder) {
