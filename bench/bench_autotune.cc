@@ -14,8 +14,10 @@
 //         the rows the prediction-error gate scores.
 //
 //   skew  8:1 skewed placement over a 4-worker UDP ShardRuntime (the
-//         bench_skew shape), sweeping the steal threshold plus the
-//         autotuner's pick.  Emitted for completeness but exempt from the
+//         bench_skew shape).  Hand-set steal thresholds on one datapath
+//         config next to the autotuner's pick, which runs the StealConfig
+//         default threshold: the model cannot rank thresholds, so they are
+//         not tuner knobs.  Emitted for completeness but exempt from the
 //         gate: aggregate multi-worker throughput on a shared host measures
 //         the core count as much as the configuration.
 //
@@ -46,6 +48,7 @@ namespace {
 constexpr size_t kMsgSize = 64;
 constexpr size_t kWave = 256;  // Messages between drain points (raw tier).
 constexpr int kWindow = 64;    // In-flight messages per pair (skew tier).
+constexpr VTime kSkewFlush = Millis(1);  // Skew-tier endpoint timer.
 
 // The gate is deliberately generous: the model has to rank configurations,
 // not hit their absolute throughput — 2x off on every row would still pick
@@ -58,6 +61,7 @@ struct ARow {
   bool autotuned = false;
   bool single_core = false;
   perf::KnobVector knobs;
+  double steal_min_imbalance = StealConfig{}.min_imbalance;  // Skew tier only.
   perf::Prediction predicted;
   double measured_msgs_per_sec = 0;
   double error_pct = 0;
@@ -167,14 +171,14 @@ void RunSkew(ARow* row, int workers, double warmup_secs, double measure_secs) {
   config.initial_shard = placement;
   config.steal.enabled = true;
   config.steal.min_victim_load = 4;
-  config.steal.min_imbalance = row->knobs.steal_min_imbalance;
+  config.steal.min_imbalance = row->steal_min_imbalance;
   config.steal.cooldown = Millis(10);
   config.ep.mode = StackMode::kMachine;
   config.ep.layers = FourLayerStack();
   config.ep.params.local_loopback = false;
   config.ep.params.pt2pt_window = 1u << 30;
   config.ep.params.stable_interval = 1u << 30;
-  config.ep.timer_interval = row->knobs.flush_deadline;
+  config.ep.timer_interval = kSkewFlush;
   config.ep.pack_messages = row->knobs.pack_window > 1;
   config.ep.pack_window = row->knobs.pack_window;
   config.on_deliver = [&](int member, const Event& ev) {
@@ -302,8 +306,7 @@ void WriteJson(const std::vector<ARow>& rows, const perf::CostModel& model,
     w.KV("backend", NetBackendName(r.knobs.backend));
     w.KV("batch", static_cast<uint64_t>(r.knobs.batch));
     w.KV("pack_window", static_cast<uint64_t>(r.knobs.pack_window));
-    w.KV("flush_deadline_us", static_cast<double>(r.knobs.flush_deadline) / 1e3);
-    w.KV("steal_min_imbalance", r.knobs.steal_min_imbalance);
+    w.KV("steal_min_imbalance", r.steal_min_imbalance);
     w.KV("predicted_msgs_per_sec", r.predicted.msgs_per_sec);
     w.KV("predicted_p50_us", r.predicted.p50_ns / 1e3);
     w.KV("predicted_p99_us", r.predicted.p99_ns / 1e3);
@@ -354,7 +357,7 @@ int main(int argc, char** argv) {
     cal.stack_reps = 1500;
     cal.msgs_per_probe = 1500;
   }
-  perf::CostModel model = CalibrateWithRuntime(cal);
+  perf::CostModel model = perf::Calibrate(cal);
   if (!model.Save("COSTMODEL.json")) {
     std::printf("FAILED to write COSTMODEL.json\n");
     return 1;
@@ -374,7 +377,6 @@ int main(int argc, char** argv) {
   };
 
   perf::WorkloadDesc raw_w;
-  raw_w.msg_bytes = kMsgSize;
   raw_w.stack_ns = 0;  // Raw tier: no protocol stack above the transport.
   raw_w.burst = kWave;
 
@@ -402,7 +404,6 @@ int main(int argc, char** argv) {
 
   const int skew_workers = 4;
   perf::WorkloadDesc skew_w;
-  skew_w.msg_bytes = kMsgSize;
   EndpointConfig skew_ep;
   skew_ep.mode = StackMode::kMachine;
   skew_ep.layers = FourLayerStack();
@@ -411,28 +412,27 @@ int main(int argc, char** argv) {
   skew_ep.params.stable_interval = 1u << 30;
   skew_w.stack_ns = perf::StackCostOf(tuner.model(), skew_ep);
   skew_w.burst = kWindow;
-  skew_w.steal_eligible = true;
-  skew_w.skew_horizon_ns = measure_secs * 1e9;
+  skew_w.flush_deadline = kSkewFlush;
 
-  auto add_skew = [&](const std::string& label, perf::KnobVector k, bool tuned) {
+  auto add_skew = [&](const std::string& label, const perf::KnobVector& k,
+                      double threshold, bool tuned) {
     ARow r;
     r.workload = "skew";
     r.label = label;
     r.knobs = k;
+    r.steal_min_imbalance = threshold;
     r.autotuned = tuned;
     r.single_core = false;  // Multi-worker aggregate: emitted, not scored.
     r.predicted = perf::PredictThroughput(tuner.model(), skew_w, k);
     rows.push_back(r);
   };
   for (double thr : {2.0, 3.0, 4.0}) {
-    perf::KnobVector k = knob(NetBackend::kMmsg, 16, 16);
-    k.steal_min_imbalance = thr;
     char label[48];
     std::snprintf(label, sizeof label, "mmsg b16 p16 thr%.0f", thr);
-    add_skew(label, k, false);
+    add_skew(label, knob(NetBackend::kMmsg, 16, 16), thr, false);
   }
   TuneDecision skew_pick = tuner.Choose(skew_w);
-  add_skew("autotuned", skew_pick.knobs, true);
+  add_skew("autotuned", skew_pick.knobs, StealConfig{}.min_imbalance, true);
   std::printf("%s\n", skew_pick.Describe().c_str());
 
   PrintPredictions(rows);

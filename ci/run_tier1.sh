@@ -13,9 +13,10 @@
 #   --notrace   separate tree, -DENSEMBLE_TRACE=OFF (ENS_TRACE compiled out)
 #   --nouring   separate tree, -DENSEMBLE_URING=OFF (io_uring stubbed): the
 #               mmsg fallback must carry every uring-tagged configuration
-#   --autotune  cost-model/autotuner tests + bench_autotune --smoke: the
-#               predict-before-measure gate plus strict validation of
-#               BENCH_autotune.json and COSTMODEL.json
+#   --autotune  cost-model/autotuner tests (including the check that every
+#               backend/batch/pack lattice dimension moves the arg-max) +
+#               bench_autotune --smoke: the predict-before-measure gate plus
+#               strict validation of BENCH_autotune.json and COSTMODEL.json
 #   --overload  overload-control tests + bench_overload --smoke: the 10x
 #               sustained-load gate (bounded memory, graceful p99, every
 #               ladder rung firing) plus strict validation of

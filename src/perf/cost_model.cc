@@ -1,9 +1,7 @@
 #include "src/perf/cost_model.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <algorithm>
 #include <memory>
@@ -151,75 +149,6 @@ int BackendIndex(NetBackend b) {
   return (i >= 0 && i < kNumBackendTerms) ? i : static_cast<int>(NetBackend::kMmsg);
 }
 
-// ---- minimal JSON reader (COSTMODEL.json only) -----------------------------
-//
-// Save() emits via JsonWriter and runs the strict validator; Load() only has
-// to read back what Save wrote — a flat object of numbers plus the "points"
-// array of flat objects.  This cursor-based reader accepts exactly that
-// shape (plus whitespace) and rejects everything else.
-
-struct JsonCursor {
-  const char* p;
-  const char* end;
-
-  void SkipWs() {
-    while (p < end && std::isspace(static_cast<unsigned char>(*p)) != 0) {
-      p++;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (p < end && *p == c) {
-      p++;
-      return true;
-    }
-    return false;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return p < end && *p == c;
-  }
-  bool ReadString(std::string* out) {
-    SkipWs();
-    if (p >= end || *p != '"') {
-      return false;
-    }
-    p++;
-    out->clear();
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        return false;  // Save() never escapes term names.
-      }
-      out->push_back(*p++);
-    }
-    return Eat('"');
-  }
-  bool ReadNumber(double* out) {
-    SkipWs();
-    char* after = nullptr;
-    *out = std::strtod(p, &after);
-    if (after == p || after > end) {
-      return false;
-    }
-    p = after;
-    return true;
-  }
-  bool ReadBool(bool* out) {
-    SkipWs();
-    if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-      *out = true;
-      p += 4;
-      return true;
-    }
-    if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-      *out = false;
-      p += 5;
-      return true;
-    }
-    return false;
-  }
-};
-
 }  // namespace
 
 CostModel CostModel::Defaults() {
@@ -229,8 +158,6 @@ CostModel CostModel::Defaults() {
   m.layer_dispatch_ns = 150;
   m.bypass_unit_ns = 8;
   m.pack_submsg_ns = 120;
-  m.ring_hop_ns = 8000;
-  m.steal_ns = 60000;
   m.backend[static_cast<int>(NetBackend::kEager)] = {true, 300, 2200};
   m.backend[static_cast<int>(NetBackend::kMmsg)] = {true, 350, 2400};
   // Uring availability is a runtime property; Defaults() claims nothing and
@@ -245,8 +172,6 @@ std::string CostModel::ToJson() const {
   w.KV("layer_dispatch_ns", layer_dispatch_ns);
   w.KV("bypass_unit_ns", bypass_unit_ns);
   w.KV("pack_submsg_ns", pack_submsg_ns);
-  w.KV("ring_hop_ns", ring_hop_ns);
-  w.KV("steal_ns", steal_ns);
   w.KV("calibrated", calibrated);
   static const char* kNames[kNumBackendTerms] = {"eager", "mmsg", "uring"};
   for (int i = 0; i < kNumBackendTerms; i++) {
@@ -269,120 +194,6 @@ std::string CostModel::ToJson() const {
   return w.Take();
 }
 
-bool CostModel::FromJson(const std::string& text, CostModel* out) {
-  *out = CostModel{};
-  JsonCursor c{text.data(), text.data() + text.size()};
-  if (!c.Eat('{')) {
-    return false;
-  }
-  static const char* kNames[kNumBackendTerms] = {"eager", "mmsg", "uring"};
-  bool first = true;
-  while (!c.Peek('}')) {
-    if (!first && !c.Eat(',')) {
-      return false;
-    }
-    first = false;
-    std::string key;
-    if (!c.ReadString(&key) || !c.Eat(':')) {
-      return false;
-    }
-    if (key == "points") {
-      if (!c.Eat('[')) {
-        return false;
-      }
-      bool first_pt = true;
-      while (!c.Peek(']')) {
-        if (!first_pt && !c.Eat(',')) {
-          return false;
-        }
-        first_pt = false;
-        if (!c.Eat('{')) {
-          return false;
-        }
-        BatchPoint pt;
-        bool first_field = true;
-        while (!c.Peek('}')) {
-          if (!first_field && !c.Eat(',')) {
-            return false;
-          }
-          first_field = false;
-          std::string f;
-          double v = 0;
-          if (!c.ReadString(&f) || !c.Eat(':') || !c.ReadNumber(&v)) {
-            return false;
-          }
-          if (f == "backend") {
-            pt.backend = static_cast<int>(v);
-          } else if (f == "batch") {
-            pt.batch = static_cast<size_t>(v);
-          } else if (f == "ns_per_msg") {
-            pt.ns_per_msg = v;
-          }
-        }
-        if (!c.Eat('}')) {
-          return false;
-        }
-        out->points.push_back(pt);
-      }
-      if (!c.Eat(']')) {
-        return false;
-      }
-      continue;
-    }
-    if (key == "calibrated") {
-      if (!c.ReadBool(&out->calibrated)) {
-        return false;
-      }
-      continue;
-    }
-    bool matched_backend = false;
-    for (int i = 0; i < kNumBackendTerms; i++) {
-      std::string prefix = std::string("backend_") + kNames[i];
-      if (key == prefix + "_available") {
-        if (!c.ReadBool(&out->backend[i].available)) {
-          return false;
-        }
-        matched_backend = true;
-        break;
-      }
-      if (key == prefix + "_per_msg_ns") {
-        if (!c.ReadNumber(&out->backend[i].per_msg_ns)) {
-          return false;
-        }
-        matched_backend = true;
-        break;
-      }
-      if (key == prefix + "_syscall_ns") {
-        if (!c.ReadNumber(&out->backend[i].syscall_ns)) {
-          return false;
-        }
-        matched_backend = true;
-        break;
-      }
-    }
-    if (matched_backend) {
-      continue;
-    }
-    double v = 0;
-    if (!c.ReadNumber(&v)) {
-      return false;
-    }
-    if (key == "layer_dispatch_ns") {
-      out->layer_dispatch_ns = v;
-    } else if (key == "bypass_unit_ns") {
-      out->bypass_unit_ns = v;
-    } else if (key == "pack_submsg_ns") {
-      out->pack_submsg_ns = v;
-    } else if (key == "ring_hop_ns") {
-      out->ring_hop_ns = v;
-    } else if (key == "steal_ns") {
-      out->steal_ns = v;
-    }
-    // Unknown numeric terms are skipped: newer writers stay loadable.
-  }
-  return c.Eat('}');
-}
-
 bool CostModel::Save(const std::string& path) const {
   std::string json = ToJson();
   std::string error;
@@ -397,21 +208,6 @@ bool CostModel::Save(const std::string& path) const {
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
   return true;
-}
-
-bool CostModel::Load(const std::string& path, CostModel* out) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
-  return FromJson(text, out);
 }
 
 CostModel Calibrate(const CalibrationConfig& config) {
@@ -510,17 +306,6 @@ CostModel Calibrate(const CalibrationConfig& config) {
   return m;
 }
 
-void RefineFromMetrics(const obs::MetricsSnapshot& snap, CostModel* m) {
-  const obs::Sample* hop = snap.Find("sched.delivery_latency_ns");
-  if (hop != nullptr && hop->count > 0) {
-    m->ring_hop_ns = static_cast<double>(hop->Percentile(0.5));
-  }
-  const obs::Sample* steal = snap.Find("sched.steal_duration_ns");
-  if (steal != nullptr && steal->count > 0) {
-    m->steal_ns = static_cast<double>(steal->Percentile(0.5));
-  }
-}
-
 double StackCostNs(const CostModel& m, const RoutePair* route, size_t layers) {
   if (route != nullptr) {
     return route->CostUnits() * m.bypass_unit_ns;
@@ -539,38 +324,20 @@ double StackCostOf(const CostModel& m, const EndpointConfig& ep) {
 }
 
 std::string KnobVector::Label() const {
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "%s b%zu p%zu f%.1fms i%.1f r%zu c%zu",
-                NetBackendName(backend), batch, pack_window,
-                static_cast<double>(flush_deadline) / 1e6, steal_min_imbalance,
-                ring_capacity, credit_floor);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%s b%zu p%zu", NetBackendName(backend), batch,
+                pack_window);
   return buf;
 }
 
 uint32_t KnobVector::Encode() const {
-  // bits 0-1  backend (NetBackend value, never kAuto)
-  // bit  2    unused (zero)
-  // bits 3-9  batch (clamped to 127)
+  // bits 0-1   backend (NetBackend value, never kAuto)
+  // bit  2     unused (zero)
+  // bits 3-9   batch (clamped to 127)
   // bits 10-16 pack window (clamped to 127)
-  // bits 17-24 flush deadline in 100us units (clamped to 255)
-  // bits 25-28 steal min_imbalance in halves (clamped to 15)
-  // bits 29-30 ring capacity as log4(capacity / 1024): 1k=0, 4k=1, 16k=2
-  // bit  31    credit floor: 0 = 32/link, 1 = 128/link
   uint32_t v = static_cast<uint32_t>(BackendIndex(backend)) & 0x3u;
   v |= (static_cast<uint32_t>(std::min<size_t>(batch, 127)) & 0x7Fu) << 3;
   v |= (static_cast<uint32_t>(std::min<size_t>(pack_window, 127)) & 0x7Fu) << 10;
-  uint32_t flush_100us =
-      static_cast<uint32_t>(std::min<VTime>(flush_deadline / Micros(100), 255));
-  v |= (flush_100us & 0xFFu) << 17;
-  uint32_t halves = static_cast<uint32_t>(
-      std::min(std::max(steal_min_imbalance, 0.0) * 2.0, 15.0));
-  v |= (halves & 0xFu) << 25;
-  uint32_t cap_log4 = 0;
-  for (size_t c = ring_capacity; c >= 4096 && cap_log4 < 3; c /= 4) {
-    cap_log4++;
-  }
-  v |= (cap_log4 & 0x3u) << 29;
-  v |= (credit_floor > 32 ? 1u : 0u) << 31;
   return v;
 }
 
@@ -588,54 +355,21 @@ Prediction PredictThroughput(const CostModel& m, const WorkloadDesc& w,
   double wire_ns = (b.per_msg_ns + b.syscall_ns / static_cast<double>(eff_batch)) /
                    static_cast<double>(pack);
   double pack_ns = pack > 1 ? m.pack_submsg_ns : 0;
-  double per_msg_ns =
-      w.stack_ns + pack_ns + wire_ns + w.cross_shard_fraction * m.ring_hop_ns;
-
-  // Credit-park stall: per-link ring credits are capacity / links after the
-  // runtime's grow-until-floor rule.  A burst whose cross-shard share
-  // overflows the sender's credit quota parks until the consumer drains —
-  // charge the overflowing fraction a second ring hop (park + wake + regrant
-  // round trip).  This is what makes ring_capacity / credit_floor live knobs:
-  // bursty cross-shard workloads buy bigger rings, local ones keep the cache-
-  // friendlier default.
-  if (w.cross_shard_fraction > 0 && w.workers > 0) {
-    size_t links = static_cast<size_t>(w.workers) + 1;
-    size_t cap = 2;
-    while (cap < k.ring_capacity) {
-      cap <<= 1;
-    }
-    while (cap / links < std::max<size_t>(1, k.credit_floor)) {
-      cap <<= 1;
-    }
-    double credits = static_cast<double>(cap / links);
-    double inflight = static_cast<double>(w.burst) * w.cross_shard_fraction;
-    if (inflight > credits) {
-      double overflow = (inflight - credits) / inflight;
-      per_msg_ns += overflow * w.cross_shard_fraction * m.ring_hop_ns;
-    }
-  }
+  double per_msg_ns = w.stack_ns + pack_ns + wire_ns;
   if (per_msg_ns <= 0) {
     return out;
   }
   out.msgs_per_sec = 1e9 / per_msg_ns;
 
-  if (w.steal_eligible && w.skew_horizon_ns > 0) {
-    // Work lost to a skewed phase: the idle worker detects the imbalance
-    // (load-EWMA crossing takes ~threshold poll cycles of ~1ms) and pays one
-    // calibrated migration, amortized over the phase.
-    double detect_ns = k.steal_min_imbalance * static_cast<double>(Millis(1));
-    double lost = (detect_ns + m.steal_ns) / w.skew_horizon_ns;
-    out.msgs_per_sec *= std::max(0.5, 1.0 - lost);
-  }
-
   // Latency: processing plus the staging wait.  A staged message leaves when
-  // the window fills (fill-limited) or the flush deadline fires, whichever
-  // is sooner; the median message waits half of that, the tail all of it.
+  // the window fills (fill-limited) or the endpoint's timer flushes it,
+  // whichever is sooner; the median message waits half of that, the tail all
+  // of it.
   double window = static_cast<double>(eff_batch * pack);
-  double fill_ns = (window - 1.0) * per_msg_ns;
-  double max_wait = window <= 1.0
-                        ? 0.0
-                        : std::min(static_cast<double>(k.flush_deadline), fill_ns);
+  double max_wait = window <= 1.0 ? 0.0 : (window - 1.0) * per_msg_ns;
+  if (w.flush_deadline > 0) {
+    max_wait = std::min(static_cast<double>(w.flush_deadline), max_wait);
+  }
   out.p50_ns = per_msg_ns + max_wait / 2.0;
   out.p99_ns = per_msg_ns + max_wait;
   return out;

@@ -4,12 +4,11 @@
 // module composes per-layer and per-knob *cost* the same way (extra-p's
 // compositional performance models, CAMP's cost bounds from protocol
 // structure).  A calibration pass derives per-event cost terms from short
-// seeded micro-runs plus the existing obs histograms, persists them as
-// COSTMODEL.json, and a predictor composes the terms along the very trace
-// the bypass compiler walks (RoutePair::CostUnits) to predict msgs/sec and
-// p50/p99 delivery latency for any candidate knob vector.  The autotuner
-// (src/runtime/autotune.h) enumerates the knob lattice against this
-// predictor instead of hand-tuning.
+// seeded micro-runs, persists them as COSTMODEL.json, and a predictor
+// composes the terms along the very trace the bypass compiler walks
+// (RoutePair::CostUnits) to predict msgs/sec and p50/p99 delivery latency for
+// any candidate knob vector.  The autotuner (src/runtime/autotune.h)
+// enumerates the knob lattice against this predictor instead of hand-tuning.
 //
 // Model terms (all nanoseconds unless noted):
 //
@@ -17,9 +16,6 @@
 //   bypass_unit_ns      per BypassRule cost unit along a fused trace; a
 //                       route's stack cost = CostUnits() * bypass_unit_ns
 //   pack_submsg_ns      per sub-message packing/unpacking overhead
-//   ring_hop_ns         cross-shard ring post -> ProcessMsg (from the
-//                       sched.delivery_latency_ns histogram)
-//   steal_ns            one ownership migration (sched.steal_duration_ns)
 //   backend[b]          {per_msg_ns, syscall_ns}: user-space per-datagram
 //                       cost and per-syscall(-pair) cost, fitted from the
 //                       measured batch amortization curve
@@ -30,10 +26,9 @@
 //   cost = stack_ns                               (trace composition)
 //        + pack_submsg_ns * [k.pack > 1]          (packing tax)
 //        + (per_msg_ns + syscall_ns/batch) / pack (wire tax, amortized)
-//        + w.cross_shard_fraction * ring_hop_ns   (sharding tax)
 //
 //   msgs/sec = 1e9 / cost;  p50 = cost + propagation;  p99 adds the staging
-//   wait (min(flush deadline, time to fill a batch)).
+//   wait (min(w.flush_deadline, time to fill a batch)).
 
 #ifndef ENSEMBLE_SRC_PERF_COST_MODEL_H_
 #define ENSEMBLE_SRC_PERF_COST_MODEL_H_
@@ -45,7 +40,6 @@
 
 #include "src/app/endpoint.h"
 #include "src/net/udp.h"
-#include "src/obs/metrics.h"
 #include "src/util/vtime.h"
 
 namespace ensemble {
@@ -76,8 +70,6 @@ struct CostModel {
   double layer_dispatch_ns = 0;
   double bypass_unit_ns = 0;
   double pack_submsg_ns = 0;
-  double ring_hop_ns = 0;
-  double steal_ns = 0;
   BackendCost backend[kNumBackendTerms];
   std::vector<BatchPoint> points;  // Raw calibration evidence.
   bool calibrated = false;         // False = Defaults() placeholder terms.
@@ -86,34 +78,24 @@ struct CostModel {
   // usable model without a calibration run.
   static CostModel Defaults();
 
-  // COSTMODEL.json round-trip.  The document is one flat object of numeric
-  // terms plus a "points" array; Save validates before writing (strict
-  // validator) and Load accepts only documents Save produces.
+  // COSTMODEL.json: one flat object of numeric terms plus a "points" array.
+  // Save validates before writing (strict validator).
   std::string ToJson() const;
-  static bool FromJson(const std::string& text, CostModel* out);
   bool Save(const std::string& path) const;
-  static bool Load(const std::string& path, CostModel* out);
 };
 
 struct CalibrationConfig {
   int stack_reps = 4000;        // Latency-harness repetitions per mode.
   size_t msgs_per_probe = 3000;  // Datagrams per backend x batch micro-run.
-  bool probe_udp = true;     // False: keep Defaults() backend terms.
-  bool probe_runtime = true;  // False: keep Defaults() ring/steal terms.
+  bool probe_udp = true;  // False: keep Defaults() backend terms.
 };
 
 // Short seeded micro-runs -> terms.  Stack terms come from the latency
 // harness (no syscalls); backend terms from per-backend A->B UDP runs at
-// batch depths {1,4,16} fitted to a + b/batch; ring/steal terms from a brief
-// two-shard channel runtime read back through the obs histograms.  Probes
-// that cannot run in this environment (no sockets) leave the Defaults()
-// term in place; `calibrated` is set if any probe succeeded.
+// batch depths {1,4,16} fitted to a + b/batch.  Probes that cannot run in
+// this environment (no sockets) leave the Defaults() term in place;
+// `calibrated` is set if any probe succeeded.
 CostModel Calibrate(const CalibrationConfig& config = {});
-
-// Overwrites the scheduler terms from a live runtime's metrics snapshot
-// (sched.delivery_latency_ns / sched.steal_duration_ns p50).  Terms whose
-// histogram is empty are left untouched.
-void RefineFromMetrics(const obs::MetricsSnapshot& snap, CostModel* m);
 
 // ---- compositional prediction ---------------------------------------------
 
@@ -131,14 +113,6 @@ struct KnobVector {
   NetBackend backend = NetBackend::kMmsg;
   size_t batch = 16;          // send_batch == recv_batch staging depth.
   size_t pack_window = 1;     // 1 = packing off.
-  VTime flush_deadline = Millis(1);  // Endpoint timer driving Flush().
-  double steal_min_imbalance = 4.0;
-  // Cross-shard ring provisioning (startup-only knobs: rings are sized in
-  // the ShardRuntime constructor).  The runtime grows the capacity until
-  // every link's credit quota reaches credit_floor, so the pair together
-  // determines per-link credits = capacity / (workers + 1).
-  size_t ring_capacity = 4096;
-  size_t credit_floor = 32;
 
   std::string Label() const;
   // Gauge encoding for tune.active_config (documented in autotune.h).
@@ -146,18 +120,12 @@ struct KnobVector {
 };
 
 struct WorkloadDesc {
-  size_t msg_bytes = 64;
-  double stack_ns = 0;               // StackCostNs/StackCostOf result.
-  double cross_shard_fraction = 0;   // Messages that ride an MPSC ring hop.
-  size_t burst = 256;                // Msgs available per flush boundary.
-  int workers = 1;                   // Shard count (sets links = workers + 1).
-  // Skewed-placement workloads: work stealing will rebalance.  The predictor
-  // charges detection time (the load EWMA needs ~steal_min_imbalance poll
-  // cycles of ~1ms to cross the threshold) plus the calibrated steal_ns per
-  // migration, amortized over the skew horizon — so a lower threshold wins
-  // until migration cost dominates.
-  bool steal_eligible = false;
-  double skew_horizon_ns = 1e8;      // How long a skewed phase persists.
+  double stack_ns = 0;   // StackCostNs/StackCostOf result.
+  size_t burst = 256;    // Msgs available per flush boundary.
+  // The endpoint's periodic timer (EndpointConfig::timer_interval), which
+  // flushes staged messages; 0 = no timer flush, a staged message waits for
+  // its window to fill.  Only the latency predictions read it.
+  VTime flush_deadline = 0;
 };
 
 struct Prediction {

@@ -191,9 +191,7 @@ ShardRuntime::ShardRuntime(ShardRuntimeConfig config) : config_(std::move(config
   while (cap < config_.ring_capacity) {
     cap <<= 1;
   }
-  size_t credit_floor =
-      static_cast<size_t>(std::max(1, config_.min_credits_per_link));
-  while (cap / links_ < credit_floor) {
+  while (cap / links_ < kMinCreditsPerLink) {
     cap <<= 1;
   }
   credits_per_link_ = static_cast<int>(cap / links_);
@@ -227,33 +225,17 @@ void ShardRuntime::ApplyAutotune() {
     return;
   }
   const AutotuneConfig& at = config_.autotune;
-  perf::CostModel model;
-  if (at.have_model) {
-    model = at.model;
-  } else if (!at.costmodel_path.empty() &&
-             perf::CostModel::Load(at.costmodel_path, &model)) {
-    // Loaded a previous calibration from disk.
-  } else if (at.calibrate) {
-    model = CalibrateWithRuntime();
-  } else {
-    model = perf::CostModel::Defaults();
-  }
-  // Ground truth beats the model file: a COSTMODEL.json calibrated on a host
-  // with io_uring must not steer this host onto a backend it lacks.
+  perf::CostModel model = at.have_model ? at.model : perf::CostModel::Defaults();
+  // Ground truth beats the model: a model calibrated on a host with io_uring
+  // must not steer this host onto a backend it lacks.
   int uring = static_cast<int>(NetBackend::kUring);
   model.backend[uring].available =
       model.backend[uring].available && UringEngine::Available();
-  if (at.save_costmodel && !at.costmodel_path.empty()) {
-    model.Save(at.costmodel_path);
-  }
   Autotuner tuner(std::move(model));
 
   perf::WorkloadDesc workload;
-  workload.msg_bytes = at.msg_bytes;
-  workload.cross_shard_fraction = at.cross_shard_fraction;
   workload.burst = at.burst;
-  workload.workers = std::max(1, config_.num_workers);
-  workload.steal_eligible = at.steal_eligible && config_.steal.enabled;
+  workload.flush_deadline = config_.ep.timer_interval;
   workload.stack_ns = perf::StackCostOf(tuner.model(), config_.ep);
   decision_ = tuner.Choose(workload);
   if (!decision_.valid) {
@@ -263,18 +245,6 @@ void ShardRuntime::ApplyAutotune() {
   config_.net.send_batch = config_.net.recv_batch = decision_.knobs.batch;
   config_.ep.pack_messages = decision_.knobs.pack_window > 1;
   config_.ep.pack_window = decision_.knobs.pack_window;
-  // Ring provisioning knobs land before the constructor sizes the rings
-  // (ApplyAutotune runs first), so the credit lattice is startup-tunable.
-  config_.ring_capacity = decision_.knobs.ring_capacity;
-  config_.min_credits_per_link = static_cast<int>(decision_.knobs.credit_floor);
-  if (config_.ep.timer_interval > 0) {
-    // The endpoint's periodic timer is the flush deadline; a config that
-    // turned timers off entirely (manual-flush benches) keeps them off.
-    config_.ep.timer_interval = decision_.knobs.flush_deadline;
-  }
-  if (config_.steal.enabled) {
-    config_.steal.min_imbalance = decision_.knobs.steal_min_imbalance;
-  }
   LogOncePerProcess(LogLevel::kInfo, decision_.Describe());
 }
 

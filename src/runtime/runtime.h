@@ -116,11 +116,10 @@ struct ShardRuntimeConfig {
   // Optional per-member mode override (same convention as HarnessConfig).
   std::vector<StackMode> member_modes;
   NetBackendConfig net;          // UDP datapath backend + batching knobs.
-  size_t ring_capacity = 4096;   // Per-worker cross-shard inbox slots.
-  // Per-link credit floor: ring capacity grows (power-of-two) until every
-  // link's quota (capacity / (workers+1)) reaches this.  A knob because the
-  // autotuner folds ring capacity and credit budgets into its lattice.
-  int min_credits_per_link = 32;
+  // Per-worker cross-shard inbox slots.  The constructor grows the capacity
+  // (power-of-two) until every link's credit quota (capacity / (workers+1))
+  // reaches 32.
+  size_t ring_capacity = 4096;
   VTime poll_slice = Millis(5);  // Max idle block per worker loop iteration.
   StealConfig steal;             // Adaptive rebalancing (default off).
   // End-to-end overload control (src/overload/): per-group send windows on
@@ -129,13 +128,13 @@ struct ShardRuntimeConfig {
   overload::OverloadConfig overload;
   // Model-driven knob selection (autotune.h).  When enabled, the constructor
   // resolves a cost model, enumerates the knob lattice, and OVERRIDES
-  // net.backend/batch, ep.pack_*, ep.timer_interval (only when nonzero) and
-  // steal.min_imbalance (only when stealing is on) with the predicted-best
-  // configuration; tune.* gauges report the decision.  Default off: every
-  // knob above keeps meaning exactly what it says.
+  // net.backend/batch and ep.pack_* with the predicted-best configuration;
+  // tune.* gauges report the decision.  Default off: every knob above keeps
+  // meaning exactly what it says.
   AutotuneConfig autotune;
   // Pin worker i to core i % hardware_concurrency (pthread_setaffinity_np).
-  // No-op with a log line on platforms without thread affinity.
+  // When the kernel refuses the mask, the worker logs a warning and runs
+  // unpinned.
   bool pin_cores = false;
   // Optional explicit member → shard assignment (overrides the round-robin
   // group placement; entries clamped to [0, num_workers)).  The skew bench
@@ -384,6 +383,8 @@ class ShardRuntime {
 
  private:
   static constexpr uint64_t kEwmaScale = 256;  // Fixed-point EWMA unit.
+  // Credit floor per ring link: rings grow until every link gets this many.
+  static constexpr size_t kMinCreditsPerLink = 32;
   // Receive-pool chunks first-touched per pinned worker (chunks are 64 KiB,
   // so this faults in ~1 MiB of node-local receive buffers per shard).
   static constexpr size_t kRecvPrewarmChunks = 16;

@@ -642,7 +642,7 @@ TEST(ShardRuntimeTest, PinCoresRunsEverywhere) {
   ShardRuntimeConfig config;
   config.backend = ShardBackend::kChannel;
   config.num_workers = 2;
-  config.pin_cores = true;  // Affinity on Linux; logged no-op elsewhere.
+  config.pin_cores = true;  // A refused affinity mask only logs a warning.
   config.ep = FastEndpointConfig();
 
   ShardRuntime rt(config);
