@@ -58,8 +58,6 @@ const char* TraceKindName(TraceKind k) {
       return "steal_decline";
     case TraceKind::kHandoffStart:
       return "handoff_start";
-    case TraceKind::kHandoffMarker:
-      return "handoff_marker";
     case TraceKind::kAdopt:
       return "adopt";
     case TraceKind::kTimerFire:

@@ -41,7 +41,6 @@ enum class TraceKind : uint16_t {
   kStealRequest,        // a = victim shard
   kStealDecline,        // a = requesting shard
   kHandoffStart,        // async begin; member in event, a = destination shard
-  kHandoffMarker,       // a = destination shard
   kAdopt,               // async end; a = source shard
   kTimerFire,           // a = number of timers fired
   kWakeup,              // a = 1 if coalesced

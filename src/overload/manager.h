@@ -57,7 +57,7 @@ const char* ActionName(Action a);
 struct OverloadSignals {
   std::function<uint64_t()> live_bytes;         // pooled + heap live bytes
   std::function<uint64_t()> ring_occupancy_pm;  // max shard inbox occupancy, ‰
-  std::function<uint64_t()> dispatch_backlog;   // max dispatch queue depth
+  std::function<uint64_t()> dispatch_backlog;   // max per-shard mailbox depth
   std::function<uint64_t()> timer_backlog;      // max timer heap depth
   std::function<uint64_t()> delivered_total;    // progress signal for decay
 };
@@ -79,7 +79,7 @@ struct OverloadConfig {
   // below (the ladder disengage points are fractions of high).  A zero high
   // disables that resource.
   uint64_t bytes_high = 64u << 20;     // pool + heap live bytes
-  uint64_t dispatch_high = 8192;       // channel dispatch queue depth
+  uint64_t dispatch_high = 8192;       // one shard's channel mailbox depth
   uint64_t timer_high = 1u << 16;      // timer heap depth
 
   // Per-group send windows (payload bytes in flight).
@@ -87,7 +87,7 @@ struct OverloadConfig {
   uint64_t window_min_bytes = 16u << 10;
   std::vector<int> low_priority_groups;  // paused first under pressure
 
-  // Drop-oldest cap applied to dispatch queues while kill_shed is engaged.
+  // Drop-oldest cap applied to each channel mailbox while kill_shed is engaged.
   uint64_t kill_dispatch_keep = 4096;
 
   // Polls with in-flight bytes but zero delivery progress before windows are

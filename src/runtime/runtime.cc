@@ -20,165 +20,6 @@ thread_local const ShardRuntime* tls_rt = nullptr;
 thread_local int tls_shard = -1;
 }  // namespace
 
-// ---- ChannelNetwork --------------------------------------------------------
-
-void ChannelNetwork::Attach(EndpointId ep, DeliverFn deliver) {
-  local_[ep] = std::move(deliver);
-}
-
-void ChannelNetwork::Detach(EndpointId ep) {
-  local_.erase(ep);
-  drain_hooks_.erase(ep);
-}
-
-void ChannelNetwork::SetDrainHook(EndpointId ep, std::function<void()> hook) {
-  if (hook) {
-    drain_hooks_[ep] = std::move(hook);
-  } else {
-    drain_hooks_.erase(ep);
-  }
-}
-
-ChannelNetwork::ReleasedEndpoint ChannelNetwork::Release(EndpointId ep) {
-  ReleasedEndpoint out;
-  auto it = local_.find(ep);
-  if (it == local_.end()) {
-    return out;
-  }
-  out.deliver = std::move(it->second);
-  local_.erase(it);
-  auto hit = drain_hooks_.find(ep);
-  if (hit != drain_hooks_.end()) {
-    out.drain_hook = std::move(hit->second);
-    drain_hooks_.erase(hit);
-  }
-  out.valid = true;
-  // Sweep packets to `ep` out of local_q_ so they travel with the handoff.
-  // Left behind, they would drain on a shard that is neither home nor owner
-  // once the pair departs, where the orphan chain has no forwarding state.
-  for (size_t i = 0, n = local_q_.size(); i < n; i++) {
-    Packet packet = std::move(local_q_.front());
-    local_q_.pop_front();
-    if (packet.dst == ep) {
-      out.queued.push_back(std::move(packet));
-    } else {
-      local_q_.push_back(std::move(packet));
-    }
-  }
-  dispatch_depth_ = local_q_.size();
-  return out;
-}
-
-void ChannelNetwork::Adopt(EndpointId ep, ReleasedEndpoint state) {
-  if (!state.valid) {
-    return;
-  }
-  local_[ep] = std::move(state.deliver);
-  if (state.drain_hook) {
-    drain_hooks_[ep] = std::move(state.drain_hook);
-  }
-}
-
-void ChannelNetwork::RouteOne(EndpointId src, EndpointId dst, const Bytes& flat) {
-  if (local_.count(dst) > 0) {
-    // Same shard: never delivered re-entrantly from inside Send — the local
-    // FIFO is drained by Poll(), mirroring the simulator's event scheduling.
-    EnqueueFromRing(Packet{src, dst, false, flat});
-    return;
-  }
-  if (!rt_->RoutePacketFrom(shard_, Packet{src, dst, false, flat})) {
-    stats_.dropped++;
-  }
-}
-
-void ChannelNetwork::Send(EndpointId src, EndpointId dst, const Iovec& gather) {
-  CountIfPacked(&stats_, gather);
-  stats_.sent++;
-  stats_.bytes_sent += gather.size();
-  // Flatten models the NIC gather; a fresh heap chunk also makes the payload
-  // safe to release on the receiving shard (pool chunks are shard-local).
-  RouteOne(src, dst, gather.Flatten());
-}
-
-void ChannelNetwork::Broadcast(EndpointId src, const Iovec& gather) {
-  CountIfPacked(&stats_, gather);
-  Bytes flat = gather.Flatten();
-  for (EndpointId id : rt_->AllIds()) {
-    if (id == src) {
-      continue;
-    }
-    stats_.sent++;
-    stats_.bytes_sent += flat.size();
-    RouteOne(src, id, flat);
-  }
-}
-
-void ChannelNetwork::ScheduleTimer(VTime delay, TimerFn fn) {
-  timers_.Schedule(NowNanos() + delay, std::move(fn));
-}
-
-VTime ChannelNetwork::NanosUntilNextTimer() const {
-  return timers_.NanosUntilNext(NowNanos());
-}
-
-void ChannelNetwork::DeliverLocal(const Packet& packet) {
-  auto it = local_.find(packet.dst);
-  if (it == local_.end()) {
-    // Not attached here: mid-migration, not yet adopted, or routed with a
-    // stale owner — the runtime knows which (and forwards or stashes it).
-    if (!rt_->HandleOrphanPacket(shard_, packet)) {
-      stats_.dropped++;  // Left the group since the packet was routed.
-    }
-    return;
-  }
-  stats_.delivered++;
-  it->second(packet);
-}
-
-void ChannelNetwork::DeliverFromRing(const Packet& packet) { DeliverLocal(packet); }
-
-void ChannelNetwork::EnqueueFromRing(Packet packet) {
-  local_q_.push_back(std::move(packet));
-  if (pressure_.load(std::memory_order_relaxed) >= 2 &&
-      local_q_.size() > shed_keep_) {
-    // Kill watermark: drop-oldest keeps the freshest traffic and bounds the
-    // FIFO.  Datagram semantics — reliability layers recover as from loss.
-    Packet victim = std::move(local_q_.front());
-    local_q_.pop_front();
-    stats_.dropped++;
-    overload_sheds_++;
-    ENS_TRACE(kOverloadShed, -1, 1, victim.datagram.size());
-  }
-  dispatch_depth_ = local_q_.size();
-}
-
-size_t ChannelNetwork::DrainQueues() {
-  // Drain only what is queued *now*: deliveries may enqueue responses, and a
-  // local ping-pong pair must not trap the worker in one Poll() forever.
-  size_t n = local_q_.size();
-  for (size_t i = 0; i < n; i++) {
-    Packet packet = std::move(local_q_.front());
-    local_q_.pop_front();
-    DeliverLocal(packet);
-  }
-  if (n > 0) {
-    for (auto& [ep, hook] : drain_hooks_) {
-      hook();
-    }
-  }
-  dispatch_depth_ = local_q_.size();
-  return n;
-}
-
-size_t ChannelNetwork::Poll() {
-  size_t n = DrainQueues();
-  size_t fired = timers_.RunDue(NowNanos());
-  if (fired > 0) {
-    ENS_TRACE(kTimerFire, -1, fired, 0);
-  }
-  return n + fired;
-}
-
 // ---- ShardRuntime ----------------------------------------------------------
 
 ShardRuntime::ShardRuntime(ShardRuntimeConfig config) : config_(std::move(config)) {
@@ -210,9 +51,11 @@ ShardRuntime::ShardRuntime(ShardRuntimeConfig config) : config_(std::move(config
       worker->udp = std::make_unique<UdpNetwork>();
       worker->udp->set_backend_config(config_.net);
       worker->net = worker->udp.get();
+      worker->waker = &worker->udp->waker();
     } else {
-      worker->chan = std::make_unique<ChannelNetwork>(this, s);
+      worker->chan = std::make_unique<ChannelNetwork>(&mailboxes_);
       worker->net = worker->chan.get();
+      worker->waker = &worker->chan->waker();
     }
     workers_.push_back(std::move(worker));
   }
@@ -295,11 +138,10 @@ bool ShardRuntime::Build(int n, int group_size) {
       }
     });
     members_.push_back(std::move(ep));
-    home_of_.push_back(shard);
     owner_of_[static_cast<size_t>(i)].store(shard, std::memory_order_relaxed);
-    Worker& home = *workers_[static_cast<size_t>(shard)];
-    home.resident[static_cast<size_t>(i)] = 1;
-    home.resident_count.fetch_add(1, std::memory_order_relaxed);
+    Worker& owner = *workers_[static_cast<size_t>(shard)];
+    owner.resident[static_cast<size_t>(i)] = 1;
+    owner.resident_count.fetch_add(1, std::memory_order_relaxed);
     all_ids_.push_back(id);
     if (static_cast<size_t>(group) >= groups_.size()) {
       groups_.emplace_back();
@@ -316,10 +158,10 @@ bool ShardRuntime::Build(int n, int group_size) {
     // Publish every endpoint's port on every *other* shard's network: the
     // kernel becomes the cross-shard data plane.
     for (int i = 0; i < n; i++) {
-      int home = home_of_[static_cast<size_t>(i)];
-      uint16_t port = workers_[static_cast<size_t>(home)]->udp->PortOf(all_ids_[static_cast<size_t>(i)]);
+      int owner = ShardOf(i);
+      uint16_t port = workers_[static_cast<size_t>(owner)]->udp->PortOf(all_ids_[static_cast<size_t>(i)]);
       for (int s = 0; s < w; s++) {
-        if (s != home) {
+        if (s != owner) {
           workers_[static_cast<size_t>(s)]->udp->AddPeer(all_ids_[static_cast<size_t>(i)], port);
         }
       }
@@ -423,11 +265,10 @@ void ShardRuntime::RegisterMetrics() {
     if (w.udp != nullptr) {
       RegisterNetworkStats(metrics_, &w.udp->stats());
       RegisterPoolStats(metrics_, &w.udp->recv_pool(), shard_tag);
-      RegisterWakerStats(metrics_, &w.udp->waker().stats());
     } else {
       RegisterNetworkStats(metrics_, &w.chan->stats());
-      RegisterWakerStats(metrics_, &w.waker.stats());
     }
+    RegisterWakerStats(metrics_, &w.waker->stats());
     RegisterRingStats(metrics_, &w.inbox->stats());
     metrics_.Counter("sched.events", &w.stats.events);
     metrics_.Counter("sched.busy_ns", &w.stats.busy_ns);
@@ -560,10 +401,10 @@ void ShardRuntime::Stop() {
   }
   joined_ = true;
   // Post-join sweep: worker A's final drain may have pushed into worker B's
-  // ring after B already exited, and a handoff interrupted mid-protocol may
-  // still have its adopt/marker tasks queued.  Single-threaded now, so drain
-  // every shard until quiescent (bounded — deliveries can re-enqueue a few
-  // times).
+  // ring or mailboxes after B already exited, and a handoff interrupted
+  // mid-protocol may still have its adopt task queued.  Single-threaded now,
+  // so drain every shard until quiescent (bounded — deliveries can re-enqueue
+  // a few times).
   for (int sweep = 0; sweep < 1000; sweep++) {
     size_t activity = 0;
     for (int s = 0; s < num_workers(); s++) {
@@ -586,10 +427,7 @@ int ShardRuntime::CurrentLinkIndex() const {
   return (tls_rt == this && tls_shard >= 0) ? tls_shard : num_workers();
 }
 
-Waker& ShardRuntime::WakerOf(int shard) {
-  Worker& w = *workers_[static_cast<size_t>(shard)];
-  return w.udp != nullptr ? w.udp->waker() : w.waker;
-}
+Waker& ShardRuntime::WakerOf(int shard) { return *workers_[static_cast<size_t>(shard)]->waker; }
 
 void ShardRuntime::WakeWorker(int shard) { WakerOf(shard).NotifyCoalesced(); }
 
@@ -617,23 +455,9 @@ void ShardRuntime::HoldOwnInbox(int shard) {
   ShardMsg msg;
   while (w.inbox->TryPop(&msg)) {
     GrantCredit(shard, msg.src, 1);
-    if (msg.is_packet && w.chan != nullptr) {
-      // Channel packets defer straight into the dispatch FIFO (a plain
-      // append — no stack entry, so safe while parked mid-send).  Crucially
-      // this keeps credits flowing under SUSTAINED overload: if packets
-      // counted against the `held` backstop, two flooding workers would each
-      // fill their held deque, stop popping, stop granting, and wedge.  The
-      // FIFO is the queue the overload manager watermarks and kill-sheds, so
-      // the overflow is observable and bounded instead of hidden and fatal.
-      if (msg.post_ns != 0) {
-        delivery_latency_.Observe(NowNanos() - msg.post_ns);
-      }
-      w.chan->EnqueueFromRing(std::move(msg.packet));
-      continue;
-    }
     w.held.push_back(std::move(msg));
     if (w.held.size() >= cap) {
-      break;  // Backstop for tasks only.
+      break;
     }
   }
 }
@@ -707,72 +531,6 @@ void ShardRuntime::PostToMember(int member, std::function<void(GroupEndpoint&)> 
   PostMsg(ShardOf(member), std::move(msg));
 }
 
-// ---- Packet routing (channel backend) --------------------------------------
-
-int ShardRuntime::MemberOfId(EndpointId id) const {
-  size_t index = static_cast<size_t>(id.id) - 1;
-  return index < home_of_.size() ? static_cast<int>(index) : -1;
-}
-
-bool ShardRuntime::RoutePacketFrom(int src_shard, Packet packet) {
-  int member = MemberOfId(packet.dst);
-  if (member < 0) {
-    return false;
-  }
-  // Always via the HOME shard: producers need no (racy) owner lookup, and the
-  // home worker serializes forwarding across a migration — per-sender FIFO
-  // holds even while ownership moves.
-  int home = home_of_[static_cast<size_t>(member)];
-  if (home == src_shard) {
-    return HandleOrphanPacket(src_shard, packet);
-  }
-  ShardMsg msg;
-  msg.packet = std::move(packet);
-  msg.is_packet = true;
-  PostMsg(home, std::move(msg));
-  return true;
-}
-
-bool ShardRuntime::HandleOrphanPacket(int shard, const Packet& packet) {
-  int member = MemberOfId(packet.dst);
-  if (member < 0) {
-    return false;
-  }
-  Worker& w = *workers_[static_cast<size_t>(shard)];
-  // (1) We are the victim mid-handoff: the packet joins the backlog that
-  // travels with the adoption.
-  auto mit = w.migrations.find(member);
-  if (mit != w.migrations.end()) {
-    mit->second.backlog.push_back(packet);
-    return true;
-  }
-  // (2) We are the thief and this arrived ahead of the adoption.
-  auto pit = w.pending.find(member);
-  if (pit != w.pending.end()) {
-    pit->second.push_back(packet);
-    return true;
-  }
-  int owner = ShardOf(member);
-  if (owner == shard) {
-    if (!w.resident[static_cast<size_t>(member)]) {
-      // (3) Owner on paper but the adoption is still in our ring: queue until
-      // FinishAdopt attaches the endpoint (it drains this queue).
-      w.pending[static_cast<size_t>(member)].push_back(packet);
-      return true;
-    }
-    return false;  // Resident but detached: the member left — drop.
-  }
-  if (home_of_[static_cast<size_t>(member)] == shard) {
-    // (4) Home forwarding to the current owner.
-    ShardMsg msg;
-    msg.packet = packet;
-    msg.is_packet = true;
-    PostMsg(owner, std::move(msg));
-    return true;
-  }
-  return false;  // Stale routing (migration raced with shutdown): drop.
-}
-
 // ---- Worker loop -----------------------------------------------------------
 
 void ShardRuntime::ProcessMsg(int shard, ShardMsg msg) {
@@ -780,14 +538,6 @@ void ShardRuntime::ProcessMsg(int shard, ShardMsg msg) {
   if (msg.post_ns != 0) {
     delivery_latency_.Observe(NowNanos() - msg.post_ns);
     msg.post_ns = 0;  // A re-route (below) restamps rather than double-counts.
-  }
-  if (msg.is_packet) {
-    // Channel backend only (UDP rings carry tasks).  Deferred, not delivered
-    // in place: ALL ring packets funnel through the dispatch FIFO in pop
-    // order, so packets enqueued by a parked HoldOwnInbox and packets popped
-    // here keep per-sender FIFO.
-    w.chan->EnqueueFromRing(std::move(msg.packet));
-    return;
   }
   if (msg.member >= 0) {
     int owner = ShardOf(msg.member);
@@ -877,9 +627,9 @@ void ShardRuntime::IdleBlock(int shard) {
   }
   if (w.udp != nullptr) {
     w.udp->IdleWait(config_.poll_slice);
-    return;
+  } else {
+    w.chan->IdleWait(config_.poll_slice);
   }
-  w.waker.WaitFor(std::min<VTime>(config_.poll_slice, w.chan->NanosUntilNextTimer()));
 }
 
 void ShardRuntime::PinToCore(int shard) {
@@ -1079,98 +829,38 @@ void ShardRuntime::StartHandoff(int shard, int member, int thief, bool from_stea
   w.stats.steals_out++;
   EndpointId id = all_ids_[static_cast<size_t>(member)];
 
+  // One protocol for both backends, as for a socket: release the binding,
+  // publish the new owner, adopt on the thief.  The endpoint's queue — the
+  // UDP socket with its kernel receive queue, or the channel mailbox — keeps
+  // everything in flight in order meanwhile, and UDP's Release keeps the port
+  // as a peer here so our endpoints still reach it.
+  UdpNetwork::ReleasedEndpoint udp;
+  ChannelNetwork::ReleasedEndpoint chan;
   if (w.udp != nullptr) {
-    // The socket (with its kernel receive queue) travels with the endpoint —
-    // in-flight datagrams are neither lost nor reordered, and Release keeps
-    // the port as a peer here so our endpoints still reach it.
-    UdpNetwork::ReleasedEndpoint state = w.udp->Release(id);
-    owner_of_[static_cast<size_t>(member)].store(thief, std::memory_order_release);
-    Post(thief, [this, thief, member, state, from_steal, start_ns] {
-      FinishAdopt(thief, member, {}, state, {}, from_steal, start_ns);
-    });
-    return;
+    udp = w.udp->Release(id);
+  } else {
+    chan = w.chan->Release(id);
   }
-
-  ChannelNetwork::ReleasedEndpoint state = w.chan->Release(id);
-  int home = home_of_[static_cast<size_t>(member)];
-  if (home == shard) {
-    // Leaving home: owner update then adopt, both sequenced through the
-    // rings.  Every later home-forward is posted by THIS thread after the
-    // adopt — per-producer ring FIFO delivers it to the thief afterwards.
-    owner_of_[static_cast<size_t>(member)].store(thief, std::memory_order_release);
-    Post(thief, [this, thief, member, state, from_steal, start_ns] {
-      FinishAdopt(thief, member, state, {}, {}, from_steal, start_ns);
-    });
-    return;
-  }
-  // Foreign-owner handoff: fence through the home shard.  Home redirects the
-  // owner table and bounces a marker back here; forwards home posted before
-  // the redirect reach us before the marker (FIFO per producer) and join the
-  // backlog, which travels with the adoption — so the thief sees backlog,
-  // then its own pre-adopt queue, then direct forwards: per-sender order.
-  Migration mig;
-  mig.thief = thief;
-  mig.from_steal = from_steal;
-  mig.start_ns = start_ns;
-  mig.chan = std::move(state);
-  w.migrations[member] = std::move(mig);
-  int victim = shard;
-  Post(home, [this, victim, member, thief] {
-    owner_of_[static_cast<size_t>(member)].store(thief, std::memory_order_release);
-    Post(victim, [this, victim, member] { CompleteMarker(victim, member); });
-  });
-}
-
-void ShardRuntime::CompleteMarker(int shard, int member) {
-  Worker& w = *workers_[static_cast<size_t>(shard)];
-  auto it = w.migrations.find(member);
-  ENS_CHECK_MSG(it != w.migrations.end(), "marker without migration");
-  Migration mig = std::move(it->second);
-  w.migrations.erase(it);
-  int thief = mig.thief;
-  ENS_TRACE(kHandoffMarker, member, static_cast<uint64_t>(thief), mig.backlog.size());
-  Post(thief, [this, thief, member, chan = std::move(mig.chan),
-               backlog = std::move(mig.backlog), from_steal = mig.from_steal,
-               start_ns = mig.start_ns] {
-    FinishAdopt(thief, member, chan, {}, backlog, from_steal, start_ns);
+  owner_of_[static_cast<size_t>(member)].store(thief, std::memory_order_release);
+  Post(thief, [this, thief, member, chan, udp, from_steal, start_ns] {
+    FinishAdopt(thief, member, chan, udp, from_steal, start_ns);
   });
 }
 
 void ShardRuntime::FinishAdopt(int shard, int member, ChannelNetwork::ReleasedEndpoint chan,
-                               UdpNetwork::ReleasedEndpoint udp, std::deque<Packet> backlog,
-                               bool from_steal, uint64_t start_ns) {
+                               UdpNetwork::ReleasedEndpoint udp, bool from_steal,
+                               uint64_t start_ns) {
   Worker& w = *workers_[static_cast<size_t>(shard)];
   EndpointId id = all_ids_[static_cast<size_t>(member)];
-  std::deque<Packet> swept = std::move(chan.queued);
   if (w.udp != nullptr) {
     w.udp->Adopt(id, std::move(udp));
   } else {
     w.chan->Adopt(id, std::move(chan));
   }
-  // Rebind BEFORE replaying queued packets: a delivery may re-enter Send (the
-  // application echoes), and that send must go out through OUR backend — via
-  // the old pointer it would race the victim's thread and strand packets on a
-  // shard that no longer owns either pair member.
+  // Queued packets are delivered by our next Poll, after this rebind, so a
+  // delivery that re-enters Send (the application echoes) goes out through
+  // OUR backend, never the victim's.
   members_[static_cast<size_t>(member)]->FinishRebind(w.net);
-  if (w.chan != nullptr) {
-    // Oldest first: same-shard sends swept from the victim's local FIFO
-    // predate anything that reached the home shard during the migration,
-    // which in turn predates what raced ahead of the adoption.
-    for (const Packet& p : swept) {
-      w.chan->DeliverFromRing(p);
-    }
-    for (const Packet& p : backlog) {
-      w.chan->DeliverFromRing(p);
-    }
-    auto pit = w.pending.find(member);
-    if (pit != w.pending.end()) {
-      std::deque<Packet> q = std::move(pit->second);
-      w.pending.erase(pit);
-      for (const Packet& p : q) {
-        w.chan->DeliverFromRing(p);
-      }
-    }
-  }
   w.resident[static_cast<size_t>(member)] = 1;
   w.resident_count.fetch_add(1, std::memory_order_relaxed);
   w.stats.steals_in++;
@@ -1178,7 +868,7 @@ void ShardRuntime::FinishAdopt(int shard, int member, ChannelNetwork::ReleasedEn
   if (start_ns != 0) {
     steal_duration_.Observe(NowNanos() - start_ns);
   }
-  ENS_TRACE(kAdopt, member, static_cast<uint64_t>(shard), backlog.size());
+  ENS_TRACE(kAdopt, member, static_cast<uint64_t>(shard), 0);
   if (from_steal) {
     steal_inflight_.store(false, std::memory_order_release);
   }
@@ -1247,8 +937,7 @@ ShardSchedStats ShardRuntime::SchedStats() const {
   out.steal_requests = steal_requests_.value();
   out.credit_parks = credit_parks_.value();
   for (const auto& worker : workers_) {
-    const WakerStats& ws =
-        worker->udp != nullptr ? worker->udp->waker().stats() : worker->waker.stats();
+    const WakerStats& ws = worker->waker->stats();
     out.wakeup_writes += ws.notifies.value();
     out.wakeups_coalesced += ws.coalesced.value();
   }

@@ -10,21 +10,21 @@
 // Cross-shard traffic is confined to two channels:
 //
 //   - bounded lock-free MPSC rings (src/util/mpsc_ring.h), one per worker,
-//     drained at the top of each worker's poll loop.  They carry harness
-//     control (start/stop/injected sends), stat requests, and — for the
-//     in-process channel backend — cross-shard packet delivery.  Ring space
-//     is governed by per-link CREDITS (below); a sender never spins on a
-//     full ring.
-//   - the kernel, for the UDP backend: every endpoint owns a real socket, and
-//     AddPeer() teaches each shard's UdpNetwork the ports of endpoints living
-//     on other shards, so cross-shard datagrams are ordinary loopback sends
-//     that land directly on the owning shard's socket.  UDP rings carry
-//     tasks only, never packets.
+//     drained at the top of each worker's poll loop.  They carry TASKS only:
+//     harness control (start/stop/injected sends), member-targeted work,
+//     steal requests and handoff steps.  Ring space is governed by per-link
+//     CREDITS (below); a sender never spins on a full ring.
+//   - each endpoint's own queue for packets: for the UDP backend a real
+//     socket (AddPeer() teaches each shard's UdpNetwork the ports of
+//     endpoints living on other shards, so cross-shard datagrams are ordinary
+//     loopback sends that land on the owning shard's socket); for the
+//     in-process channel backend a mailbox (channel_network.h) that any
+//     shard pushes into by endpoint id.
 //
 // Idle workers block in poll(2) (UDP: sockets + eventfd wakeup; channel:
-// eventfd only) instead of spinning; posting into a ring wakes the owner
-// through a COALESCED waker: a burst of posts between two of the owner's
-// drain cycles costs one eventfd write.
+// eventfd only) instead of spinning; posting into a ring or a mailbox wakes
+// the owner through a COALESCED waker: a burst of posts between two of the
+// owner's drain cycles costs one eventfd write.
 //
 // Credit-based ring flow control: each link (producer shard or the external
 // world → consumer shard) holds capacity/(workers+1) credits.  A post
@@ -43,14 +43,11 @@
 // steal request to the hottest shard; the victim quiesces one whole
 // GroupEndpoint (flush staged traffic, invalidate its timers via a rebind
 // epoch) and hands ownership to the thief over the ordinary rings — the
-// stack itself never sees a second thread.  A handoff takes one of two
-// paths.  For the UDP backend the endpoint's socket moves with it (datagrams
-// queued in the kernel travel along, so nothing in flight is lost or
-// reordered).  For the channel backend, packets always route to the
-// endpoint's HOME shard, which forwards to the current owner; a handoff away
-// from a foreign owner is fenced with a marker bounced off the home shard,
-// and packets that arrive at the new owner early wait in a pre-adoption
-// queue — preserving per-sender FIFO across the migration.
+// stack itself never sees a second thread.  Both backends hand off the same
+// way: release the endpoint's binding, publish the new owner, adopt on the
+// thief.  The endpoint's queue — the socket with its kernel receive queue, or
+// the mailbox — stays put and keeps everything in flight in order, so nothing
+// is lost or reordered across the migration.
 //
 // Lifecycle: construct → Build(n) → Start() → Post*/run → Stop().  Build and
 // Start run on the caller's thread before any worker exists; after Start(),
@@ -64,7 +61,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -76,13 +72,12 @@
 #include "src/obs/trace.h"
 #include "src/overload/manager.h"
 #include "src/runtime/autotune.h"
+#include "src/runtime/channel_network.h"
 #include "src/util/mpsc_ring.h"
 #include "src/util/timer_heap.h"
 #include "src/util/waker.h"
 
 namespace ensemble {
-
-class ShardRuntime;
 
 enum class ShardBackend {
   kUdp,      // Real kernel loopback sockets (the measured hot path).
@@ -157,16 +152,14 @@ struct ShardRuntimeConfig {
   bool trace_enabled = false;
 };
 
-// One message in a cross-shard ring: a control task, a member-targeted task
-// (re-routed if the member migrated between post and drain), or a packet
-// being delivered to an endpoint owned by the receiver (channel backend only).
+// One task in a cross-shard ring: a control task, or a member-targeted task
+// (re-routed if the member migrated between post and drain).  Packets never
+// ride the rings; they go straight to the destination endpoint's queue.
 struct ShardMsg {
   std::function<void()> task;
   std::function<void(GroupEndpoint&)> member_task;
-  Packet packet;
   int member = -1;    // >= 0: member_task target.
   int src = -1;       // Producing link index (worker id, or W = external).
-  bool is_packet = false;
   uint64_t post_ns = 0;  // PostMsg stamp → sched.delivery_latency_ns.
 };
 
@@ -186,83 +179,6 @@ struct ShardLoad {
   uint64_t loops = 0;    // Poll-loop iterations.
   int resident = 0;      // Endpoints currently owned.
   double ewma = 0;       // Events-per-cycle EWMA (the steal signal).
-};
-
-// In-process sharded backend: same-shard sends go through a local FIFO
-// drained by Poll() (never delivered re-entrantly from inside Send), and
-// cross-shard sends travel the destination's HOME shard ring (which forwards
-// to the current owner after a steal).  Timers are a wall-clock min-heap, as
-// in UdpNetwork.  Lossless and FIFO per link, including across migrations.
-class ChannelNetwork : public Network {
- public:
-  ChannelNetwork(ShardRuntime* rt, int shard) : rt_(rt), shard_(shard) {}
-
-  void Attach(EndpointId ep, DeliverFn deliver) override;
-  void Detach(EndpointId ep) override;
-  void Send(EndpointId src, EndpointId dst, const Iovec& gather) override;
-  void Broadcast(EndpointId src, const Iovec& gather) override;
-  void ScheduleTimer(VTime delay, TimerFn fn) override;
-  VTime Now() const override { return NowNanos(); }
-  void SetDrainHook(EndpointId ep, std::function<void()> hook) override;
-  // Overload backpressure: at level >= 2 (kill watermark) the dispatch FIFO
-  // drops its OLDEST entry once depth exceeds the shed keep — channel traffic
-  // is datagram-semantics, so layers recover exactly as from a lossy wire.
-  void SetPressure(int level) override {
-    pressure_.store(level, std::memory_order_relaxed);
-  }
-  void set_shed_keep(size_t keep) { shed_keep_ = keep; }
-
-  // Ownership handoff (owning threads only; sequencing via the rings).
-  struct ReleasedEndpoint {
-    DeliverFn deliver;
-    std::function<void()> drain_hook;
-    // Same-shard sends to `ep` still parked in local_q_ at Release() time.
-    // They predate anything routed via the home shard during the migration,
-    // so the adopter replays them first to keep per-sender FIFO.
-    std::deque<Packet> queued;
-    bool valid = false;
-  };
-  ReleasedEndpoint Release(EndpointId ep);
-  void Adopt(EndpointId ep, ReleasedEndpoint state);
-  bool Attached(EndpointId ep) const { return local_.count(ep) > 0; }
-
-  // Owning-thread entry points used by the runtime's worker loop.
-  void DeliverFromRing(const Packet& packet);  // Migration replay: deliver now.
-  // Normal ring drain: defer into the dispatch FIFO instead of delivering in
-  // place.  A worker parked mid-send can keep popping its own ring (a FIFO
-  // append enters no protocol stack) and granting credits, so sustained
-  // overload lands in the one queue the overload manager watermarks and
-  // kill-sheds rather than wedging the credit loop.
-  void EnqueueFromRing(Packet packet);
-  size_t Poll();  // Drain the local FIFO + run due timers + drain hooks.
-  // The FIFO/hook half of Poll() without firing timers: the post-Stop sweep
-  // uses it so periodic timers can't regenerate traffic forever.
-  size_t DrainQueues();
-  VTime NanosUntilNextTimer() const;
-
-  const NetworkStats& stats() const { return stats_; }
-  // Overload signals (read cross-thread by the manager's evaluating worker):
-  // mirrors of the dispatch FIFO depth and timer-heap depth, updated by the
-  // owning thread at every push/pop boundary.
-  uint64_t dispatch_depth() const { return dispatch_depth_.value(); }
-  uint64_t timer_depth() const { return timers_.depth(); }
-  uint64_t overload_sheds() const { return overload_sheds_.value(); }
-
- private:
-  void RouteOne(EndpointId src, EndpointId dst, const Bytes& flat);
-  void DeliverLocal(const Packet& packet);
-
-  ShardRuntime* rt_;
-  int shard_;
-  std::map<EndpointId, DeliverFn> local_;
-  std::map<EndpointId, std::function<void()>> drain_hooks_;
-  std::deque<Packet> local_q_;
-  TimerHeap timers_;
-  NetworkStats stats_;
-  std::atomic<int> pressure_{0};
-  size_t shed_keep_ = 4096;
-  RelaxedCounter dispatch_depth_;
-  RelaxedCounter overload_sheds_;
 };
 
 class ShardRuntime {
@@ -297,9 +213,6 @@ class ShardRuntime {
   int ShardOf(int member) const {
     return owner_of_[static_cast<size_t>(member)].load(std::memory_order_acquire);
   }
-  // The member's home shard: where its cross-shard packets are routed first
-  // (immutable after Build; equals ShardOf until a steal moves the member).
-  int HomeOf(int member) const { return home_of_[static_cast<size_t>(member)]; }
   bool started() const { return started_; }
 
   // Enqueues a task on shard `s`'s ring (parking on credit exhaustion) and
@@ -368,19 +281,6 @@ class ShardRuntime {
   // Main thread, only before Start() or after Stop().
   GroupEndpoint& member(int i) { return *members_[static_cast<size_t>(i)]; }
 
-  // Internal (ChannelNetwork; channel backend only): routes a flattened
-  // packet toward the shard owning `dst` via its home shard; `src_shard` is
-  // the calling worker.  Returns false on drop (no such endpoint).
-  bool RoutePacketFrom(int src_shard, Packet packet);
-  // Internal (ChannelNetwork; channel backend only): a ring/local packet for
-  // an endpoint the shard no longer (or does not yet) own: stash it in a migration backlog or
-  // pre-adoption queue, or forward it toward the current owner.  Returns
-  // false only when the endpoint is unknown (caller counts the drop).
-  bool HandleOrphanPacket(int shard, const Packet& packet);
-  // Internal (ChannelNetwork): every endpoint id in the runtime, in member
-  // order.  Immutable after Build().
-  const std::vector<EndpointId>& AllIds() const { return all_ids_; }
-
  private:
   static constexpr uint64_t kEwmaScale = 256;  // Fixed-point EWMA unit.
   // Credit floor per ring link: rings grow until every link gets this many.
@@ -397,32 +297,18 @@ class ShardRuntime {
     RelaxedCounter steals_out;
   };
 
-  // Victim-side record of a channel handoff awaiting its home-shard marker:
-  // the released endpoint plus every packet that arrived mid-migration.
-  // Channel backend only (a UDP handoff moves the socket and needs no fence).
-  struct Migration {
-    int thief = -1;
-    bool from_steal = false;  // Clears steal_inflight_ when adopted.
-    uint64_t start_ns = 0;    // StartHandoff stamp → sched.steal_duration_ns.
-    ChannelNetwork::ReleasedEndpoint chan;
-    std::deque<Packet> backlog;
-  };
-
   struct Worker {
     std::unique_ptr<UdpNetwork> udp;
     std::unique_ptr<ChannelNetwork> chan;
     Network* net = nullptr;
+    Waker* waker = nullptr;  // The network's own: posts and pushes wake it.
     std::unique_ptr<MpscRing<ShardMsg>> inbox;
-    Waker waker;  // Channel-backend sleep; UDP uses the network's own.
     std::unique_ptr<obs::TraceRing> trace;  // This worker's event ring.
     std::thread thread;
 
     // Worker-local (owning thread only after Start).
     std::deque<ShardMsg> held;      // Popped while parked; runs next drain.
     std::deque<ShardMsg> deferred;  // Member tasks awaiting an adoption.
-    // Channel backend only: member → in-flight handoff / pre-adopt packets.
-    std::map<int, Migration> migrations;
-    std::map<int, std::deque<Packet>> pending;
     std::vector<uint8_t> resident;                 // member → owned here?
 
     // Published for other threads (the steal signal).
@@ -452,9 +338,7 @@ class ShardRuntime {
   // explicitly — the post-Stop sweep replays tasks on the main thread).
   void StartHandoff(int shard, int member, int thief, bool from_steal);
   void FinishAdopt(int shard, int member, ChannelNetwork::ReleasedEndpoint chan,
-                   UdpNetwork::ReleasedEndpoint udp, std::deque<Packet> backlog,
-                   bool from_steal, uint64_t start_ns);
-  void CompleteMarker(int shard, int member);
+                   UdpNetwork::ReleasedEndpoint udp, bool from_steal, uint64_t start_ns);
 
   void WakeWorker(int shard);
   Waker& WakerOf(int shard);
@@ -463,16 +347,17 @@ class ShardRuntime {
   void GrantCredit(int dst, int src, uint32_t count);
   void HoldOwnInbox(int shard);
   int CurrentLinkIndex() const;  // Calling worker's shard, or W = external.
-  int MemberOfId(EndpointId id) const;
   std::atomic<int>& CreditCell(int dst, int src) const {
     return credits_[static_cast<size_t>(dst) * links_ + static_cast<size_t>(src)];
   }
 
   ShardRuntimeConfig config_;
+  // Channel backend: every endpoint's mailbox.  Before workers, whose
+  // networks point into it.
+  MailboxTable mailboxes_;
   // Workers before members: member destructors detach from worker-owned nets.
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<GroupEndpoint>> members_;
-  std::vector<int> home_of_;            // member index → home shard (immutable).
   std::unique_ptr<std::atomic<int>[]> owner_of_;  // member index → owner shard.
   std::vector<EndpointId> all_ids_;     // member index → id.
   std::vector<std::vector<int>> groups_;  // group → member indices.

@@ -16,7 +16,6 @@ using obs::TraceKind;
 
 bool IsMigrationKind(uint16_t k) {
   return k == static_cast<uint16_t>(TraceKind::kHandoffStart) ||
-         k == static_cast<uint16_t>(TraceKind::kHandoffMarker) ||
          k == static_cast<uint16_t>(TraceKind::kAdopt);
 }
 
@@ -32,11 +31,6 @@ std::string Describe(const TraceEvent& e) {
      << " b=" << e.b << "}";
   return os.str();
 }
-
-struct OpenMigration {
-  TraceEvent start;
-  size_t markers = 0;
-};
 
 }  // namespace
 
@@ -63,8 +57,8 @@ SpanCheckResult CheckSpanShapes(const std::vector<TraceEvent>& events,
 
   // Order by timestamp (steady_clock is one domain across worker threads, so
   // cross-ring merge by ts is causal).  Equal timestamps for the same member
-  // break ties by kind value — start < marker < adopt and engage < disengage
-  // hold numerically in TraceKind.
+  // break ties by kind value — start < adopt and engage < disengage hold
+  // numerically in TraceKind.
   std::vector<TraceEvent> ev;
   ev.reserve(events.size());
   for (const auto& e : events) {
@@ -80,41 +74,30 @@ SpanCheckResult CheckSpanShapes(const std::vector<TraceEvent>& events,
                    });
   r.events_seen = ev.size();
 
-  // ---- Migration spans: per-member handoff_start → [marker…] → adopt ------
+  // ---- Migration spans: per-member handoff_start → adopt -----------------
   //
   // handoff_start is emitted on the victim's ring (event.shard = source,
   // a = destination); adopt on the thief's ring (event.shard = destination,
   // a = the adopting shard, i.e. also the destination).  A well-shaped trace
   // never has two spans open for one member, never adopts on a shard the
-  // start didn't aim at, and never sees a marker or adopt outside an open
-  // span.
-  std::map<int32_t, OpenMigration> open;
+  // start didn't aim at, and never sees an adopt outside an open span.
+  std::map<int32_t, TraceEvent> open;
   for (const auto& e : ev) {
     if (e.kind == static_cast<uint16_t>(TraceKind::kHandoffStart)) {
       auto it = open.find(e.member);
       if (it != open.end()) {
         fail("overlapping migrations for member " + std::to_string(e.member) +
              ": " + Describe(e) + " while open since ts=" +
-             std::to_string(it->second.start.ts_ns));
+             std::to_string(it->second.ts_ns));
       }
-      open[e.member] = OpenMigration{e, 0};
-    } else if (e.kind == static_cast<uint16_t>(TraceKind::kHandoffMarker)) {
-      auto it = open.find(e.member);
-      if (it == open.end()) {
-        fail("orphan handoff_marker (no open migration): " + Describe(e));
-      } else if (e.a != it->second.start.a) {
-        fail("handoff_marker destination mismatch: " + Describe(e) +
-             " vs start dest=" + std::to_string(it->second.start.a));
-      } else {
-        it->second.markers++;
-      }
+      open[e.member] = e;
     } else if (e.kind == static_cast<uint16_t>(TraceKind::kAdopt)) {
       auto it = open.find(e.member);
       if (it == open.end()) {
         fail("orphan adopt (no matching handoff_start): " + Describe(e));
         continue;
       }
-      const TraceEvent& s = it->second.start;
+      const TraceEvent& s = it->second;
       if (e.shard != s.a) {
         fail("adopt on wrong shard: " + Describe(e) + " but start aimed at " +
              std::to_string(s.a));
@@ -129,9 +112,9 @@ SpanCheckResult CheckSpanShapes(const std::vector<TraceEvent>& events,
   }
   r.migrations_open = open.size();
   if (options.require_migrations_closed) {
-    for (const auto& [member, m] : open) {
+    for (const auto& [member, start] : open) {
       fail("handoff_start without adopt for member " + std::to_string(member) +
-           ": " + Describe(m.start));
+           ": " + Describe(start));
     }
   }
 

@@ -2,8 +2,8 @@
 //
 // The scheduler and overload subsystems narrate their lifecycles into the
 // per-shard trace rings (src/obs/trace.h): a migration is a
-// handoff_start … [handoff_marker] … adopt span, an overload rung is an
-// engage … disengage span.  Counting steals (what the runtime tests used to
+// handoff_start … adopt span, an overload rung is an engage … disengage
+// span.  Counting steals (what the runtime tests used to
 // assert) says a migration *finished*; checking the span shapes says every
 // migration finished EXACTLY ONCE, on the shard it was aimed at, with no
 // member ever migrating twice concurrently — and that the overload ladder's

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,6 +52,38 @@ bool WaitUntil(Pred pred, int ms) {
   return true;
 }
 
+// Mailbox semantics on two bare channel networks (one thread): delivery on
+// the owner's Poll in push order, drop-oldest past the shed keep under kill
+// pressure, refused pushes once detached, and depth summed per owner.
+TEST(ChannelNetworkTest, MailboxShedsOldestAndRefusesAfterDetach) {
+  MailboxTable table;
+  ChannelNetwork a(&table);
+  ChannelNetwork b(&table);
+  std::vector<uint8_t> got;
+  b.Attach(EndpointId{2},
+           [&got](const Packet& p) { got.push_back(p.datagram.data()[0]); });
+  a.Attach(EndpointId{1}, [](const Packet&) {});
+  a.set_shed_keep(3);
+  a.SetPressure(2);
+  for (uint8_t i = 0; i < 5; i++) {
+    Bytes one = Bytes::CopyString(std::string(1, static_cast<char>(i)));
+    a.Send(EndpointId{1}, EndpointId{2}, Iovec(one));
+  }
+  EXPECT_EQ(b.dispatch_depth(), 3u);  // Resident on b, whoever pushed.
+  EXPECT_EQ(a.dispatch_depth(), 0u);
+  EXPECT_EQ(a.overload_sheds(), 2u);
+  EXPECT_EQ(a.Poll(), 0u);  // Nothing resident on `a` is waiting.
+  EXPECT_EQ(b.Poll(), 3u);
+  EXPECT_EQ(got, (std::vector<uint8_t>{2, 3, 4}));  // Newest three, in order.
+
+  b.Detach(EndpointId{2});
+  a.Send(EndpointId{1}, EndpointId{2}, Iovec(Bytes::CopyString("late")));
+  a.Send(EndpointId{1}, EndpointId{9}, Iovec(Bytes::CopyString("nobody")));
+  EXPECT_EQ(b.Poll(), 0u);
+  EXPECT_EQ(a.stats().dropped.value(), 2u + 2u);  // Two sheds, two refusals.
+  EXPECT_EQ(got.size(), 3u);
+}
+
 TEST(ShardRuntimeTest, ChannelBackendCastCrossesShards) {
   ShardRuntimeConfig config;
   config.backend = ShardBackend::kChannel;
@@ -72,9 +105,10 @@ TEST(ShardRuntimeTest, ChannelBackendCastCrossesShards) {
   for (int i = 0; i < 4; i++) {
     EXPECT_EQ(rt.delivered(i), 3u) << "member " << i;
   }
-  // Members live on both shards, so casts must have crossed the rings.
+  // Members live on both shards, yet the casts crossed through mailboxes:
+  // the rings carried exactly the 4 posted tasks.
   MpscRingStats rings = rt.AggregateRingStats();
-  EXPECT_GT(rings.pushed.value(), 0u);
+  EXPECT_EQ(rings.pushed.value(), 4u);
   EXPECT_EQ(rings.pushed.value(), rings.popped.value());  // Final drain ran.
 }
 
@@ -85,7 +119,7 @@ TEST(ShardRuntimeTest, GroupsStayShardLocal) {
   config.ep = FastEndpointConfig();
 
   ShardRuntime rt(config);
-  // 4 groups of 2: each pair shares a shard, so pair traffic never rings.
+  // 4 groups of 2: each pair shares a shard, so pair traffic stays local.
   ASSERT_TRUE(rt.Build(8, /*group_size=*/2));
   for (int g = 0; g < 4; g++) {
     EXPECT_EQ(rt.ShardOf(2 * g), rt.ShardOf(2 * g + 1)) << "group " << g;
@@ -102,7 +136,7 @@ TEST(ShardRuntimeTest, GroupsStayShardLocal) {
   bool done = WaitUntil([&] { return rt.total_delivered() >= 8u; }, 5000);
   rt.Stop();
   EXPECT_TRUE(done);
-  // The only ring traffic is the 8 posted control tasks — no packets rang.
+  // Packets never ride the rings: their only traffic is the 8 posted tasks.
   NetworkStats net = rt.AggregateNetStats();
   EXPECT_EQ(net.dropped.value(), 0u);
   EXPECT_EQ(rt.AggregateRingStats().pushed.value(), 8u);
@@ -260,8 +294,8 @@ TEST(ShardRuntimeTest, UdpBackendOverUringRings) {
   EXPECT_EQ(net.dropped.value(), 0u);
 }
 
-// The scheduler histograms fill from the hot path: every cross-shard message
-// observes into sched.delivery_latency_ns, every completed handoff into
+// The scheduler histograms fill from the hot path: every ring task observes
+// into sched.delivery_latency_ns, every completed handoff into
 // sched.steal_duration_ns.
 TEST(ShardRuntimeTest, SchedHistogramsFillFromHotPath) {
   ShardRuntimeConfig config;
@@ -363,16 +397,48 @@ void PrimePair(ShardRuntime* rt, SeqTap* tap, int even_member, int window) {
   });
 }
 
-// Deterministic handoff with traffic in flight, channel backend: move a pair
-// member by member (covering the split-pair cross-shard interval and, on the
-// way back, the foreign-owner marker fence), and require the sequence stream
-// to stay gapless.
-TEST(ShardRuntimeTest, MigrateMemberHandsOffWithInflightTraffic) {
+// One handoff protocol on every datapath: the channel mailbox and the UDP
+// socket over eager, mmsg and uring.  A pair exchanges sequence-stamped
+// traffic while both members move to shard 1 one at a time (the pair
+// straddles shards in between) and back, and the stream must stay gapless
+// and lossless.  The `channel_timers_off` instance runs with no endpoint
+// timers and a 30 s idle block: a push that woke a stale owner would stall
+// it, with no timer tick to rescue the packet.
+struct Datapath {
+  const char* name;
+  ShardBackend backend;
+  NetBackend net;
+  bool timers_off;
+};
+
+void PrintTo(const Datapath& path, std::ostream* os) { *os << path.name; }
+
+class ShardRuntimeHandoffTest : public ::testing::TestWithParam<Datapath> {};
+
+TEST_P(ShardRuntimeHandoffTest, MigrateKeepsFifoWithTrafficInFlight) {
+  const Datapath& path = GetParam();
   ShardRuntimeConfig config;
-  config.backend = ShardBackend::kChannel;
+  config.backend = path.backend;
+  if (path.backend == ShardBackend::kUdp) {
+    if (!UdpAvailable()) {
+      GTEST_SKIP() << "no UDP sockets in this environment";
+    }
+    if (path.net == NetBackend::kUring && !UringEngine::Available()) {
+      GTEST_SKIP() << "no io_uring in this environment";
+    }
+    switch (path.net) {
+      case NetBackend::kMmsg: config.net = NetBackendConfig::Batched(16); break;
+      case NetBackend::kUring: config.net = NetBackendConfig::Uring(16); break;
+      default: config.net = NetBackendConfig::Eager(); break;
+    }
+  }
   config.num_workers = 2;
   config.ep = FastEndpointConfig();
   config.ep.params.pt2pt_window = 1u << 30;
+  if (path.timers_off) {
+    config.ep.timer_interval = 0;
+    config.poll_slice = Seconds(30);
+  }
   config.trace_enabled = true;        // Migration spans judged from the trace.
   config.trace_capacity = 1u << 18;  // Hot-path events share the rings.
   SeqTap tap;
@@ -390,24 +456,25 @@ TEST(ShardRuntimeTest, MigrateMemberHandsOffWithInflightTraffic) {
   PrimePair(&rt, &tap, 0, 8);
   ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= 100u; }, 5000));
 
-  // Away: home-shard handoffs (owner == home), one member at a time — the
-  // interval where the pair straddles shards exercises home forwarding.
-  rt.MigrateMember(0, 1);
-  rt.MigrateMember(1, 1);
-  ASSERT_TRUE(WaitUntil(
-      [&] { return rt.ShardOf(0) == 1 && rt.ShardOf(1) == 1; }, 5000));
-  uint64_t mark = rt.total_delivered();
-  ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= mark + 100u; }, 5000));
-
-  // Back: owner (1) != home (0) now, so these run the marker-fenced path.
-  rt.MigrateMember(0, 0);
-  rt.MigrateMember(1, 0);
-  ASSERT_TRUE(WaitUntil(
-      [&] { return rt.ShardOf(0) == 0 && rt.ShardOf(1) == 0; }, 5000));
-  mark = rt.total_delivered();
-  ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= mark + 100u; }, 5000));
+  for (int to : {1, 0}) {
+    rt.MigrateMember(0, to);
+    rt.MigrateMember(1, to);
+    ASSERT_TRUE(WaitUntil(
+        [&] { return rt.ShardOf(0) == to && rt.ShardOf(1) == to; }, 5000));
+    uint64_t mark = rt.total_delivered();
+    ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= mark + 100u; }, 5000));
+  }
 
   tap.echo.store(false);
+  // Echo off stops new sends.  Wait for both streams to quiesce BEFORE
+  // Stop(): datagrams still sitting in kernel queues at shutdown would read
+  // as loss.
+  ASSERT_TRUE(WaitUntil(
+      [&] {
+        return tap.next_rx[1].load() == tap.next_tx[0].load() &&
+               tap.next_rx[0].load() == tap.next_tx[1].load();
+      },
+      5000));
   rt.Stop();
   EXPECT_TRUE(tap.in_order.load()) << "per-sender FIFO broke across a handoff";
   ExpectMigrationSpans(rt, 4u);  // Four matched handoff→adopt spans.
@@ -417,81 +484,17 @@ TEST(ShardRuntimeTest, MigrateMemberHandsOffWithInflightTraffic) {
   EXPECT_EQ(rt.AggregateNetStats().dropped.value(), 0u);
 }
 
-// Same handoff over the UDP backend, on every datapath: the socket (and its
-// kernel queue) must travel with the endpoint, there and back, so the stream
-// stays gapless and lossless.
-class ShardRuntimeUdpTest : public ::testing::TestWithParam<NetBackend> {};
-
-TEST_P(ShardRuntimeUdpTest, MigrateSocketTravels) {
-  if (!UdpAvailable()) {
-    GTEST_SKIP() << "no UDP sockets in this environment";
-  }
-  if (GetParam() == NetBackend::kUring && !UringEngine::Available()) {
-    GTEST_SKIP() << "no io_uring in this environment";
-  }
-  ShardRuntimeConfig config;
-  config.backend = ShardBackend::kUdp;
-  config.num_workers = 2;
-  switch (GetParam()) {
-    case NetBackend::kMmsg: config.net = NetBackendConfig::Batched(16); break;
-    case NetBackend::kUring: config.net = NetBackendConfig::Uring(16); break;
-    default: config.net = NetBackendConfig::Eager(); break;
-  }
-  config.ep = FastEndpointConfig();
-  config.ep.params.pt2pt_window = 1u << 30;
-  config.trace_enabled = true;
-  config.trace_capacity = 1u << 18;
-  SeqTap tap;
-  std::vector<GroupEndpoint*> eps(4, nullptr);
-  WireSeqTap(&config, &tap, &eps);
-
-  ShardRuntime rt(config);
-  ASSERT_TRUE(rt.Build(4, /*group_size=*/2));  // Pair (0,1) on shard 0.
-  for (int i = 0; i < 4; i++) {
-    eps[static_cast<size_t>(i)] = &rt.member(i);
-  }
-  rt.Start();
-  PrimePair(&rt, &tap, 0, 8);
-  ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= 100u; }, 5000));
-
-  rt.MigrateMember(0, 1);
-  rt.MigrateMember(1, 1);
-  ASSERT_TRUE(WaitUntil(
-      [&] { return rt.ShardOf(0) == 1 && rt.ShardOf(1) == 1; }, 5000));
-  uint64_t mark = rt.total_delivered();
-  ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= mark + 100u; }, 5000));
-
-  rt.MigrateMember(0, 0);
-  rt.MigrateMember(1, 0);
-  ASSERT_TRUE(WaitUntil(
-      [&] { return rt.ShardOf(0) == 0 && rt.ShardOf(1) == 0; }, 5000));
-  mark = rt.total_delivered();
-  ASSERT_TRUE(WaitUntil([&] { return rt.total_delivered() >= mark + 100u; }, 5000));
-
-  tap.echo.store(false);
-  // Echo off stops new sends.  Wait for both streams to quiesce BEFORE
-  // Stop(): unlike the channel backend, datagrams still sitting in kernel
-  // queues at shutdown would read as loss.
-  ASSERT_TRUE(WaitUntil(
-      [&] {
-        return tap.next_rx[1].load() == tap.next_tx[0].load() &&
-               tap.next_rx[0].load() == tap.next_tx[1].load();
-      },
-      5000));
-  rt.Stop();
-  EXPECT_TRUE(tap.in_order.load()) << "per-sender FIFO broke across a handoff";
-  ExpectMigrationSpans(rt, 4u);
-  EXPECT_EQ(tap.next_rx[1].load(), tap.next_tx[0].load());
-  EXPECT_EQ(tap.next_rx[0].load(), tap.next_tx[1].load());
-  EXPECT_EQ(rt.AggregateNetStats().dropped.value(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ShardRuntimeUdpTest,
-                         ::testing::Values(NetBackend::kEager, NetBackend::kMmsg,
-                                           NetBackend::kUring),
-                         [](const ::testing::TestParamInfo<NetBackend>& info) {
-                           return std::string(NetBackendName(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Datapaths, ShardRuntimeHandoffTest,
+    ::testing::Values(Datapath{"channel", ShardBackend::kChannel, NetBackend::kEager, false},
+                      Datapath{"channel_timers_off", ShardBackend::kChannel,
+                               NetBackend::kEager, true},
+                      Datapath{"eager", ShardBackend::kUdp, NetBackend::kEager, false},
+                      Datapath{"mmsg", ShardBackend::kUdp, NetBackend::kMmsg, false},
+                      Datapath{"uring", ShardBackend::kUdp, NetBackend::kUring, false}),
+    [](const ::testing::TestParamInfo<Datapath>& info) {
+      return std::string(info.param.name);
+    });
 
 // Stealing policy end to end: all four pairs start on shard 0, the idle
 // worker notices and pulls whole groups over until both shards carry load.
@@ -548,6 +551,32 @@ TEST(ShardRuntimeTest, StealingRebalancesSkewedPlacement) {
   EXPECT_TRUE(tap.in_order.load());
 }
 
+// Worker-to-worker task floods for the credit tests: each wave posts one
+// task to each member of a pair split across both shards, and that task
+// posts `per_wave` sequence-stamped tasks to its partner through the rings.
+// Every flood task checks it runs in per-sender order.
+void FloodPartnerTasks(ShardRuntime* rt, SeqTap* tap, int waves, int per_wave) {
+  for (int wave = 0; wave < waves; wave++) {
+    for (int m = 0; m < 2; m++) {
+      rt->PostToMember(m, [rt, tap, m, per_wave](GroupEndpoint&) {
+        int partner = 1 - m;
+        for (int i = 0; i < per_wave; i++) {
+          uint64_t seq = tap->next_tx[m].fetch_add(1, std::memory_order_relaxed);
+          rt->PostToMember(partner, [tap, partner, seq](GroupEndpoint&) {
+            if (seq != tap->next_rx[partner].fetch_add(1, std::memory_order_relaxed)) {
+              tap->in_order.store(false, std::memory_order_relaxed);
+            }
+          });
+        }
+      });
+    }
+  }
+}
+
+uint64_t FloodTasksRun(const SeqTap& tap) {
+  return tap.next_rx[0].load() + tap.next_rx[1].load();
+}
+
 // The credit regression: two workers push hard at each other through small
 // rings.  Before credits this spun (or deadlocked with re-entrant drains);
 // now both must park, hold-drain their own inboxes, and finish — with zero
@@ -558,31 +587,17 @@ TEST(ShardRuntimeTest, MutualPushBackpressureDrainsWithoutDeadlock) {
   config.num_workers = 2;
   config.ring_capacity = 64;  // Credits per link ~ a tenth of the burst.
   config.ep = FastEndpointConfig();
-  config.ep.params.pt2pt_window = 1u << 30;
   SeqTap tap;
-  tap.echo.store(false);  // One-way floods only; no amplification.
-  std::vector<GroupEndpoint*> eps(2, nullptr);
-  WireSeqTap(&config, &tap, &eps);
 
   ShardRuntime rt(config);
   ASSERT_TRUE(rt.Build(2));  // One pair spread across both shards.
   ASSERT_NE(rt.ShardOf(0), rt.ShardOf(1));
-  eps[0] = &rt.member(0);
-  eps[1] = &rt.member(1);
   rt.Start();
   constexpr int kBurst = 400;
-  for (int m = 0; m < 2; m++) {
-    rt.PostToMember(m, [&tap, m](GroupEndpoint& ep) {
-      Rank partner = m == 0 ? 1 : 0;
-      for (int i = 0; i < kBurst; i++) {
-        uint64_t seq = tap.next_tx[m].fetch_add(1, std::memory_order_relaxed);
-        ep.Send(partner, Iovec(SeqPayload(seq)));
-      }
-    });
-  }
-  bool done = WaitUntil([&] { return rt.total_delivered() >= 2u * kBurst; }, 10000);
+  FloodPartnerTasks(&rt, &tap, /*waves=*/1, kBurst);
+  bool done = WaitUntil([&] { return FloodTasksRun(tap) >= 2u * kBurst; }, 10000);
   rt.Stop();
-  EXPECT_TRUE(done) << "delivered " << rt.total_delivered();
+  EXPECT_TRUE(done) << "ran " << FloodTasksRun(tap);
   EXPECT_TRUE(tap.in_order.load());
   MpscRingStats rings = rt.AggregateRingStats();
   EXPECT_EQ(rings.full_fails.value(), 0u);  // Credits made full-ring impossible.
@@ -593,44 +608,28 @@ TEST(ShardRuntimeTest, MutualPushBackpressureDrainsWithoutDeadlock) {
 // Credit ring at saturation: sustained offered load ~10x what the per-link
 // credit quota can hold in flight.  The credit protocol must make full-ring
 // pushes impossible (full_fails == 0 — senders park instead) while the
-// consumer's drain keeps granting credits back, so every message eventually
-// lands: bounded memory AND progress, never deadlock.
+// consumer's drain keeps granting credits back, so every task eventually
+// runs: bounded memory AND progress, never deadlock.
 TEST(ShardRuntimeTest, CreditRingSaturationParksAndDrainsAtTenX) {
   ShardRuntimeConfig config;
   config.backend = ShardBackend::kChannel;
   config.num_workers = 2;
   config.ring_capacity = 128;  // Credits per link = 128 / 3 ~ 42.
   config.ep = FastEndpointConfig();
-  config.ep.params.pt2pt_window = 1u << 30;
   SeqTap tap;
-  tap.echo.store(false);
-  std::vector<GroupEndpoint*> eps(2, nullptr);
-  WireSeqTap(&config, &tap, &eps);
 
   ShardRuntime rt(config);
   ASSERT_TRUE(rt.Build(2));  // One pair spread across both shards.
   ASSERT_NE(rt.ShardOf(0), rt.ShardOf(1));
-  eps[0] = &rt.member(0);
-  eps[1] = &rt.member(1);
   rt.Start();
   // 10 sustained waves, each ~10x the credit quota, from both directions.
   constexpr int kWaves = 10;
   constexpr int kPerWave = 400;
-  for (int wave = 0; wave < kWaves; wave++) {
-    for (int m = 0; m < 2; m++) {
-      rt.PostToMember(m, [&tap, m](GroupEndpoint& ep) {
-        Rank partner = m == 0 ? 1 : 0;
-        for (int i = 0; i < kPerWave; i++) {
-          uint64_t seq = tap.next_tx[m].fetch_add(1, std::memory_order_relaxed);
-          ep.Send(partner, Iovec(SeqPayload(seq)));
-        }
-      });
-    }
-  }
+  FloodPartnerTasks(&rt, &tap, kWaves, kPerWave);
   constexpr uint64_t kTotal = 2ull * kWaves * kPerWave;
-  bool done = WaitUntil([&] { return rt.total_delivered() >= kTotal; }, 20000);
+  bool done = WaitUntil([&] { return FloodTasksRun(tap) >= kTotal; }, 20000);
   rt.Stop();
-  EXPECT_TRUE(done) << "delivered " << rt.total_delivered();
+  EXPECT_TRUE(done) << "ran " << FloodTasksRun(tap);
   EXPECT_TRUE(tap.in_order.load());
   MpscRingStats rings = rt.AggregateRingStats();
   EXPECT_EQ(rings.full_fails.value(), 0u);  // Credits, not full-ring retries.

@@ -42,10 +42,9 @@ TraceEvent Ev(TraceKind kind, uint64_t ts, int32_t member, uint16_t shard,
 // --------------------------------------------------------------------------
 
 TEST(SpanCheckTest, BalancedMigrationsPass) {
-  // m7: shard 0 → 1 (with marker); m9: shard 2 → 0; m7 again: 1 → 2.
+  // m7: shard 0 → 1; m9: shard 2 → 0; m7 again: 1 → 2.
   std::vector<TraceEvent> ev = {
       Ev(TraceKind::kHandoffStart, 10, 7, 0, 1),
-      Ev(TraceKind::kHandoffMarker, 12, 7, 0, 1),
       Ev(TraceKind::kHandoffStart, 13, 9, 2, 0),
       Ev(TraceKind::kAdopt, 15, 7, 1, 1),
       Ev(TraceKind::kAdopt, 16, 9, 0, 0),
