@@ -8,10 +8,11 @@
 # post-suite smoke benches), so adding a leg is one case arm.
 #
 #   (none)      full suite + skew scheduler smoke
-#   --tsan      separate tree, -DENSEMBLE_TSAN=ON: concurrency suite (MPSC
-#               ring + sharded runtime + observability + overload control on
-#               the runtime, whose kill-shed drops from mailboxes that other
-#               shards push into) under ThreadSanitizer
+#   --tsan      separate tree, -DENSEMBLE_TSAN=ON: concurrency suite (worker
+#               task queue + channel mailboxes + sharded runtime +
+#               observability + overload control on the runtime, whose
+#               kill-shed drops from mailboxes that other shards push into)
+#               under ThreadSanitizer
 #   --notrace   separate tree, -DENSEMBLE_TRACE=OFF (ENS_TRACE compiled out)
 #   --nouring   separate tree, -DENSEMBLE_URING=OFF (io_uring stubbed): the
 #               mmsg fallback must carry every uring-tagged configuration
@@ -50,7 +51,7 @@ case "$LEG" in
             BUILD_TARGET="--target ensemble_tests"
             # Any reported race fails the run even if the tests pass.
             export TSAN_OPTIONS="halt_on_error=0 exitcode=66"
-            CTEST_ARGS="-R MpscRing|ShardRuntime|GroupHarnessSharded|Obs|OverloadRuntime" ;;
+            CTEST_ARGS="-R TaskQueue|ChannelNetwork|ShardRuntime|GroupHarnessSharded|Obs|OverloadRuntime" ;;
   notrace)  BUILD_DIR=build-notrace; CMAKE_FLAGS="-DENSEMBLE_TRACE=OFF" ;;
   nouring)  BUILD_DIR=build-nouring; CMAKE_FLAGS="-DENSEMBLE_URING=OFF" ;;
   autotune) CTEST_ARGS="-R CostModel|Autotuner"; SMOKES="autotune" ;;

@@ -199,7 +199,6 @@ GroupHarness::ShardedRunResult GroupHarness::RunSharded(int num_workers,
   result.ok = done;
   result.total_delivered = rt.total_delivered();
   result.net = rt.AggregateNetStats();
-  result.rings = rt.AggregateRingStats();
   result.sched = rt.SchedStats();
   obs::MetricsSnapshot delta = rt.SnapshotMetrics().DeltaSince(before);
   result.metrics_text = delta.Text();

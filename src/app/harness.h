@@ -13,7 +13,6 @@
 
 #include "src/app/endpoint.h"
 #include "src/runtime/runtime.h"
-#include "src/util/mpsc_ring.h"
 
 namespace ensemble {
 
@@ -97,8 +96,7 @@ class GroupHarness {
     bool ok = false;              // Every member delivered the full workload.
     uint64_t total_delivered = 0; // Sum of per-member delivery counts.
     NetworkStats net;             // Aggregated across all shards.
-    MpscRingStats rings;          // Cross-shard ring traffic.
-    ShardSchedStats sched;        // Steals, credit parks, wakeup coalescing.
+    ShardSchedStats sched;        // Steals, wakeup coalescing.
     // Full registry snapshot of the run (delta vs. before the workload),
     // rendered once through the obs exporters: network, dispatch, scheduler,
     // waker, pool, and bypass hit/punt metrics in one place.

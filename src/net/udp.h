@@ -188,7 +188,7 @@ class UdpNetwork : public Network {
   void IdleWait(VTime max_wait);
 
   // The ONLY thread-safe methods: break the owner out of a PollWait/PollFor
-  // sleep (e.g. after pushing into the owner's cross-shard ring).  Wakeup
+  // sleep (e.g. after posting into the owner's task queue).  Wakeup
   // coalesces: a burst of cross-shard posts between two owner drains costs
   // one eventfd write.
   void Wakeup() { waker_.NotifyCoalesced(); }

@@ -38,12 +38,6 @@ void RegisterNetworkStats(MetricsRegistry& reg, const NetworkStats* s) {
             [s]() { return static_cast<int64_t>(s->backend_active.value()); });
 }
 
-void RegisterRingStats(MetricsRegistry& reg, const MpscRingStats* s) {
-  reg.Counter("ring.pushed", &s->pushed);
-  reg.Counter("ring.popped", &s->popped);
-  reg.Counter("ring.full_fails", &s->full_fails);
-}
-
 void RegisterWakerStats(MetricsRegistry& reg, const WakerStats* s) {
   reg.Counter("waker.notifies", &s->notifies);
   reg.Counter("waker.coalesced", &s->coalesced);

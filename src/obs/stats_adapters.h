@@ -16,7 +16,6 @@
 #include "src/bypass/compiler.h"
 #include "src/net/network.h"
 #include "src/obs/metrics.h"
-#include "src/util/mpsc_ring.h"
 #include "src/util/pool.h"
 #include "src/util/waker.h"
 
@@ -25,8 +24,6 @@ namespace obs {
 
 // net.* — one call per backend instance (per shard).
 void RegisterNetworkStats(MetricsRegistry& reg, const NetworkStats* s);
-// ring.* — one call per cross-shard inbox.
-void RegisterRingStats(MetricsRegistry& reg, const MpscRingStats* s);
 // waker.* — one call per waker.
 void RegisterWakerStats(MetricsRegistry& reg, const WakerStats* s);
 // pool.* counters plus a `pool.<tag>.numa_node` gauge when `tag` is

@@ -50,8 +50,6 @@ const char* TraceKindName(TraceKind k) {
       return "ring_push";
     case TraceKind::kRingDrain:
       return "ring_drain";
-    case TraceKind::kCreditPark:
-      return "credit_park";
     case TraceKind::kStealRequest:
       return "steal_request";
     case TraceKind::kStealDecline:

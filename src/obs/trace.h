@@ -13,7 +13,7 @@
 //
 // The exporter emits Chrome trace-event JSON ({"traceEvents": [...]}) that
 // loads in Perfetto / chrome://tracing: one track per shard, instant events
-// for handoffs/punts/ring ops, and async begin/end pairs for the
+// for handoffs/punts/task posts, and async begin/end pairs for the
 // steal-migration lifecycle so a group's move between shards shows as a span.
 
 #ifndef ENSEMBLE_SRC_OBS_TRACE_H_
@@ -35,9 +35,8 @@ enum class TraceKind : uint16_t {
   kBypassDownPunt,      // a = LayerId of first failing CCP plan
   kBypassUpHit,         // a = route depth
   kBypassUpFallback,    // a = LayerId of first failing CCP plan
-  kRingPush,            // a = destination shard, b = queue depth after push
-  kRingDrain,           // a = messages drained
-  kCreditPark,          // a = destination shard
+  kRingPush,            // a = destination shard, b = task queue depth after push
+  kRingDrain,           // a = tasks drained
   kStealRequest,        // a = victim shard
   kStealDecline,        // a = requesting shard
   kHandoffStart,        // async begin; member in event, a = destination shard

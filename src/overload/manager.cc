@@ -160,9 +160,6 @@ void OverloadManager::Evaluate(uint64_t now_ns) {
   if (cfg_.bytes_high > 0 && signals_.live_bytes) {
     p = std::max(p, signals_.live_bytes() * 1000 / cfg_.bytes_high);
   }
-  if (signals_.ring_occupancy_pm) {
-    p = std::max(p, signals_.ring_occupancy_pm());
-  }
   if (cfg_.dispatch_high > 0 && signals_.dispatch_backlog) {
     p = std::max(p, signals_.dispatch_backlog() * 1000 / cfg_.dispatch_high);
   }

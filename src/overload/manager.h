@@ -1,7 +1,7 @@
 // Graduated overload manager: polls occupancy signals (pool/heap live bytes,
-// ring occupancy, dispatch and timer backlog), folds them into one pressure
-// figure (per-mille of the configured high watermark), and walks an action
-// ladder with per-action hysteresis:
+// dispatch and timer backlog), folds them into one pressure figure (per-mille
+// of the configured high watermark), and walks an action ladder with
+// per-action hysteresis:
 //
 //   pressure ‰   action            effect
 //   ----------   ---------------   ------------------------------------------
@@ -55,11 +55,10 @@ const char* ActionName(Action a);
 // Signal providers, installed by the runtime.  All must be callable from any
 // worker thread; missing ones read as zero pressure.
 struct OverloadSignals {
-  std::function<uint64_t()> live_bytes;         // pooled + heap live bytes
-  std::function<uint64_t()> ring_occupancy_pm;  // max shard inbox occupancy, ‰
-  std::function<uint64_t()> dispatch_backlog;   // max per-shard mailbox depth
-  std::function<uint64_t()> timer_backlog;      // max timer heap depth
-  std::function<uint64_t()> delivered_total;    // progress signal for decay
+  std::function<uint64_t()> live_bytes;        // pooled + heap live bytes
+  std::function<uint64_t()> dispatch_backlog;  // max per-shard tasks + mailbox depth
+  std::function<uint64_t()> timer_backlog;     // max timer heap depth
+  std::function<uint64_t()> delivered_total;   // progress signal for decay
 };
 
 // Effectors.  set_pressure fans a backpressure level to every backend
@@ -79,7 +78,7 @@ struct OverloadConfig {
   // below (the ladder disengage points are fractions of high).  A zero high
   // disables that resource.
   uint64_t bytes_high = 64u << 20;     // pool + heap live bytes
-  uint64_t dispatch_high = 8192;       // one shard's channel mailbox depth
+  uint64_t dispatch_high = 8192;       // one shard's queued tasks + mailbox depth
   uint64_t timer_high = 1u << 16;      // timer heap depth
 
   // Per-group send windows (payload bytes in flight).

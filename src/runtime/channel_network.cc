@@ -78,7 +78,7 @@ ChannelNetwork::ReleasedEndpoint ChannelNetwork::Release(EndpointId ep) {
   if (r == nullptr) {
     return out;
   }
-  // Not inside Poll (handoffs run from ring tasks), so the entry can go now;
+  // Not inside Poll (handoffs run from posted tasks), so the entry can go now;
   // Poll delivered everything it swapped out before returning.
   Bind(r->box, nullptr);
   out.deliver = std::move(r->deliver);

@@ -115,7 +115,7 @@ class ChannelNetwork : public Network {
   // Owning thread: block until a push or another thread wakes us, the next
   // timer is due, or `max_wait` passes — whichever is first.
   void IdleWait(VTime max_wait);
-  // Thread-safe wakeup source for this shard (pushes and ring posts).
+  // Thread-safe wakeup source for this shard (pushes and task posts).
   Waker& waker() { return waker_; }
 
   const NetworkStats& stats() const { return stats_; }

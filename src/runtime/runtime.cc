@@ -13,11 +13,10 @@
 namespace ensemble {
 
 namespace {
-// Which runtime/shard the calling thread belongs to (set by WorkerLoop); any
-// other thread — the harness main thread, a bench driver — is "external" and
-// uses the extra credit link.
+// The runtime whose worker loop the calling thread runs (set by WorkerLoop);
+// any other thread — the harness main thread, a bench driver — posts from
+// outside and waits on the destination's task depth.
 thread_local const ShardRuntime* tls_rt = nullptr;
-thread_local int tls_shard = -1;
 }  // namespace
 
 // ---- ShardRuntime ----------------------------------------------------------
@@ -25,26 +24,8 @@ thread_local int tls_shard = -1;
 ShardRuntime::ShardRuntime(ShardRuntimeConfig config) : config_(std::move(config)) {
   ApplyAutotune();  // Rewrites config_ knobs before any worker reads them.
   int w = std::max(1, config_.num_workers);
-  links_ = static_cast<size_t>(w) + 1;  // Worker links + one external link.
-  // Size the rings so every link's credit quota is useful; total credits never
-  // exceed ring capacity, which is what lets PostMsg assert instead of spin.
-  size_t cap = 2;
-  while (cap < config_.ring_capacity) {
-    cap <<= 1;
-  }
-  while (cap / links_ < kMinCreditsPerLink) {
-    cap <<= 1;
-  }
-  credits_per_link_ = static_cast<int>(cap / links_);
-  credits_ = std::make_unique<std::atomic<int>[]>(static_cast<size_t>(w) * links_);
-  parked_ = std::make_unique<std::atomic<bool>[]>(static_cast<size_t>(w) * links_);
-  for (size_t i = 0; i < static_cast<size_t>(w) * links_; i++) {
-    credits_[i].store(credits_per_link_, std::memory_order_relaxed);
-    parked_[i].store(false, std::memory_order_relaxed);
-  }
   for (int s = 0; s < w; s++) {
     auto worker = std::make_unique<Worker>();
-    worker->inbox = std::make_unique<MpscRing<ShardMsg>>(cap);
     worker->trace = std::make_unique<obs::TraceRing>(config_.trace_capacity,
                                                      static_cast<uint16_t>(s));
     if (config_.backend == ShardBackend::kUdp) {
@@ -202,22 +183,15 @@ void ShardRuntime::SetupOverload() {
     }
     return bytes;
   };
-  sig.ring_occupancy_pm = [this]() {
-    uint64_t pm = 0;
-    for (const auto& worker : workers_) {
-      size_t cap = worker->inbox->capacity();
-      if (cap > 0) {
-        pm = std::max(pm, worker->inbox->SizeApprox() * 1000 / cap);
-      }
-    }
-    return pm;
-  };
   sig.dispatch_backlog = [this]() {
+    // Per shard: queued tasks plus packets waiting in resident mailboxes.
     uint64_t depth = 0;
     for (const auto& worker : workers_) {
+      uint64_t d = worker->inbox.depth();
       if (worker->chan != nullptr) {
-        depth = std::max(depth, worker->chan->dispatch_depth());
+        d += worker->chan->dispatch_depth();
       }
+      depth = std::max(depth, d);
     }
     return depth;
   };
@@ -269,7 +243,8 @@ void ShardRuntime::RegisterMetrics() {
       RegisterNetworkStats(metrics_, &w.chan->stats());
     }
     RegisterWakerStats(metrics_, &w.waker->stats());
-    RegisterRingStats(metrics_, &w.inbox->stats());
+    metrics_.Counter("task.pushed", &w.inbox.stats().pushed);
+    metrics_.Counter("task.popped", &w.inbox.stats().popped);
     metrics_.Counter("sched.events", &w.stats.events);
     metrics_.Counter("sched.busy_ns", &w.stats.busy_ns);
     metrics_.Counter("sched.loops", &w.stats.loops);
@@ -286,7 +261,6 @@ void ShardRuntime::RegisterMetrics() {
   }
   metrics_.Counter("sched.steals", &steals_completed_);
   metrics_.Counter("sched.steal_requests", &steal_requests_);
-  metrics_.Counter("sched.credit_parks", &credit_parks_);
   metrics_.HistogramSource("sched.delivery_latency_ns", &delivery_latency_);
   metrics_.HistogramSource("sched.steal_duration_ns", &steal_duration_);
   if (config_.autotune.enabled) {
@@ -401,7 +375,7 @@ void ShardRuntime::Stop() {
   }
   joined_ = true;
   // Post-join sweep: worker A's final drain may have pushed into worker B's
-  // ring or mailboxes after B already exited, and a handoff interrupted
+  // task queue or mailboxes after B already exited, and a handoff interrupted
   // mid-protocol may still have its adopt task queued.  Single-threaded now,
   // so drain every shard until quiescent (bounded — deliveries can re-enqueue
   // a few times).
@@ -421,100 +395,27 @@ void ShardRuntime::Stop() {
   }
 }
 
-// ---- Credits and posting ---------------------------------------------------
-
-int ShardRuntime::CurrentLinkIndex() const {
-  return (tls_rt == this && tls_shard >= 0) ? tls_shard : num_workers();
-}
+// ---- Posting ---------------------------------------------------------------
 
 Waker& ShardRuntime::WakerOf(int shard) { return *workers_[static_cast<size_t>(shard)]->waker; }
 
 void ShardRuntime::WakeWorker(int shard) { WakerOf(shard).NotifyCoalesced(); }
 
-void ShardRuntime::GrantCredit(int dst, int src, uint32_t count) {
-  if (count == 0) {
-    return;
-  }
-  CreditCell(dst, src).fetch_add(static_cast<int>(count), std::memory_order_release);
-  size_t link = static_cast<size_t>(dst) * links_ + static_cast<size_t>(src);
-  // Unpark a worker producer blocked on this link (external producers
-  // sleep-poll instead of parking — they have no waker).
-  if (src < num_workers() && parked_[link].load(std::memory_order_relaxed) &&
-      parked_[link].exchange(false, std::memory_order_acq_rel)) {
-    WakerOf(src).Notify();
-  }
-}
-
-void ShardRuntime::HoldOwnInbox(int shard) {
-  // Called by a worker parked on a FOREIGN ring: keep popping our OWN ring —
-  // popping executes nothing, so protocol stacks are never re-entered — and
-  // grant credits to our producers.  This is what lets two workers that are
-  // pushing into each other drain each other instead of deadlocking.
+void ShardRuntime::PostMsg(int shard, ShardMsg msg) {
   Worker& w = *workers_[static_cast<size_t>(shard)];
-  size_t cap = w.inbox->capacity() * 4;  // Backstop, not a real limit.
-  ShardMsg msg;
-  while (w.inbox->TryPop(&msg)) {
-    GrantCredit(shard, msg.src, 1);
-    w.held.push_back(std::move(msg));
-    if (w.held.size() >= cap) {
-      break;
-    }
-  }
-}
-
-bool ShardRuntime::AcquireCredit(int dst, int src) {
-  std::atomic<int>& cell = CreditCell(dst, src);
-  if (cell.fetch_sub(1, std::memory_order_acquire) > 0) {
-    return true;
-  }
-  cell.fetch_add(1, std::memory_order_relaxed);
-  credit_parks_++;
-  ENS_TRACE(kCreditPark, -1, static_cast<uint64_t>(dst), 0);
-  size_t link = static_cast<size_t>(dst) * links_ + static_cast<size_t>(src);
-  bool is_worker = src < num_workers();
-  while (!stop_.load(std::memory_order_acquire)) {
-    WakeWorker(dst);  // The consumer grants as it drains.
-    if (is_worker) {
-      HoldOwnInbox(src);
-      parked_[link].store(true, std::memory_order_release);
-      if (cell.fetch_sub(1, std::memory_order_acquire) > 0) {
-        parked_[link].store(false, std::memory_order_relaxed);
-        return true;
-      }
-      cell.fetch_add(1, std::memory_order_relaxed);
-      WakerOf(src).WaitFor(200'000);  // Granter notifies; timeout is a backstop.
-    } else {
-      if (cell.fetch_sub(1, std::memory_order_acquire) > 0) {
-        return true;
-      }
-      cell.fetch_add(1, std::memory_order_relaxed);
+  msg.post_ns = NowNanos();
+  if (tls_rt != this && started_) {
+    // From outside the runtime: the one producer that can outrun the workers
+    // waits for the destination to drain.  Once Stop() begins nobody drains
+    // until the post-join sweep, which takes whatever is queued.
+    while (w.inbox.depth() >= kOutsidePostDepth && !stop_.load(std::memory_order_acquire)) {
+      WakeWorker(shard);
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   }
-  return false;  // Shutdown: the message is dropped — the worker may be gone.
-}
-
-void ShardRuntime::PostMsg(int shard, ShardMsg msg) {
-  Worker& w = *workers_[static_cast<size_t>(shard)];
-  msg.src = CurrentLinkIndex();
-  msg.post_ns = NowNanos();
-  if (joined_) {
-    // Post-join sweep, single-threaded: bypass credits (shutdown drops may
-    // have skewed them) and drain the destination inline if its ring is full.
-    while (!w.inbox->TryPush(std::move(msg))) {
-      DrainInbox(shard);
-    }
-    return;
-  }
-  if (!AcquireCredit(shard, msg.src)) {
-    return;
-  }
   int member = msg.member;
-  bool pushed = w.inbox->TryPush(std::move(msg));
-  // Total outstanding credits never exceed ring capacity, so a push holding a
-  // credit cannot find the ring full.
-  ENS_CHECK_MSG(pushed, "ring full despite credit (shard " << shard << ")");
-  ENS_TRACE(kRingPush, member, static_cast<uint64_t>(shard), w.inbox->SizeApprox());
+  size_t depth = w.inbox.Push(std::move(msg));
+  ENS_TRACE(kRingPush, member, static_cast<uint64_t>(shard), depth);
   WakeWorker(shard);
 }
 
@@ -559,23 +460,14 @@ void ShardRuntime::ProcessMsg(int shard, ShardMsg msg) {
 
 size_t ShardRuntime::DrainInbox(int shard) {
   Worker& w = *workers_[static_cast<size_t>(shard)];
-  size_t n = 0;
-  ShardMsg msg;
-  for (;;) {
-    // Held messages (popped while parked, credits already granted) are OLDER
-    // than anything still in the ring and must run first — and a park during
-    // ProcessMsg may append more, so re-check every iteration.
-    if (!w.held.empty()) {
-      msg = std::move(w.held.front());
-      w.held.pop_front();
-    } else if (w.inbox->TryPop(&msg)) {
-      GrantCredit(shard, msg.src, 1);
-    } else {
-      break;
-    }
+  // Run only what is queued now: tasks posted meanwhile (a re-route back
+  // here, a task that posts to its own shard) wait for the next loop.
+  w.inbox.TakeAll(&w.batch);
+  size_t n = w.batch.size();
+  for (ShardMsg& msg : w.batch) {
     ProcessMsg(shard, std::move(msg));
-    n++;
   }
+  w.batch.clear();
   if (n > 0) {
     ENS_TRACE(kRingDrain, -1, n, 0);
   }
@@ -622,7 +514,7 @@ void ShardRuntime::PublishLoad(int shard, size_t events, uint64_t busy_ns) {
 
 void ShardRuntime::IdleBlock(int shard) {
   Worker& w = *workers_[static_cast<size_t>(shard)];
-  if (!w.inbox->Empty() || !w.held.empty()) {
+  if (w.inbox.depth() != 0) {
     return;
   }
   if (w.udp != nullptr) {
@@ -647,7 +539,6 @@ void ShardRuntime::PinToCore(int shard) {
 
 void ShardRuntime::WorkerLoop(int shard) {
   tls_rt = this;
-  tls_shard = shard;
   Worker& w = *workers_[static_cast<size_t>(shard)];
   obs::InstallThreadTraceRing(w.trace.get());
   if (config_.pin_cores) {
@@ -681,7 +572,7 @@ void ShardRuntime::WorkerLoop(int shard) {
     MaybeSteal(shard, idle_streak, &last_steal_ns);
     IdleBlock(shard);
   }
-  // Drain-out: pending ring messages and staged traffic are processed so
+  // Drain-out: pending tasks and staged traffic are processed so
   // Stop() leaves deterministic, fully-flushed state behind.
   DrainDeferred(shard);
   DrainInbox(shard);
@@ -692,7 +583,6 @@ void ShardRuntime::WorkerLoop(int shard) {
   }
   obs::InstallThreadTraceRing(nullptr);
   tls_rt = nullptr;
-  tls_shard = -1;
 }
 
 // ---- Work stealing ---------------------------------------------------------
@@ -729,7 +619,7 @@ void ShardRuntime::MaybeSteal(int shard, int idle_streak, uint64_t* last_attempt
       continue;  // Moving a lone endpoint just relocates the hotspot.
     }
     uint64_t score = v.load_ewma.load(std::memory_order_relaxed) +
-                     v.inbox->SizeApprox() * kEwmaScale;
+                     v.inbox.depth() * kEwmaScale;
     if (score < threshold || score <= best) {
       continue;
     }
@@ -920,13 +810,12 @@ NetworkStats ShardRuntime::AggregateNetStats() const {
   return total;
 }
 
-MpscRingStats ShardRuntime::AggregateRingStats() const {
-  MpscRingStats total;
+TaskQueueStats ShardRuntime::AggregateTaskStats() const {
+  TaskQueueStats total;
   for (const auto& worker : workers_) {
-    const MpscRingStats& s = worker->inbox->stats();
+    const TaskQueueStats& s = worker->inbox.stats();
     total.pushed += s.pushed;
     total.popped += s.popped;
-    total.full_fails += s.full_fails;
   }
   return total;
 }
@@ -935,7 +824,6 @@ ShardSchedStats ShardRuntime::SchedStats() const {
   ShardSchedStats out;
   out.steals = steals_completed_.value();
   out.steal_requests = steal_requests_.value();
-  out.credit_parks = credit_parks_.value();
   for (const auto& worker : workers_) {
     const WakerStats& ws = worker->waker->stats();
     out.wakeup_writes += ws.notifies.value();

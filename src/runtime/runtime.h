@@ -7,13 +7,13 @@
 // every protocol stack, bypass route, transport packer, and buffer pool is
 // touched by exactly one thread and the hot paths keep running lock-free.
 //
-// Cross-shard traffic is confined to two channels:
+// Cross-shard traffic is confined to two kinds of queue, both the same shape
+// (a mutex-guarded deque with a relaxed depth mirror; any thread pushes, the
+// owner swaps the contents out and wakes after the push):
 //
-//   - bounded lock-free MPSC rings (src/util/mpsc_ring.h), one per worker,
-//     drained at the top of each worker's poll loop.  They carry TASKS only:
-//     harness control (start/stop/injected sends), member-targeted work,
-//     steal requests and handoff steps.  Ring space is governed by per-link
-//     CREDITS (below); a sender never spins on a full ring.
+//   - one TASK queue per worker, swapped out at the top of each poll loop.
+//     It carries harness control (start/stop/injected sends), member-targeted
+//     work, steal requests and handoff steps.
 //   - each endpoint's own queue for packets: for the UDP backend a real
 //     socket (AddPeer() teaches each shard's UdpNetwork the ports of
 //     endpoints living on other shards, so cross-shard datagrams are ordinary
@@ -22,27 +22,22 @@
 //     shard pushes into by endpoint id.
 //
 // Idle workers block in poll(2) (UDP: sockets + eventfd wakeup; channel:
-// eventfd only) instead of spinning; posting into a ring or a mailbox wakes
-// the owner through a COALESCED waker: a burst of posts between two of the
-// owner's drain cycles costs one eventfd write.
+// eventfd only) instead of spinning; posting a task or pushing a packet
+// wakes the owner through a COALESCED waker: a burst of posts between two of
+// the owner's drain cycles costs one eventfd write.
 //
-// Credit-based ring flow control: each link (producer shard or the external
-// world → consumer shard) holds capacity/(workers+1) credits.  A post
-// consumes one credit; the consumer grants credits back as it pops.  Because
-// total credits never exceed ring capacity, a push holding a credit CANNOT
-// find the ring full (checked).  A sender out of credits parks on its own
-// waker instead of burning cycles; while parked, a WORKER sender keeps
-// popping its own ring into a held-message queue (popping executes nothing,
-// so protocol stacks are never re-entered) and granting credits to its own
-// producers — which is what makes two mutually-pushing workers drain each
-// other instead of deadlocking.
+// A worker never waits to post, so two workers flooding each other cannot
+// deadlock.  A thread outside the runtime (the harness, a bench's pacing
+// loop) is the one producer that can outrun the workers: it sleep-polls
+// while the destination already holds kOutsidePostDepth tasks, which keeps
+// the queue's memory bounded.
 //
 // Adaptive scheduling (work stealing): every worker publishes a relaxed
-// events-per-cycle EWMA plus ring-depth and busy-time accounting from its
+// events-per-cycle EWMA plus task-depth and busy-time accounting from its
 // poll loop.  An idle worker that observes a sustained imbalance posts a
 // steal request to the hottest shard; the victim quiesces one whole
 // GroupEndpoint (flush staged traffic, invalidate its timers via a rebind
-// epoch) and hands ownership to the thief over the ordinary rings — the
+// epoch) and hands ownership to the thief over the task queues — the
 // stack itself never sees a second thread.  Both backends hand off the same
 // way: release the endpoint's binding, publish the new owner, adopt on the
 // thief.  The endpoint's queue — the socket with its kernel receive queue, or
@@ -59,6 +54,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -73,7 +69,6 @@
 #include "src/overload/manager.h"
 #include "src/runtime/autotune.h"
 #include "src/runtime/channel_network.h"
-#include "src/util/mpsc_ring.h"
 #include "src/util/timer_heap.h"
 #include "src/util/waker.h"
 
@@ -81,7 +76,7 @@ namespace ensemble {
 
 enum class ShardBackend {
   kUdp,      // Real kernel loopback sockets (the measured hot path).
-  kChannel,  // In-process rings only: the sharded analog of the simulator,
+  kChannel,  // In-process mailboxes only: the sharded analog of the simulator,
              // used by stress tests and environments without sockets.
 };
 
@@ -93,7 +88,7 @@ struct StealConfig {
   // Consecutive zero-event poll cycles before a FULLY IDLE worker looks for a
   // victim (the fast path: an empty shard adopts work quickly).
   int idle_loops = 2;
-  // Victim's load signal (events-per-cycle EWMA + ring depth) must be at
+  // Victim's load signal (events-per-cycle EWMA + task depth) must be at
   // least this many events per cycle.
   uint64_t min_victim_load = 8;
   // A busy-but-underloaded worker also steals when some shard's load signal
@@ -111,10 +106,6 @@ struct ShardRuntimeConfig {
   // Optional per-member mode override (same convention as HarnessConfig).
   std::vector<StackMode> member_modes;
   NetBackendConfig net;          // UDP datapath backend + batching knobs.
-  // Per-worker cross-shard inbox slots.  The constructor grows the capacity
-  // (power-of-two) until every link's credit quota (capacity / (workers+1))
-  // reaches 32.
-  size_t ring_capacity = 4096;
   VTime poll_slice = Millis(5);  // Max idle block per worker loop iteration.
   StealConfig steal;             // Adaptive rebalancing (default off).
   // End-to-end overload control (src/overload/): per-group send windows on
@@ -152,22 +143,60 @@ struct ShardRuntimeConfig {
   bool trace_enabled = false;
 };
 
-// One task in a cross-shard ring: a control task, or a member-targeted task
+// One task in a worker's queue: a control task, or a member-targeted task
 // (re-routed if the member migrated between post and drain).  Packets never
-// ride the rings; they go straight to the destination endpoint's queue.
+// ride the task queues; they go straight to the destination endpoint's queue.
 struct ShardMsg {
   std::function<void()> task;
   std::function<void(GroupEndpoint&)> member_task;
   int member = -1;    // >= 0: member_task target.
-  int src = -1;       // Producing link index (worker id, or W = external).
   uint64_t post_ns = 0;  // PostMsg stamp → sched.delivery_latency_ns.
+};
+
+struct TaskQueueStats {
+  RelaxedCounter pushed;  // Tasks posted.
+  RelaxedCounter popped;  // Tasks taken by the owner.
+};
+
+// One worker's task queue, built like a channel Mailbox: any thread pushes
+// under the lock, and the owning worker takes everything queued at once.
+// Unbounded and never refuses a push, so a poster never waits inside it;
+// per-producer FIFO because one producer's pushes are serialized by the lock.
+class TaskQueue {
+ public:
+  // Any thread.  Returns the depth after the push.
+  size_t Push(ShardMsg msg) {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(msg));
+    depth_.store(queue_.size(), std::memory_order_release);
+    stats_.pushed++;
+    return queue_.size();
+  }
+  // Owner: swaps everything queued now into `out`, which must be empty.
+  void TakeAll(std::deque<ShardMsg>* out) {
+    if (depth_.load(std::memory_order_acquire) == 0) {
+      return;  // A push racing this load wakes the owner; the next take gets it.
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    out->swap(queue_);
+    depth_.store(0, std::memory_order_relaxed);
+    stats_.popped += out->size();
+  }
+  // Relaxed mirror of the queue length, readable from any thread.
+  size_t depth() const { return depth_.load(std::memory_order_relaxed); }
+  const TaskQueueStats& stats() const { return stats_; }
+
+ private:
+  std::mutex mu_;
+  std::deque<ShardMsg> queue_;  // Guarded by mu_.
+  std::atomic<size_t> depth_{0};
+  TaskQueueStats stats_;
 };
 
 // Scheduler-level observability (aggregated over shards).
 struct ShardSchedStats {
   uint64_t steals = 0;            // Completed ownership handoffs.
   uint64_t steal_requests = 0;    // Requests posted (incl. declined).
-  uint64_t credit_parks = 0;      // Senders that ran out of credits.
   uint64_t wakeup_writes = 0;     // Real eventfd writes.
   uint64_t wakeups_coalesced = 0; // Wakeups absorbed by the dirty flag.
 };
@@ -183,6 +212,10 @@ struct ShardLoad {
 
 class ShardRuntime {
  public:
+  // Tasks a thread outside the runtime may leave queued on one worker before
+  // its next post waits for the worker to drain.  Workers never wait.
+  static constexpr size_t kOutsidePostDepth = 1024;
+
   explicit ShardRuntime(ShardRuntimeConfig config);
   ~ShardRuntime();
 
@@ -204,7 +237,7 @@ class ShardRuntime {
   void Start();
 
   // Signals stop, wakes every worker, joins them, and runs a final drain so
-  // staged traffic and pending ring tasks are accounted for.  Idempotent.
+  // staged traffic and pending tasks are accounted for.  Idempotent.
   void Stop();
 
   int n() const { return static_cast<int>(members_.size()); }
@@ -215,8 +248,10 @@ class ShardRuntime {
   }
   bool started() const { return started_; }
 
-  // Enqueues a task on shard `s`'s ring (parking on credit exhaustion) and
-  // wakes the worker.  The task runs on the worker thread at its loop top.
+  // Enqueues a task on shard `s`'s queue and wakes the worker.  The task runs
+  // on the worker thread at its loop top.  A worker never waits here; a
+  // thread outside the runtime waits while the queue holds kOutsidePostDepth
+  // tasks.
   void Post(int shard, std::function<void()> task);
   // Convenience: run `fn` on `member`'s owning worker with the endpoint.
   // Follows migrations: if the member moves between post and drain, the
@@ -238,9 +273,9 @@ class ShardRuntime {
   // Per-shard NetworkStats summed with NetworkStats::Add.  Exact after
   // Stop(); a live snapshot (relaxed reads) while running.
   NetworkStats AggregateNetStats() const;
-  // Cross-shard ring totals (pushed / popped / full-ring backpressure hits).
-  MpscRingStats AggregateRingStats() const;
-  // Scheduler counters (steals, credit parks, wakeup coalescing).
+  // Task queue totals over every worker (pushed / popped).
+  TaskQueueStats AggregateTaskStats() const;
+  // Scheduler counters (steals, wakeup coalescing).
   ShardSchedStats SchedStats() const;
   // Per-shard load snapshot (the stealing signal, exposed for benches).
   ShardLoad LoadOf(int shard) const;
@@ -259,7 +294,7 @@ class ShardRuntime {
     return overload_mgr_ == nullptr || overload_mgr_->AcceptingJoins();
   }
 
-  // The unified metrics registry: every backend, ring, waker, pool, endpoint
+  // The unified metrics registry: every backend, task queue, waker, pool, endpoint
   // and scheduler counter is registered here during Build().  Callers may add
   // their own entries before Start().
   obs::MetricsRegistry& metrics() { return metrics_; }
@@ -283,8 +318,6 @@ class ShardRuntime {
 
  private:
   static constexpr uint64_t kEwmaScale = 256;  // Fixed-point EWMA unit.
-  // Credit floor per ring link: rings grow until every link gets this many.
-  static constexpr size_t kMinCreditsPerLink = 32;
   // Receive-pool chunks first-touched per pinned worker (chunks are 64 KiB,
   // so this faults in ~1 MiB of node-local receive buffers per shard).
   static constexpr size_t kRecvPrewarmChunks = 16;
@@ -302,12 +335,12 @@ class ShardRuntime {
     std::unique_ptr<ChannelNetwork> chan;
     Network* net = nullptr;
     Waker* waker = nullptr;  // The network's own: posts and pushes wake it.
-    std::unique_ptr<MpscRing<ShardMsg>> inbox;
+    TaskQueue inbox;
     std::unique_ptr<obs::TraceRing> trace;  // This worker's event ring.
     std::thread thread;
 
     // Worker-local (owning thread only after Start).
-    std::deque<ShardMsg> held;      // Popped while parked; runs next drain.
+    std::deque<ShardMsg> batch;     // DrainInbox's half of the inbox swap.
     std::deque<ShardMsg> deferred;  // Member tasks awaiting an adoption.
     std::vector<uint8_t> resident;                 // member → owned here?
 
@@ -343,13 +376,6 @@ class ShardRuntime {
   void WakeWorker(int shard);
   Waker& WakerOf(int shard);
   void PostMsg(int shard, ShardMsg msg);
-  bool AcquireCredit(int dst, int src);
-  void GrantCredit(int dst, int src, uint32_t count);
-  void HoldOwnInbox(int shard);
-  int CurrentLinkIndex() const;  // Calling worker's shard, or W = external.
-  std::atomic<int>& CreditCell(int dst, int src) const {
-    return credits_[static_cast<size_t>(dst) * links_ + static_cast<size_t>(src)];
-  }
 
   ShardRuntimeConfig config_;
   // Channel backend: every endpoint's mailbox.  Before workers, whose
@@ -364,20 +390,13 @@ class ShardRuntime {
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> delivered_;
   std::unique_ptr<overload::OverloadManager> overload_mgr_;
 
-  // Credit state: links_ = num_workers + 1 (index W = external producers).
-  size_t links_ = 0;
-  int credits_per_link_ = 0;
-  std::unique_ptr<std::atomic<int>[]> credits_;   // [dst * links_ + src].
-  std::unique_ptr<std::atomic<bool>[]> parked_;   // Same indexing.
-
   std::atomic<bool> steal_inflight_{false};  // One migration at a time.
   RelaxedCounter steals_completed_;
   RelaxedCounter steal_requests_;
-  RelaxedCounter credit_parks_;
   // Hot-path distributions (Observe is three relaxed increments; the one
-  // NowNanos stamp per cross-shard message is noise next to the ring+wakeup
-  // cost, so these stay inside the tracing-off budget).
-  obs::LatencyHistogram delivery_latency_;  // Ring post → ProcessMsg, ns.
+  // NowNanos stamp per posted task is noise next to the queue+wakeup cost, so
+  // these stay inside the tracing-off budget).
+  obs::LatencyHistogram delivery_latency_;  // Task post → ProcessMsg, ns.
   obs::LatencyHistogram steal_duration_;    // StartHandoff → FinishAdopt, ns.
 
   std::atomic<bool> stop_{false};

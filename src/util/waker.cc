@@ -26,7 +26,7 @@ void Waker::Notify() {
 }
 
 void Waker::NotifyCoalesced() {
-  // acq_rel: the winning exchange orders this thread's prior writes (the ring
+  // acq_rel: the winning exchange orders this thread's prior writes (the task
   // push) before the owner's Drain-side load, matching Notify's semantics.
   if (armed_.exchange(true, std::memory_order_acq_rel)) {
     stats_.coalesced++;

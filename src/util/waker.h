@@ -1,7 +1,7 @@
 // Cross-thread wakeup primitive: a pollable fd another thread can poke.
 //
 // An idle shard worker blocks in poll(2) on its sockets; when another thread
-// posts into its cross-shard ring it must break that sleep immediately.  The
+// posts into its task queue it must break that sleep immediately.  The
 // Waker is one non-blocking eventfd that joins the worker's poll set;
 // Notify() is a single write(2) and is the only operation that may be called
 // from foreign threads.

@@ -309,7 +309,6 @@ TEST(OverloadRuntimeTest, FloodTripsLadderAndShedsAtSource) {
   EXPECT_GT(snap.Value("overload.window_shed"), 0u);
   EXPECT_GT(snap.Value("ep.window_shed"), 0u);  // Endpoint-side mirror.
   EXPECT_GT(rt.total_delivered(), 0u);          // Still made progress.
-  EXPECT_EQ(rt.AggregateRingStats().full_fails.value(), 0u);
   // The byte watermark is tiny, so the ladder's first rung must have tripped.
   EXPECT_GT(snap.Value("overload.action.tighten_flush"), 0u);
 }

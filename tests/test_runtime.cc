@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "src/net/udp_uring.h"
 #include "src/runtime/runtime.h"
 #include "src/scenario/span_check.h"
+#include "src/util/rng.h"
 
 namespace ensemble {
 namespace {
@@ -84,6 +87,90 @@ TEST(ChannelNetworkTest, MailboxShedsOldestAndRefusesAfterDetach) {
   EXPECT_EQ(got.size(), 3u);
 }
 
+// A worker's task queue reports its length through a relaxed depth mirror
+// (the steal score and the outside-poster bound read it), and a take hands
+// over everything queued, in push order.
+TEST(TaskQueueTest, DepthMirrorTracksPushesAndTakes) {
+  TaskQueue queue;
+  std::vector<int> ran;
+  for (int i = 0; i < 3; i++) {
+    ShardMsg msg;
+    msg.task = [&ran, i] { ran.push_back(i); };
+    EXPECT_EQ(queue.Push(std::move(msg)), static_cast<size_t>(i + 1));
+    EXPECT_EQ(queue.depth(), static_cast<size_t>(i + 1));
+  }
+  std::deque<ShardMsg> batch;
+  queue.TakeAll(&batch);
+  EXPECT_EQ(queue.depth(), 0u);
+  for (ShardMsg& msg : batch) {
+    msg.task();
+  }
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2}));
+  batch.clear();
+  queue.TakeAll(&batch);  // Empty queue: nothing handed over.
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(queue.stats().pushed.value(), 3u);
+  EXPECT_EQ(queue.stats().popped.value(), 3u);
+}
+
+// Multi-producer property of a worker's task queue: P producer threads each
+// push a tagged ascending sequence while one consumer takes batches and runs
+// them.  Checks: per-producer FIFO, nothing lost, nothing duplicated.
+TEST(TaskQueueTest, MultiProducerFifoPerProducerNoLossNoDup) {
+  constexpr int kProducers = 4;
+  constexpr uint64_t kPerProducer = 20000;
+  TaskQueue queue;
+  uint64_t got = 0;  // Written by each task, on the consumer thread.
+
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; p++) {
+    producers.emplace_back([&queue, &got, p] {
+      Rng rng(0xABCD + static_cast<uint64_t>(p));
+      for (uint64_t i = 0; i < kPerProducer; i++) {
+        uint64_t tagged = (static_cast<uint64_t>(p) << 32) | i;
+        ShardMsg msg;
+        msg.task = [&got, tagged] { got = tagged; };
+        queue.Push(std::move(msg));
+        if (rng.Chance(0.01)) {
+          std::this_thread::yield();  // Jitter the interleaving.
+        }
+      }
+    });
+  }
+
+  uint64_t next_expected[kProducers] = {0, 0, 0, 0};
+  uint64_t total = 0;
+  std::deque<ShardMsg> batch;
+  while (total < kProducers * kPerProducer) {
+    queue.TakeAll(&batch);
+    if (batch.empty()) {
+      std::this_thread::yield();
+      continue;
+    }
+    for (ShardMsg& msg : batch) {
+      msg.task();
+      int p = static_cast<int>(got >> 32);
+      uint64_t seq = got & 0xFFFFFFFFull;
+      ASSERT_LT(p, kProducers);
+      ASSERT_EQ(seq, next_expected[p]) << "producer " << p << " order broken";
+      next_expected[p]++;
+      total++;
+    }
+    batch.clear();
+  }
+  for (auto& t : producers) {
+    t.join();
+  }
+  queue.TakeAll(&batch);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(queue.depth(), 0u);
+  for (int p = 0; p < kProducers; p++) {
+    EXPECT_EQ(next_expected[p], kPerProducer);
+  }
+  EXPECT_EQ(queue.stats().pushed.value(), kProducers * kPerProducer);
+  EXPECT_EQ(queue.stats().popped.value(), kProducers * kPerProducer);
+}
+
 TEST(ShardRuntimeTest, ChannelBackendCastCrossesShards) {
   ShardRuntimeConfig config;
   config.backend = ShardBackend::kChannel;
@@ -106,10 +193,10 @@ TEST(ShardRuntimeTest, ChannelBackendCastCrossesShards) {
     EXPECT_EQ(rt.delivered(i), 3u) << "member " << i;
   }
   // Members live on both shards, yet the casts crossed through mailboxes:
-  // the rings carried exactly the 4 posted tasks.
-  MpscRingStats rings = rt.AggregateRingStats();
-  EXPECT_EQ(rings.pushed.value(), 4u);
-  EXPECT_EQ(rings.pushed.value(), rings.popped.value());  // Final drain ran.
+  // the task queues carried exactly the 4 posted tasks.
+  TaskQueueStats tasks = rt.AggregateTaskStats();
+  EXPECT_EQ(tasks.pushed.value(), 4u);
+  EXPECT_EQ(tasks.pushed.value(), tasks.popped.value());  // Final drain ran.
 }
 
 TEST(ShardRuntimeTest, GroupsStayShardLocal) {
@@ -136,10 +223,10 @@ TEST(ShardRuntimeTest, GroupsStayShardLocal) {
   bool done = WaitUntil([&] { return rt.total_delivered() >= 8u; }, 5000);
   rt.Stop();
   EXPECT_TRUE(done);
-  // Packets never ride the rings: their only traffic is the 8 posted tasks.
+  // Packets never ride the task queues: they carried only the 8 posted tasks.
   NetworkStats net = rt.AggregateNetStats();
   EXPECT_EQ(net.dropped.value(), 0u);
-  EXPECT_EQ(rt.AggregateRingStats().pushed.value(), 8u);
+  EXPECT_EQ(rt.AggregateTaskStats().pushed.value(), 8u);
 }
 
 TEST(ShardRuntimeTest, OnDeliverTapRunsOnOwningWorker) {
@@ -197,8 +284,8 @@ TEST(ShardRuntimeStressTest, MultiWorkerSustainedTrafficIsRaceFree) {
   rt.Stop();
   EXPECT_TRUE(done) << "delivered " << rt.total_delivered() << " of " << want;
   EXPECT_EQ(rt.total_delivered(), want);
-  MpscRingStats rings = rt.AggregateRingStats();
-  EXPECT_EQ(rings.pushed.value(), rings.popped.value());
+  TaskQueueStats tasks = rt.AggregateTaskStats();
+  EXPECT_EQ(tasks.pushed.value(), tasks.popped.value());
 }
 
 TEST(ShardRuntimeTest, UdpBackendCastCrossesShards) {
@@ -327,7 +414,7 @@ TEST(ShardRuntimeTest, SchedHistogramsFillFromHotPath) {
   EXPECT_GT(steal->sum, 0u);
 }
 
-// ---- Adaptive scheduler: handoff, stealing, credits ------------------------
+// ---- Adaptive scheduler: handoff, stealing, task floods ---------------------
 
 // Sequence-stamped pair traffic driven from the on_deliver tap: each member
 // sends monotonically numbered messages to its pair partner and checks that
@@ -551,10 +638,10 @@ TEST(ShardRuntimeTest, StealingRebalancesSkewedPlacement) {
   EXPECT_TRUE(tap.in_order.load());
 }
 
-// Worker-to-worker task floods for the credit tests: each wave posts one
-// task to each member of a pair split across both shards, and that task
-// posts `per_wave` sequence-stamped tasks to its partner through the rings.
-// Every flood task checks it runs in per-sender order.
+// Worker-to-worker task floods: each wave posts one task to each member of a
+// pair split across both shards, and that task posts `per_wave`
+// sequence-stamped tasks to its partner.  Every flood task checks it runs in
+// per-sender order.
 void FloodPartnerTasks(ShardRuntime* rt, SeqTap* tap, int waves, int per_wave) {
   for (int wave = 0; wave < waves; wave++) {
     for (int m = 0; m < 2; m++) {
@@ -577,15 +664,24 @@ uint64_t FloodTasksRun(const SeqTap& tap) {
   return tap.next_rx[0].load() + tap.next_rx[1].load();
 }
 
-// The credit regression: two workers push hard at each other through small
-// rings.  Before credits this spun (or deadlocked with re-entrant drains);
-// now both must park, hold-drain their own inboxes, and finish — with zero
-// full-ring push failures, since a held credit guarantees a slot.
-TEST(ShardRuntimeTest, MutualPushBackpressureDrainsWithoutDeadlock) {
+// Two workers post hard at each other: one burst, or ten sustained waves from
+// both directions.  A worker never waits to post, so neither can wedge the
+// other; both drain, and every task runs in per-sender order.
+struct Flood {
+  const char* name;
+  int waves;
+  int per_wave;
+};
+
+void PrintTo(const Flood& flood, std::ostream* os) { *os << flood.name; }
+
+class ShardRuntimeFloodTest : public ::testing::TestWithParam<Flood> {};
+
+TEST_P(ShardRuntimeFloodTest, WorkerToWorkerFloodDrainsInOrder) {
+  const Flood& flood = GetParam();
   ShardRuntimeConfig config;
   config.backend = ShardBackend::kChannel;
   config.num_workers = 2;
-  config.ring_capacity = 64;  // Credits per link ~ a tenth of the burst.
   config.ep = FastEndpointConfig();
   SeqTap tap;
 
@@ -593,48 +689,72 @@ TEST(ShardRuntimeTest, MutualPushBackpressureDrainsWithoutDeadlock) {
   ASSERT_TRUE(rt.Build(2));  // One pair spread across both shards.
   ASSERT_NE(rt.ShardOf(0), rt.ShardOf(1));
   rt.Start();
-  constexpr int kBurst = 400;
-  FloodPartnerTasks(&rt, &tap, /*waves=*/1, kBurst);
-  bool done = WaitUntil([&] { return FloodTasksRun(tap) >= 2u * kBurst; }, 10000);
+  FloodPartnerTasks(&rt, &tap, flood.waves, flood.per_wave);
+  const uint64_t total = 2ull * static_cast<uint64_t>(flood.waves * flood.per_wave);
+  bool done = WaitUntil([&] { return FloodTasksRun(tap) >= total; }, 20000);
   rt.Stop();
   EXPECT_TRUE(done) << "ran " << FloodTasksRun(tap);
   EXPECT_TRUE(tap.in_order.load());
-  MpscRingStats rings = rt.AggregateRingStats();
-  EXPECT_EQ(rings.full_fails.value(), 0u);  // Credits made full-ring impossible.
-  EXPECT_EQ(rings.pushed.value(), rings.popped.value());
-  EXPECT_GE(rt.SchedStats().credit_parks, 1u);  // The burst outran the quota.
+  TaskQueueStats tasks = rt.AggregateTaskStats();
+  EXPECT_EQ(tasks.pushed.value(), tasks.popped.value());
 }
 
-// Credit ring at saturation: sustained offered load ~10x what the per-link
-// credit quota can hold in flight.  The credit protocol must make full-ring
-// pushes impossible (full_fails == 0 — senders park instead) while the
-// consumer's drain keeps granting credits back, so every task eventually
-// runs: bounded memory AND progress, never deadlock.
-TEST(ShardRuntimeTest, CreditRingSaturationParksAndDrainsAtTenX) {
+INSTANTIATE_TEST_SUITE_P(
+    Floods, ShardRuntimeFloodTest,
+    ::testing::Values(Flood{"one_burst", 1, 400}, Flood{"ten_waves", 10, 400}),
+    [](const ::testing::TestParamInfo<Flood>& info) {
+      return std::string(info.param.name);
+    });
+
+// The one producer that can outrun the workers is a thread outside the
+// runtime.  It floods one worker with tasks slower than its posts, so its
+// posts wait while that queue holds kOutsidePostDepth tasks: the depth after
+// every push (the kRingPush event's b field, read from this thread's own
+// trace ring) reaches the bound and never passes it, and every task runs.
+TEST(ShardRuntimeTest, OutsideThreadFloodStaysWithinDepthBound) {
   ShardRuntimeConfig config;
   config.backend = ShardBackend::kChannel;
   config.num_workers = 2;
-  config.ring_capacity = 128;  // Credits per link = 128 / 3 ~ 42.
   config.ep = FastEndpointConfig();
-  SeqTap tap;
+  config.trace_enabled = true;
+  constexpr size_t kBound = ShardRuntime::kOutsidePostDepth;
+  constexpr size_t kTasks = 3 * kBound;
+  obs::TraceRing mine(4 * kTasks, /*shard=*/0);
+  std::atomic<uint64_t> ran{0};
 
   ShardRuntime rt(config);
-  ASSERT_TRUE(rt.Build(2));  // One pair spread across both shards.
-  ASSERT_NE(rt.ShardOf(0), rt.ShardOf(1));
+  ASSERT_TRUE(rt.Build(2));
   rt.Start();
-  // 10 sustained waves, each ~10x the credit quota, from both directions.
-  constexpr int kWaves = 10;
-  constexpr int kPerWave = 400;
-  FloodPartnerTasks(&rt, &tap, kWaves, kPerWave);
-  constexpr uint64_t kTotal = 2ull * kWaves * kPerWave;
-  bool done = WaitUntil([&] { return FloodTasksRun(tap) >= kTotal; }, 20000);
+  obs::InstallThreadTraceRing(&mine);
+  for (size_t i = 0; i < kTasks; i++) {
+    rt.Post(0, [&ran] {
+      uint64_t until = NowNanos() + 20'000;
+      while (NowNanos() < until) {
+      }
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  obs::InstallThreadTraceRing(nullptr);
+  bool done = WaitUntil([&] { return ran.load() >= kTasks; }, 20000);
   rt.Stop();
-  EXPECT_TRUE(done) << "ran " << FloodTasksRun(tap);
-  EXPECT_TRUE(tap.in_order.load());
-  MpscRingStats rings = rt.AggregateRingStats();
-  EXPECT_EQ(rings.full_fails.value(), 0u);  // Credits, not full-ring retries.
-  EXPECT_EQ(rings.pushed.value(), rings.popped.value());
-  EXPECT_GE(rt.SchedStats().credit_parks, 1u);  // The flood outran the quota.
+  EXPECT_TRUE(done) << "ran " << ran.load() << " of " << kTasks;
+  EXPECT_EQ(ran.load(), kTasks);
+  TaskQueueStats tasks = rt.AggregateTaskStats();
+  EXPECT_EQ(tasks.pushed.value(), kTasks);
+  EXPECT_EQ(tasks.popped.value(), kTasks);
+  if (obs::kTraceCompiledIn) {
+    ASSERT_EQ(mine.dropped(), 0u);
+    size_t pushes = 0;
+    uint64_t peak = 0;
+    for (const obs::TraceEvent& e : mine.Snapshot()) {
+      if (e.kind == static_cast<uint16_t>(obs::TraceKind::kRingPush)) {
+        pushes++;
+        peak = std::max(peak, e.b);
+      }
+    }
+    EXPECT_EQ(pushes, kTasks);
+    EXPECT_EQ(peak, kBound);  // Reached, so the wait ran; never passed.
+  }
 }
 
 TEST(ShardRuntimeTest, PinCoresRunsEverywhere) {
@@ -657,7 +777,7 @@ TEST(ShardRuntimeTest, PinCoresRunsEverywhere) {
 
 // TSan target: repeated ownership handoffs while every pair keeps traffic in
 // flight and the main thread reads live stats.  Any missing synchronization
-// in the steal/credit/wakeup paths shows up here.
+// in the steal/task-queue/wakeup paths shows up here.
 TEST(ShardRuntimeStressTest, MigrationUnderSustainedTrafficIsRaceFree) {
   ShardRuntimeConfig config;
   config.backend = ShardBackend::kChannel;
@@ -693,9 +813,8 @@ TEST(ShardRuntimeStressTest, MigrationUnderSustainedTrafficIsRaceFree) {
   rt.Stop();
   EXPECT_TRUE(tap.in_order.load()) << "loss or reorder across migrations";
   EXPECT_GE(rt.SchedStats().steals, 1u);
-  MpscRingStats rings = rt.AggregateRingStats();
-  EXPECT_EQ(rings.pushed.value(), rings.popped.value());
-  EXPECT_EQ(rings.full_fails.value(), 0u);
+  TaskQueueStats tasks = rt.AggregateTaskStats();
+  EXPECT_EQ(tasks.pushed.value(), tasks.popped.value());
 }
 
 TEST(GroupHarnessShardedTest, RunShardedCompletesAllToAllRound) {
