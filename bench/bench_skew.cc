@@ -107,10 +107,7 @@ SkewRow RunConfig(int workers, bool stealing, double warmup_secs, double measure
   config.num_workers = workers;
   config.net = NetBackendConfig::Batched(16);
   config.initial_shard = placement;
-  config.steal.enabled = stealing;
-  config.steal.min_victim_load = 4;
-  config.steal.min_imbalance = 3.0;
-  config.steal.cooldown = Millis(10);
+  config.steal = stealing;
   // Trace the stealing run: the steal/handoff/adopt lifecycle is the whole
   // point of this bench, and CI checks the export stays loadable.
   config.trace_enabled = stealing;

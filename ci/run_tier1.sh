@@ -16,10 +16,6 @@
 #   --notrace   separate tree, -DENSEMBLE_TRACE=OFF (ENS_TRACE compiled out)
 #   --nouring   separate tree, -DENSEMBLE_URING=OFF (io_uring stubbed): the
 #               mmsg fallback must carry every uring-tagged configuration
-#   --autotune  cost-model/autotuner tests (including the check that every
-#               backend/batch/pack lattice dimension moves the arg-max) +
-#               bench_autotune --smoke: the predict-before-measure gate plus
-#               strict validation of BENCH_autotune.json and COSTMODEL.json
 #   --overload  overload-control tests + bench_overload --smoke: the 10x
 #               sustained-load gate (bounded memory, graceful p99, every
 #               ladder rung firing) plus strict validation of
@@ -54,7 +50,6 @@ case "$LEG" in
             CTEST_ARGS="-R TaskQueue|ChannelNetwork|ShardRuntime|GroupHarnessSharded|Obs|OverloadRuntime" ;;
   notrace)  BUILD_DIR=build-notrace; CMAKE_FLAGS="-DENSEMBLE_TRACE=OFF" ;;
   nouring)  BUILD_DIR=build-nouring; CMAKE_FLAGS="-DENSEMBLE_URING=OFF" ;;
-  autotune) CTEST_ARGS="-R CostModel|Autotuner"; SMOKES="autotune" ;;
   overload) CTEST_ARGS="-R Overload|Watermark|SendWindow|LiveCounter|BufferPool"
             SMOKES="overload" ;;
   scenario) CTEST_ARGS="-R Scenario|SpanCheck|SimQueueReplay|OverloadLadder"
@@ -88,19 +83,6 @@ run_smoke() {
       if ! grep -q "unavailable" skew_smoke.out; then
         json_check BENCH_skew.json
         json_check TRACE_skew.json
-      fi
-      ;;
-    autotune)
-      # Calibrate, predict every row before measuring it, and fail when the
-      # single-core geomean prediction error exceeds the generous bound
-      # (bench_autotune exits nonzero itself).
-      rm -f BENCH_autotune.json COSTMODEL.json
-      ./bench/bench_autotune --smoke > autotune_smoke.out 2>&1 \
-        || { cat autotune_smoke.out; exit 1; }
-      cat autotune_smoke.out
-      if ! grep -q "unavailable" autotune_smoke.out; then
-        json_check BENCH_autotune.json
-        json_check COSTMODEL.json
       fi
       ;;
     overload)

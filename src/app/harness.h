@@ -107,7 +107,7 @@ class GroupHarness {
   // Runtime knobs RunSharded passes through to the ShardRuntime it builds.
   struct ShardedRunOptions {
     NetBackendConfig net;           // Datapath backend (default: eager).
-    StealConfig steal;              // Work stealing (default: off).
+    bool steal = false;             // Work stealing (default: off).
     bool pin_cores = false;         // Worker → core affinity.
     std::vector<int> initial_shard; // Explicit member placement (skew setups).
     // Periodic metrics-delta emission (0 = off) and its sink (default:

@@ -273,25 +273,6 @@ bool RoutePair::TryDown(Event& ev, Iovec* wire, std::vector<Event>* self_deliver
   return true;
 }
 
-double RoutePair::CostUnits() const {
-  double units = 0;
-  // Sender arm: every plan's down rule, exactly the DownUpdates walk.
-  for (const LayerPlan& plan : plans_) {
-    units += plan.dn->CostUnits();
-  }
-  // Self-delivery arm: the up rules above the split run again locally.
-  if (split_plan_ != SIZE_MAX) {
-    for (size_t i = split_plan_; i-- > 0;) {
-      units += plans_[i].up->CostUnits();
-    }
-  }
-  // Receiver arm: every plan's up rule, exactly the UpFromVars walk.
-  for (size_t i = plans_.size(); i-- > 0;) {
-    units += plans_[i].up->CostUnits();
-  }
-  return units;
-}
-
 void RoutePair::BuildWireHeader(const uint64_t* vars, Iovec* wire, const Event& ev) const {
   // [tag u8][conn u32][origin u8][vars...]
   uint8_t buf[1 + 4 + 1 + kMaxVars * 8];

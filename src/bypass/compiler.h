@@ -98,14 +98,6 @@ class RoutePair {
 
   const std::vector<LayerPlan>& plans() const { return plans_; }
 
-  // Composed cost units of one message through this route, for the
-  // compositional cost model (src/perf/cost_model.h): the same trace
-  // enumeration TryDown/TryUp execute — every plan's down rule top→bottom,
-  // the self-delivery arm's up rules when the trace splits, and every plan's
-  // up rule bottom→top on the receiver — summed over BypassRule::CostUnits().
-  // Units are relative; calibration maps them to nanoseconds.
-  double CostUnits() const;
-
   // Up fast path for a compressed datagram body (the bytes after the
   // conn-id preamble).
   UpResult TryUp(const Bytes& datagram, size_t offset, Rank origin, Event* out);

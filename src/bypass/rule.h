@@ -104,38 +104,6 @@ struct BypassRule {
   // The compiled route materializes them from the upper layers' header plans
   // just before this update runs.
   bool needs_upper_headers = false;
-
-  // Cost annotation for the compositional performance model (cost_model.h):
-  // relative units of fused work this rule contributes to a compiled trace
-  // (CCP check + state update + wire-slot handling).  0 means "derive from
-  // structure" via CostUnits(); a rule whose update does work its plan shape
-  // doesn't show (e.g. copying a message into a retransmit buffer) sets an
-  // explicit value.  The calibration pass turns units into nanoseconds by
-  // dividing a measured fused-trace time by the route's composed unit count.
-  uint16_t cost_units = 0;
-
-  size_t VarCount() const {
-    size_t n = 0;
-    for (const FieldPlan& f : fields) {
-      n += f.is_var() ? 1 : 0;
-    }
-    return n;
-  }
-
-  uint16_t CostUnits() const {
-    if (cost_units != 0) {
-      return cost_units;
-    }
-    if (transparent) {
-      return 1;
-    }
-    uint16_t u = 2;  // CCP evaluation + fused dispatch.
-    u = static_cast<uint16_t>(u + VarCount() * 2);  // Fill + wire slot each.
-    u = static_cast<uint16_t>(u + (update != nullptr ? 2 : 0));
-    u = static_cast<uint16_t>(u + (split_deliver ? 3 : 0));
-    u = static_cast<uint16_t>(u + (needs_upper_headers ? 4 : 0));
-    return u;
-  }
 };
 
 // Registry.  Layers (or a central rules file) register their rules once at

@@ -65,9 +65,6 @@ BypassRule MnakDnCast() {
   BypassRule r;
   r.ccp_desc = "true (sender side always eligible)";
   r.needs_upper_headers = true;  // SaveSent keeps the upper headers.
-  // SaveSent copies the whole event into the retransmit buffer — heavier
-  // than the structural estimate (header materialization + map insert).
-  r.cost_units = 14;
   r.update_desc = "seqno = send_seqno++, sent[seqno] = msg";
   r.update = +[](BypassCtx& ctx) {
     auto* f = MutSt<MnakFast>(ctx);
@@ -118,7 +115,6 @@ BypassRule Pt2ptDnSend() {
   BypassRule r;
   r.ccp_desc = "true (sender side always eligible)";
   r.needs_upper_headers = true;  // The unacked buffer keeps the upper headers.
-  r.cost_units = 14;  // FastSend buffers the event, like mnak's SaveSent.
   r.update_desc = "seqno = next_seqno[dest]++, unacked[dest][seqno] = msg";
   r.update = +[](BypassCtx& ctx) {
     auto* f = MutSt<Pt2ptFast>(ctx);

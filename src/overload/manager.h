@@ -56,7 +56,7 @@ const char* ActionName(Action a);
 // worker thread; missing ones read as zero pressure.
 struct OverloadSignals {
   std::function<uint64_t()> live_bytes;        // pooled + heap live bytes
-  std::function<uint64_t()> dispatch_backlog;  // max per-shard tasks + mailbox depth
+  std::function<uint64_t()> dispatch_backlog;  // max per-shard mailbox depth
   std::function<uint64_t()> timer_backlog;     // max timer heap depth
   std::function<uint64_t()> delivered_total;   // progress signal for decay
 };
@@ -78,7 +78,7 @@ struct OverloadConfig {
   // below (the ladder disengage points are fractions of high).  A zero high
   // disables that resource.
   uint64_t bytes_high = 64u << 20;     // pool + heap live bytes
-  uint64_t dispatch_high = 8192;       // one shard's queued tasks + mailbox depth
+  uint64_t dispatch_high = 8192;       // one shard's channel mailbox depth
   uint64_t timer_high = 1u << 16;      // timer heap depth
 
   // Per-group send windows (payload bytes in flight).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/net/udp_uring.h"
 #include "src/obs/stats_adapters.h"
 #include "src/util/logging.h"
 
@@ -17,12 +16,27 @@ namespace {
 // any other thread — the harness main thread, a bench driver — posts from
 // outside and waits on the destination's task depth.
 thread_local const ShardRuntime* tls_rt = nullptr;
+
+// Work-stealing thresholds (config.steal switches the policy on), measured
+// on the 8:1 skewed placement of bench_skew (EXPERIMENTS.md "Skewed
+// placement").
+// Consecutive zero-event poll cycles before a fully idle worker looks for a
+// victim: an empty shard adopts work quickly.
+constexpr int kStealIdleLoops = 2;
+// A victim's load signal (events-per-cycle EWMA + task depth) must reach this
+// many events per cycle.
+constexpr uint64_t kStealMinVictimLoad = 4;
+// A busy-but-underloaded worker also steals when some shard's load signal is
+// at least this multiple of its own (one quiet group next to a shard running
+// eight hot ones).
+constexpr double kStealMinImbalance = 3.0;
+// Minimum pause between two steal attempts by the same thief.
+constexpr VTime kStealCooldown = Millis(10);
 }  // namespace
 
 // ---- ShardRuntime ----------------------------------------------------------
 
 ShardRuntime::ShardRuntime(ShardRuntimeConfig config) : config_(std::move(config)) {
-  ApplyAutotune();  // Rewrites config_ knobs before any worker reads them.
   int w = std::max(1, config_.num_workers);
   for (int s = 0; s < w; s++) {
     auto worker = std::make_unique<Worker>();
@@ -43,34 +57,6 @@ ShardRuntime::ShardRuntime(ShardRuntimeConfig config) : config_(std::move(config
 }
 
 ShardRuntime::~ShardRuntime() { Stop(); }
-
-void ShardRuntime::ApplyAutotune() {
-  if (!config_.autotune.enabled) {
-    return;
-  }
-  const AutotuneConfig& at = config_.autotune;
-  perf::CostModel model = at.have_model ? at.model : perf::CostModel::Defaults();
-  // Ground truth beats the model: a model calibrated on a host with io_uring
-  // must not steer this host onto a backend it lacks.
-  int uring = static_cast<int>(NetBackend::kUring);
-  model.backend[uring].available =
-      model.backend[uring].available && UringEngine::Available();
-  Autotuner tuner(std::move(model));
-
-  perf::WorkloadDesc workload;
-  workload.burst = at.burst;
-  workload.flush_deadline = config_.ep.timer_interval;
-  workload.stack_ns = perf::StackCostOf(tuner.model(), config_.ep);
-  decision_ = tuner.Choose(workload);
-  if (!decision_.valid) {
-    return;
-  }
-  config_.net.backend = decision_.knobs.backend;
-  config_.net.send_batch = config_.net.recv_batch = decision_.knobs.batch;
-  config_.ep.pack_messages = decision_.knobs.pack_window > 1;
-  config_.ep.pack_window = decision_.knobs.pack_window;
-  LogOncePerProcess(LogLevel::kInfo, decision_.Describe());
-}
 
 bool ShardRuntime::Build(int n, int group_size) {
   ENS_CHECK(!started_);
@@ -184,14 +170,13 @@ void ShardRuntime::SetupOverload() {
     return bytes;
   };
   sig.dispatch_backlog = [this]() {
-    // Per shard: queued tasks plus packets waiting in resident mailboxes.
+    // Admitted load only: packets waiting in a shard's resident mailboxes.
+    // Queued tasks are offered load the send windows have not admitted yet.
     uint64_t depth = 0;
     for (const auto& worker : workers_) {
-      uint64_t d = worker->inbox.depth();
       if (worker->chan != nullptr) {
-        d += worker->chan->dispatch_depth();
+        depth = std::max(depth, worker->chan->dispatch_depth());
       }
-      depth = std::max(depth, d);
     }
     return depth;
   };
@@ -263,25 +248,6 @@ void ShardRuntime::RegisterMetrics() {
   metrics_.Counter("sched.steal_requests", &steal_requests_);
   metrics_.HistogramSource("sched.delivery_latency_ns", &delivery_latency_);
   metrics_.HistogramSource("sched.steal_duration_ns", &steal_duration_);
-  if (config_.autotune.enabled) {
-    // tune.active_config records what actually runs: the backend bits come
-    // from active_backend() (never a fallen-back request), so they agree
-    // with net.backend_active by construction — a test asserts it.  The
-    // channel backend reports eager (NetworkStats' backend_active default):
-    // the backend knob is inert without kernel sockets.
-    perf::KnobVector active = decision_.knobs;
-    Worker& w0 = *workers_.front();
-    if (w0.udp != nullptr) {
-      active.backend = w0.udp->active_backend();
-    } else {
-      active.backend = NetBackend::kEager;
-    }
-    // The decision is made once, before Start(), so both gauges are fixed.
-    int64_t predicted = static_cast<int64_t>(decision_.predicted.msgs_per_sec);
-    int64_t encoded = static_cast<int64_t>(active.Encode());
-    metrics_.Gauge("tune.predicted_msgs_per_sec", [predicted]() { return predicted; });
-    metrics_.Gauge("tune.active_config", [encoded]() { return encoded; });
-  }
   for (const auto& member : members_) {
     RegisterEndpointStats(metrics_, &member->stats());
   }
@@ -588,12 +554,11 @@ void ShardRuntime::WorkerLoop(int shard) {
 // ---- Work stealing ---------------------------------------------------------
 
 void ShardRuntime::MaybeSteal(int shard, int idle_streak, uint64_t* last_attempt_ns) {
-  const StealConfig& sc = config_.steal;
-  if (!sc.enabled || num_workers() < 2) {
+  if (!config_.steal || num_workers() < 2) {
     return;
   }
   uint64_t now = NowNanos();
-  if (now - *last_attempt_ns < sc.cooldown) {
+  if (now - *last_attempt_ns < kStealCooldown) {
     return;
   }
   if (steal_inflight_.load(std::memory_order_acquire)) {
@@ -601,13 +566,13 @@ void ShardRuntime::MaybeSteal(int shard, int idle_streak, uint64_t* last_attempt
   }
   Worker& me = *workers_[static_cast<size_t>(shard)];
   uint64_t own = me.load_ewma.load(std::memory_order_relaxed);
-  // Two triggers: a worker that has been fully idle for idle_loops cycles
-  // takes anything above the load floor; a busy worker only moves on a
-  // sustained min_imbalance : 1 skew against it (8 hot groups next door while
-  // it runs one quiet one).
-  bool idle_trigger = idle_streak >= sc.idle_loops;
-  uint64_t threshold = sc.min_victim_load * kEwmaScale;
-  double ratio_floor = sc.min_imbalance * static_cast<double>(std::max<uint64_t>(own, 1));
+  // Two triggers: a worker that has been fully idle for kStealIdleLoops
+  // cycles takes anything above the load floor; a busy worker only moves on a
+  // sustained kStealMinImbalance : 1 skew against it (8 hot groups next door
+  // while it runs one quiet one).
+  bool idle_trigger = idle_streak >= kStealIdleLoops;
+  uint64_t threshold = kStealMinVictimLoad * kEwmaScale;
+  double ratio_floor = kStealMinImbalance * static_cast<double>(std::max<uint64_t>(own, 1));
   int victim = -1;
   uint64_t best = 0;
   for (int s = 0; s < num_workers(); s++) {

@@ -67,7 +67,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/overload/manager.h"
-#include "src/runtime/autotune.h"
 #include "src/runtime/channel_network.h"
 #include "src/util/timer_heap.h"
 #include "src/util/waker.h"
@@ -80,25 +79,6 @@ enum class ShardBackend {
              // used by stress tests and environments without sockets.
 };
 
-// Work-stealing policy knobs.  Default OFF so static placement (and every
-// existing test's traffic accounting) is unchanged; benches and adaptive
-// deployments opt in.
-struct StealConfig {
-  bool enabled = false;
-  // Consecutive zero-event poll cycles before a FULLY IDLE worker looks for a
-  // victim (the fast path: an empty shard adopts work quickly).
-  int idle_loops = 2;
-  // Victim's load signal (events-per-cycle EWMA + task depth) must be at
-  // least this many events per cycle.
-  uint64_t min_victim_load = 8;
-  // A busy-but-underloaded worker also steals when some shard's load signal
-  // is at least this multiple of its own (the skewed-placement case: a worker
-  // running one quiet group next to a shard running eight hot ones).
-  double min_imbalance = 4.0;
-  // Minimum pause between two steal attempts by the same thief.
-  VTime cooldown = Millis(2);
-};
-
 struct ShardRuntimeConfig {
   ShardBackend backend = ShardBackend::kUdp;
   int num_workers = 1;
@@ -107,17 +87,14 @@ struct ShardRuntimeConfig {
   std::vector<StackMode> member_modes;
   NetBackendConfig net;          // UDP datapath backend + batching knobs.
   VTime poll_slice = Millis(5);  // Max idle block per worker loop iteration.
-  StealConfig steal;             // Adaptive rebalancing (default off).
+  // Work stealing: an idle or underloaded worker pulls whole groups off the
+  // hottest shard (thresholds are fixed in runtime.cc).  Default off so
+  // static placement, and every test's traffic accounting, is unchanged.
+  bool steal = false;
   // End-to-end overload control (src/overload/): per-group send windows on
   // every member, a manager polled from the shard loops, and graduated
   // backpressure into the backends.  Default off: no gate, no polling.
   overload::OverloadConfig overload;
-  // Model-driven knob selection (autotune.h).  When enabled, the constructor
-  // resolves a cost model, enumerates the knob lattice, and OVERRIDES
-  // net.backend/batch and ep.pack_* with the predicted-best configuration;
-  // tune.* gauges report the decision.  Default off: every knob above keeps
-  // meaning exactly what it says.
-  AutotuneConfig autotune;
   // Pin worker i to core i % hardware_concurrency (pthread_setaffinity_np).
   // When the kernel refuses the mask, the worker logs a warning and runs
   // unpinned.
@@ -280,10 +257,6 @@ class ShardRuntime {
   // Per-shard load snapshot (the stealing signal, exposed for benches).
   ShardLoad LoadOf(int shard) const;
 
-  // The autotuner's startup decision (valid only when config.autotune.enabled
-  // chose a configuration).  Fixed at construction.
-  const TuneDecision& tune_decision() const { return decision_; }
-
   // The overload manager (nullptr unless config.overload.enabled).  Exposes
   // pressure, per-group send windows, and action counters; tests/benches may
   // also ForcePoll through it.
@@ -357,9 +330,6 @@ class ShardRuntime {
   // Build() helper: constructs the overload manager, gates every member on
   // its group's send window, and wires signals/actions into the shards.
   void SetupOverload();
-  // Constructor helper: resolves the cost model, picks the predicted-best
-  // knob vector, and rewrites config_ before any worker is created.
-  void ApplyAutotune();
   size_t DrainInbox(int shard);
   size_t DrainDeferred(int shard);
   void ProcessMsg(int shard, ShardMsg msg);
@@ -412,9 +382,6 @@ class ShardRuntime {
   std::mutex snap_mu_;
   std::condition_variable snap_cv_;
   bool snap_stop_ = false;
-
-  // Autotuning (config_.autotune.enabled): the startup decision.
-  TuneDecision decision_;
 };
 
 }  // namespace ensemble

@@ -569,6 +569,18 @@ TEST_P(ShardRuntimeHandoffTest, MigrateKeepsFifoWithTrafficInFlight) {
   EXPECT_EQ(tap.next_rx[1].load(), tap.next_tx[0].load());
   EXPECT_EQ(tap.next_rx[0].load(), tap.next_tx[1].load());
   EXPECT_EQ(rt.AggregateNetStats().dropped.value(), 0u);
+  // net.backend_active names the datapath that ran: what a UdpNetwork
+  // resolves this config to, and eager on the channel backend.
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  const obs::Sample* active = snap.Find("net.backend_active");
+  ASSERT_NE(active, nullptr);
+  NetBackend expected = NetBackend::kEager;
+  if (path.backend == ShardBackend::kUdp) {
+    UdpNetwork probe;
+    probe.set_backend_config(config.net);
+    expected = probe.active_backend();
+  }
+  EXPECT_EQ(active->value, static_cast<uint64_t>(expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -592,11 +604,7 @@ TEST(ShardRuntimeTest, StealingRebalancesSkewedPlacement) {
   config.ep = FastEndpointConfig();
   config.ep.params.pt2pt_window = 1u << 30;
   config.initial_shard = std::vector<int>(8, 0);  // Everyone on shard 0.
-  config.steal.enabled = true;
-  config.steal.idle_loops = 2;
-  config.steal.min_victim_load = 2;
-  config.steal.min_imbalance = 2.0;
-  config.steal.cooldown = Millis(1);
+  config.steal = true;
   config.trace_enabled = true;
   config.trace_capacity = 1u << 18;
   SeqTap tap;
