@@ -1,10 +1,11 @@
 // End-to-end overload control: sustained 10x offered load against a sharded
 // channel runtime, manager ON vs OFF, against a 1x baseline.
 //
-// Workload: one 4-member group over 2 workers; each delivery burns a fixed
-// spin (the "application") so worker capacity is known and 10x genuinely
-// exceeds it.  The main thread paces cast waves at a fixed interval; 1x posts
-// one cast per member per wave, 10x posts ten.  Every payload carries a send
+// Workload: two 4-member groups whose members alternate between 2 workers;
+// each delivery burns a fixed spin (the "application") so worker capacity is
+// known and 10x genuinely exceeds it.  The main thread paces cast waves at a
+// fixed interval; 1x posts one cast per member per wave, 10x posts ten for
+// each member of the flood group.  Every payload carries a send
 // timestamp, so delivery latency is measured end to end through whatever
 // queueing each configuration allows to build up.
 //
@@ -167,6 +168,13 @@ Row RunConfig(const std::string& name, bool manager_on, int load_x,
     }
   };
 
+  // Both groups span both workers, so the flood group's deliveries compete
+  // with the measured group's for the same worker time.  Whole-group
+  // placement would put each group alone on a worker, and casts reach only
+  // their own group: the flood would never touch the measured group.
+  for (int m = 0; m < kMembers; m++) {
+    config.initial_shard.push_back(m % kWorkers);
+  }
   std::atomic<uint64_t> tasks_run{0};
   ShardRuntime rt(config);
   if (!rt.Build(kMembers, kGroupSize)) {

@@ -7,7 +7,8 @@
 # the per-leg knobs (build dir, cmake flags, environment, test selection,
 # post-suite smoke benches), so adding a leg is one case arm.
 #
-#   (none)      full suite + skew scheduler smoke
+#   (none)      full suite + skew scheduler smoke + the perfbench package
+#               built with warnings as errors and perfbench_defects run
 #   --tsan      separate tree, -DENSEMBLE_TSAN=ON: concurrency suite (worker
 #               task queue + channel mailboxes + sharded runtime +
 #               observability + overload control on the runtime, whose
@@ -42,7 +43,7 @@ CTEST_ARGS="-j $JOBS"
 SMOKES=""
 
 case "$LEG" in
-  default)  SMOKES="skew" ;;
+  default)  SMOKES="skew perfbench" ;;
   tsan)     BUILD_DIR=build-tsan; CMAKE_FLAGS="-DENSEMBLE_TSAN=ON"
             BUILD_TARGET="--target ensemble_tests"
             # Any reported race fails the run even if the tests pass.
@@ -84,6 +85,15 @@ run_smoke() {
         json_check BENCH_skew.json
         json_check TRACE_skew.json
       fi
+      ;;
+    perfbench)
+      # The benchmark package compiles the library on its own, and its
+      # tracing Network decorator overrides library methods: build it here so
+      # a library change that breaks it fails CI, not the next benchmark run.
+      # perfbench_defects exits nonzero while a recorded defect reproduces.
+      cmake -B perfbench -S ../perfbench -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+      cmake --build perfbench -j "$JOBS" --target perfbench perfbench_defects
+      ./perfbench/perfbench_defects
       ;;
     overload)
       # 10x sustained offered load: bench_overload exits nonzero unless the

@@ -34,8 +34,8 @@ GroupEndpoint::GroupEndpoint(EndpointId self, Network* net, EndpointConfig confi
   if (config_.pack_messages && net_ != nullptr) {
     transport_.EnablePacking(
         [this](const Transport::PackDest& dest, const Iovec& wire) {
-          if (dest.broadcast) {
-            net_->Broadcast(self_, wire);
+          if (dest.cast) {
+            SendToView(wire);
           } else {
             net_->Send(self_, dest.dst, wire);
           }
@@ -155,8 +155,21 @@ void GroupEndpoint::Flush() {
 void GroupEndpoint::EmitCastWire(const Iovec& wire) {
   if (transport_.packing()) {
     transport_.PackCast(wire);
-  } else if (net_ != nullptr) {
-    net_->Broadcast(self_, wire);
+  } else {
+    SendToView(wire);
+  }
+}
+
+void GroupEndpoint::SendToView(const Iovec& wire) {
+  // A cast is addressed to the current view: one Send per other member, so
+  // an endpoint outside the group never sees it.
+  if (net_ == nullptr || !view_) {
+    return;
+  }
+  for (EndpointId member : view_->members) {
+    if (member != self_) {
+      net_->Send(self_, member, wire);
+    }
   }
 }
 

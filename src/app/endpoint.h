@@ -154,6 +154,7 @@ class GroupEndpoint {
   void HandleStackUpOut(Event ev);
   void HandlePacket(const Packet& packet);
   void EmitCastWire(const Iovec& wire);
+  void SendToView(const Iovec& wire);
   void EmitSendWire(Rank dest, const Iovec& wire);
   void InstallView(ViewRef v);
   void CompileBypass();

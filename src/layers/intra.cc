@@ -46,9 +46,9 @@ ViewRef IntraLayer::BuildNewView() const {
   return v;
 }
 
-void IntraLayer::InstallAndBroadcast(EventSink& sink) {
+void IntraLayer::InstallAndAnnounce(EventSink& sink) {
   ViewRef v = BuildNewView();
-  // Broadcast the new membership (in the old view's wire format).
+  // Announce the new membership (in the old view's wire format).
   WireWriter w;
   w.U64(v->vid.coord);
   w.U64(v->vid.counter);
@@ -94,7 +94,7 @@ void IntraLayer::Dn(Event ev, EventSink& sink) {
     case EventType::kTimer:
       now_ = ev.time;
       if (phase_ == Phase::kSettling && now_ >= settle_until_ && am_coord_) {
-        InstallAndBroadcast(sink);
+        InstallAndAnnounce(sink);
       }
       sink.PassDn(std::move(ev));
       return;

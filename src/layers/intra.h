@@ -47,7 +47,7 @@ class IntraLayer : public Layer {
 
   void StartViewChange(EventSink& sink);
   void MaybeFinishFlush(EventSink& sink);
-  void InstallAndBroadcast(EventSink& sink);
+  void InstallAndAnnounce(EventSink& sink);
   ViewRef BuildNewView() const;
   void InstallView(ViewRef v, EventSink& sink);
 

@@ -2,7 +2,14 @@
 
 #include <algorithm>
 
+#include "src/util/logging.h"
+
 namespace ensemble {
+
+void Network::Broadcast(EndpointId src, const Iovec& gather) {
+  ENS_CHECK_MSG(false, "Network::Broadcast is not implemented: a cast is a Send to each "
+                       "member of the sender's view");
+}
 
 namespace {
 std::pair<uint64_t, uint64_t> LinkKey(EndpointId a, EndpointId b) {
@@ -83,22 +90,6 @@ void SimNetwork::Send(EndpointId src, EndpointId dst, const Iovec& gather) {
   p.dst = dst;
   p.datagram = gather.Flatten();
   DeliverOne(p);
-}
-
-void SimNetwork::Broadcast(EndpointId src, const Iovec& gather) {
-  CountIfPacked(&stats_, gather);
-  Bytes datagram = gather.Flatten();
-  for (const auto& [ep, fn] : endpoints_) {
-    if (ep == src) {
-      continue;
-    }
-    Packet p;
-    p.src = src;
-    p.dst = ep;
-    p.broadcast = true;
-    p.datagram = datagram;
-    DeliverOne(p);
-  }
 }
 
 }  // namespace ensemble

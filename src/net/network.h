@@ -25,13 +25,13 @@
 
 namespace ensemble {
 
-// A datagram in flight.  `datagram` is contiguous: the sending NIC gathers
-// the scatter-gather parts (see SimNetwork::Send), the receiver sees one
-// buffer and slices it zero-copy.
+// A datagram in flight, always addressed to one endpoint (a cast is one
+// Packet per member of the sender's view).  `datagram` is contiguous: the
+// sending NIC gathers the scatter-gather parts (see SimNetwork::Send), the
+// receiver sees one buffer and slices it zero-copy.
 struct Packet {
   EndpointId src;
-  EndpointId dst;  // Ignored when broadcast.
-  bool broadcast = false;
+  EndpointId dst;
   Bytes datagram;
 };
 
@@ -135,8 +135,13 @@ class Network {
 
   virtual void Attach(EndpointId ep, DeliverFn deliver) = 0;
   virtual void Detach(EndpointId ep) = 0;
+  // The one send primitive: `dst` is a local endpoint or a published peer.
+  // A group cast is one Send per member of the sender's view.
   virtual void Send(EndpointId src, EndpointId dst, const Iovec& gather) = 0;
-  virtual void Broadcast(EndpointId src, const Iovec& gather) = 0;
+  // No library code calls this, and it fails if called: a cast goes to the
+  // view's members, not to everything the network reaches.  It remains
+  // declared only because the perfbench tracing decorator overrides it.
+  virtual void Broadcast(EndpointId src, const Iovec& gather);
   // One-shot timer `delay` from now; fires in the network's execution context
   // (the sim queue / the UDP poll loop).
   virtual void ScheduleTimer(VTime delay, TimerFn fn) = 0;
@@ -199,7 +204,6 @@ class SimNetwork : public Network {
   // Sends a gathered datagram.  The flatten here models the NIC gather DMA
   // and is outside the measured protocol code latency.
   void Send(EndpointId src, EndpointId dst, const Iovec& gather) override;
-  void Broadcast(EndpointId src, const Iovec& gather) override;
 
   void ScheduleTimer(VTime delay, TimerFn fn) override {
     queue_->After(delay, std::move(fn));

@@ -332,43 +332,6 @@ void UdpNetwork::Send(EndpointId src, EndpointId dst, const Iovec& gather) {
   SendEager(from->second.fd, port, gather);
 }
 
-void UdpNetwork::Broadcast(EndpointId src, const Iovec& gather) {
-  if (active_ != NetBackend::kEager) {
-    auto from = endpoints_.find(src);
-    if (from == endpoints_.end()) {
-      stats_.dropped++;
-      return;
-    }
-    CountIfPacked(&stats_, gather);
-    // One staged entry per destination (local endpoints and remote peers);
-    // the Iovec parts are refcounted, so fan-out shares the payload bytes.
-    bool uring = active_ == NetBackend::kUring;
-    for (const auto& [ep, state] : endpoints_) {
-      if (ep != src) {
-        uring ? engine_->StageSend(from->second.fd, state.port, gather)
-              : Enqueue(from->second, state.port, gather);
-      }
-    }
-    for (const auto& [ep, port] : peers_) {
-      uring ? engine_->StageSend(from->second.fd, port, gather)
-            : Enqueue(from->second, port, gather);
-    }
-    if (uring && engine_->staged_sends() >= EffectiveSendBatch()) {
-      engine_->SubmitSends();
-    }
-    return;
-  }
-  for (const auto& [ep, state] : endpoints_) {
-    if (ep == src) {
-      continue;
-    }
-    Send(src, ep, gather);
-  }
-  for (const auto& [ep, port] : peers_) {
-    Send(src, ep, gather);
-  }
-}
-
 void UdpNetwork::Enqueue(Endpoint& from, uint16_t port, const Iovec& gather) {
   from.ring.push_back(Staged{port, gather});
   stats_.batched_datagrams++;

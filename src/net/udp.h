@@ -115,10 +115,9 @@ class UdpNetwork : public Network {
   void Attach(EndpointId ep, DeliverFn deliver) override;
   void Detach(EndpointId ep) override;
   void Send(EndpointId src, EndpointId dst, const Iovec& gather) override;
-  void Broadcast(EndpointId src, const Iovec& gather) override;
 
   // Publishes a remote endpoint (one attached to a different UdpNetwork,
-  // typically another shard's) so local endpoints can Send/Broadcast to it
+  // typically another shard's) so local endpoints can Send to it
   // and received packets from its port are source-attributed.  Setup-time
   // only: call before the owning threads start polling.
   void AddPeer(EndpointId ep, uint16_t port);

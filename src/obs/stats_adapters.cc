@@ -8,7 +8,8 @@
 namespace ensemble {
 namespace obs {
 
-void RegisterNetworkStats(MetricsRegistry& reg, const NetworkStats* s) {
+void RegisterNetworkStats(MetricsRegistry& reg, const NetworkStats* s,
+                          const std::string& tag) {
   reg.Counter("net.sent", &s->sent);
   reg.Counter("net.delivered", &s->delivered);
   reg.Counter("net.dropped", &s->dropped);
@@ -34,7 +35,7 @@ void RegisterNetworkStats(MetricsRegistry& reg, const NetworkStats* s) {
   reg.Counter("net.bufring_refills", &s->bufring_refills);
   // Mode gauge: what the datapath resolved to after probing and fallback,
   // so BENCH/TRACE artifacts record the configuration that actually ran.
-  reg.Gauge("net.backend_active",
+  reg.Gauge(tag.empty() ? "net.backend_active" : "net." + tag + ".backend_active",
             [s]() { return static_cast<int64_t>(s->backend_active.value()); });
 }
 

@@ -22,8 +22,11 @@
 namespace ensemble {
 namespace obs {
 
-// net.* — one call per backend instance (per shard).
-void RegisterNetworkStats(MetricsRegistry& reg, const NetworkStats* s);
+// net.* counters — one call per backend instance (per shard) — plus the
+// backend gauge, `net.<tag>.backend_active` when `tag` is non-empty (one
+// shard may have fallen back from uring while another did not).
+void RegisterNetworkStats(MetricsRegistry& reg, const NetworkStats* s,
+                          const std::string& tag = "");
 // waker.* — one call per waker.
 void RegisterWakerStats(MetricsRegistry& reg, const WakerStats* s);
 // pool.* counters plus a `pool.<tag>.numa_node` gauge when `tag` is

@@ -112,7 +112,7 @@ void ChannelNetwork::Push(Mailbox* box, EndpointId src, const Bytes& flat) {
       stats_.dropped++;  // Detached: the member left the group.
       return;
     }
-    box->queue.push_back(Packet{src, box->id, false, flat});
+    box->queue.push_back(Packet{src, box->id, flat});
     if (pressure_.load(std::memory_order_relaxed) >= 2 &&
         box->queue.size() > shed_keep_) {
       // Kill watermark: drop-oldest keeps the freshest traffic and bounds the
@@ -147,19 +147,6 @@ void ChannelNetwork::Send(EndpointId src, EndpointId dst, const Iovec& gather) {
   // Flatten models the NIC gather; a fresh heap chunk also makes the payload
   // safe to release on the receiving shard (pool chunks are shard-local).
   Push(box, src, gather.Flatten());
-}
-
-void ChannelNetwork::Broadcast(EndpointId src, const Iovec& gather) {
-  CountIfPacked(&stats_, gather);
-  Bytes flat = gather.Flatten();
-  for (const auto& box : table_->all()) {
-    if (box->id == src) {
-      continue;
-    }
-    stats_.sent++;
-    stats_.bytes_sent += flat.size();
-    Push(box.get(), src, flat);
-  }
 }
 
 void ChannelNetwork::ScheduleTimer(VTime delay, TimerFn fn) {

@@ -2,11 +2,13 @@
 //
 // Every endpoint owns a Mailbox, the in-process analogue of its UDP socket: a
 // mutex-guarded packet queue plus a pointer to the network (shard) that owns
-// it.  A sender needs only the destination's id: Send/Broadcast look the
-// mailbox up in the runtime-wide MailboxTable, push (same shard included —
-// nothing is ever delivered re-entrantly from inside Send), and wake the owner
-// read under the mailbox lock AFTER the push.  Poll() on the owning shard
-// swaps out each resident mailbox's contents and delivers them.
+// it.  A sender needs only the destination's id: Send looks the mailbox up in
+// the runtime-wide MailboxTable, pushes (same shard included — nothing is
+// ever delivered re-entrantly from inside Send), and wakes the owner read
+// under the mailbox lock AFTER the push.  A group cast is one Send per member
+// of the sender's view, so it reaches only that group's mailboxes.  Poll() on
+// the owning shard swaps out each resident mailbox's contents and delivers
+// them.
 //
 // An ownership handoff therefore moves nothing but the binding, exactly as a
 // UDP socket moves with its kernel queue: Release() detaches the deliver
@@ -67,7 +69,7 @@ class MailboxTable {
   Mailbox* Find(EndpointId id) const {
     return id.id > UINT32_MAX ? nullptr : by_id_.Find(static_cast<uint32_t>(id.id));
   }
-  // Every mailbox, in creation order (Broadcast's fan-out).
+  // Every mailbox, in creation order (dispatch_depth() sums its owner's).
   const std::vector<std::unique_ptr<Mailbox>>& all() const { return boxes_; }
 
  private:
@@ -83,7 +85,6 @@ class ChannelNetwork : public Network {
   // Closes the mailbox: queued packets and later pushes count as dropped.
   void Detach(EndpointId ep) override;
   void Send(EndpointId src, EndpointId dst, const Iovec& gather) override;
-  void Broadcast(EndpointId src, const Iovec& gather) override;
   void ScheduleTimer(VTime delay, TimerFn fn) override;
   VTime Now() const override { return NowNanos(); }
   void SetDrainHook(EndpointId ep, std::function<void()> hook) override;

@@ -65,9 +65,10 @@ bool ShardRuntime::Build(int n, int group_size) {
   }
   int w = num_workers();
   int num_groups = (n + group_size - 1) / group_size;
-  // Groups land whole on a shard (their traffic stays shard-local) unless
-  // there are fewer groups than workers — then members spread round-robin so
-  // a single big group still exercises every core.
+  // Groups land whole on a shard (their traffic stays shard-local: casts and
+  // sends address only the group's own members) unless there are fewer groups
+  // than workers — then members spread round-robin so a single big group
+  // still exercises every core.
   bool spread_members = num_groups < w;
 
   owner_of_ = std::make_unique<std::atomic<int>[]>(static_cast<size_t>(n));
@@ -222,10 +223,10 @@ void ShardRuntime::RegisterMetrics() {
     Worker& w = *workers_[static_cast<size_t>(s)];
     std::string shard_tag = "shard" + std::to_string(s);
     if (w.udp != nullptr) {
-      RegisterNetworkStats(metrics_, &w.udp->stats());
+      RegisterNetworkStats(metrics_, &w.udp->stats(), shard_tag);
       RegisterPoolStats(metrics_, &w.udp->recv_pool(), shard_tag);
     } else {
-      RegisterNetworkStats(metrics_, &w.chan->stats());
+      RegisterNetworkStats(metrics_, &w.chan->stats(), shard_tag);
     }
     RegisterWakerStats(metrics_, &w.waker->stats());
     metrics_.Counter("task.pushed", &w.inbox.stats().pushed);

@@ -1,7 +1,9 @@
 #include "src/scenario/scenario.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <ostream>
 #include <set>
@@ -445,6 +447,19 @@ void RunShardSkewComponent(const ScenarioConfig& cfg, uint64_t seed,
   // events; the post-run handoff quiesce adds ~200ms of timer traffic, so
   // size for the whole run — the span oracle needs a complete trace.
   rc.trace_capacity = 1u << 19;
+  // In-group oracle: each cast carries its sender's member index, and every
+  // delivery must come from the receiver's own pair (members m and m ^ 1).
+  std::atomic<uint64_t> foreign{0};
+  rc.on_deliver = [&foreign](int member, const Event& ev) {
+    Bytes flat = ev.payload.Flatten();
+    uint32_t sender = 0;
+    if (flat.size() == sizeof(sender)) {
+      std::memcpy(&sender, flat.data(), sizeof(sender));
+    }
+    if (flat.size() != sizeof(sender) || sender / 2 != static_cast<uint32_t>(member) / 2) {
+      foreign.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
 
   int n = std::max(cfg.shard_members, 4) & ~1;  // Even: pair groups.
   // Skewed start: every pair on one generator-chosen shard.
@@ -466,8 +481,9 @@ void RunShardSkewComponent(const ScenarioConfig& cfg, uint64_t seed,
   for (int round = 0; round < cfg.rounds; round++) {
     for (int c = 0; c < cfg.casts_per_round * 4; c++) {
       int m = static_cast<int>(rng.Below(static_cast<uint64_t>(n)));
-      rt.PostToMember(m, [](GroupEndpoint& ep) {
-        ep.Cast(Iovec(Bytes::CopyString("skew-cast")));
+      rt.PostToMember(m, [m](GroupEndpoint& ep) {
+        uint32_t sender = static_cast<uint32_t>(m);
+        ep.Cast(Iovec(Bytes::Copy(&sender, sizeof(sender))));
       });
       want[static_cast<size_t>(m ^ 1)]++;  // Pair peer delivers it.
       r.casts_sent++;
@@ -535,6 +551,13 @@ void RunShardSkewComponent(const ScenarioConfig& cfg, uint64_t seed,
         r.violations.push_back(os.str());
       }
     }
+  }
+  if (uint64_t crossed = foreign.load(); crossed > 0) {
+    r.ok = false;
+    std::ostringstream os;
+    os << "[" << gtag << " seed=0x" << std::hex << seed << std::dec << " in-group] " << crossed
+       << " deliveries came from outside the receiver's pair";
+    r.violations.push_back(os.str());
   }
   if (!rt.TraceComplete()) {
     r.ok = false;

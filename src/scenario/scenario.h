@@ -47,8 +47,9 @@ enum class ScenarioClass {
   kChurnStorm,
   // Sharded-runtime plane (channel backend): pair groups built with a skewed
   // placement, migrated between shards mid-traffic on generator impulses.
-  // Oracles: delivery completeness and migration/overload span shapes over
-  // the merged trace rings.
+  // Oracles: delivery completeness, in-group delivery (every delivered cast
+  // came from the receiver's own pair), and migration/overload span shapes
+  // over the merged trace rings.
   kShardSkew,
   // Everything at once: num_groups simulated groups with a generator-chosen
   // mix of the three simulated classes above, plus one sharded-runtime

@@ -63,11 +63,11 @@ void Transport::EnablePacking(EmitFn emit, size_t max_msgs, size_t max_bytes) {
 }
 
 void Transport::PackCast(const Iovec& wire) {
-  StageOn(&cast_q_, PackDest{/*broadcast=*/true, EndpointId{}}, wire);
+  StageOn(&cast_q_, PackDest{/*cast=*/true, EndpointId{}}, wire);
 }
 
 void Transport::PackSend(EndpointId dst, const Iovec& wire) {
-  StageOn(&send_q_[dst], PackDest{/*broadcast=*/false, dst}, wire);
+  StageOn(&send_q_[dst], PackDest{/*cast=*/false, dst}, wire);
 }
 
 void Transport::StageOn(Staging* q, const PackDest& dest, const Iovec& wire) {
@@ -120,9 +120,9 @@ void Transport::FlushQueue(Staging* q, const PackDest& dest) {
 }
 
 void Transport::FlushPacked() {
-  FlushQueue(&cast_q_, PackDest{/*broadcast=*/true, EndpointId{}});
+  FlushQueue(&cast_q_, PackDest{/*cast=*/true, EndpointId{}});
   for (auto& [dst, q] : send_q_) {
-    FlushQueue(&q, PackDest{/*broadcast=*/false, dst});
+    FlushQueue(&q, PackDest{/*cast=*/false, dst});
   }
 }
 

@@ -67,17 +67,19 @@ class Transport {
 
   // ---- message packing -----------------------------------------------------
 
-  // Destination of a staged wire datagram.
+  // Destination of a staged wire datagram: the cast queue (the endpoint
+  // addresses it to its view's members) or one peer.
   struct PackDest {
-    bool broadcast = false;
-    EndpointId dst;  // Meaningful when !broadcast.
+    bool cast = false;
+    EndpointId dst;  // Meaningful when !cast.
   };
   using EmitFn = std::function<void(const PackDest&, const Iovec& wire)>;
 
   // Turns packing on: PackCast/PackSend stage instead of emitting, and a
   // destination auto-flushes once it holds `max_msgs` sub-messages or
   // `max_bytes` payload bytes.  `emit` receives every outgoing datagram
-  // (packed or lone) — typically a closure over Network::Broadcast/Send.
+  // (packed or lone) — typically a closure that Sends a cast to each view
+  // member and a send to its one peer.
   void EnablePacking(EmitFn emit, size_t max_msgs = 16, size_t max_bytes = 60000);
   bool packing() const { return static_cast<bool>(emit_); }
 
@@ -86,7 +88,7 @@ class Transport {
   // only use them when packing() is true.
   void PackCast(const Iovec& wire);
   void PackSend(EndpointId dst, const Iovec& wire);
-  // Emits everything staged (broadcast queue first, then per-peer queues).
+  // Emits everything staged (cast queue first, then per-peer queues).
   void FlushPacked();
 
   // True iff `datagram` carries the packed tag.

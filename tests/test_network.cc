@@ -89,20 +89,6 @@ TEST(SimNetworkTest, UnicastDeliversAfterLatency) {
   EXPECT_EQ(f.queue.now(), NetworkConfig::Perfect().latency);
 }
 
-TEST(SimNetworkTest, BroadcastExcludesSender) {
-  NetFixture f(NetworkConfig::Perfect());
-  f.Attach(1);
-  f.Attach(2);
-  f.Attach(3);
-  f.net.Broadcast(EndpointId{1}, Iovec(Bytes::CopyString("all")));
-  f.queue.RunAll();
-  EXPECT_EQ(f.received.size(), 2u);
-  for (const auto& [id, data] : f.received) {
-    EXPECT_NE(id, 1u);
-    EXPECT_EQ(data, "all");
-  }
-}
-
 TEST(SimNetworkTest, UnknownDestinationDropsSilently) {
   NetFixture f(NetworkConfig::Perfect());
   f.Attach(1);
@@ -197,10 +183,11 @@ TEST(SimNetworkTest, NodeDownBlackholesAllTraffic) {
   f.Attach(2);
   f.Attach(3);
   f.net.SetNodeUp(EndpointId{3}, false);
-  f.net.Broadcast(EndpointId{1}, Iovec(Bytes::CopyString("x")));
+  f.Send(1, 2, "x");
+  f.Send(1, 3, "x");
   f.Send(3, 1, "from-dead");
   f.queue.RunAll();
-  ASSERT_EQ(f.received.size(), 1u);  // Only member 2 got the broadcast.
+  ASSERT_EQ(f.received.size(), 1u);  // Only member 2 got the cast.
   EXPECT_EQ(f.received[0].first, 2u);
 }
 

@@ -38,7 +38,7 @@ TEST(PackingTest, ManySmallSendsBecomeOneOrderPreservingDatagram) {
   EXPECT_TRUE(f.out.empty());  // Below the window: still staged.
   f.transport.FlushPacked();
   ASSERT_EQ(f.out.size(), 1u);
-  EXPECT_FALSE(f.out[0].dest.broadcast);
+  EXPECT_FALSE(f.out[0].dest.cast);
   EXPECT_EQ(f.out[0].dest.dst, EndpointId{7});
 
   ASSERT_TRUE(Transport::IsPacked(f.out[0].datagram));
@@ -57,7 +57,7 @@ TEST(PackingTest, LoneMessageGoesOutUnwrapped) {
   f.transport.PackCast(Iovec(Bytes::CopyString("solo")));
   f.transport.FlushPacked();
   ASSERT_EQ(f.out.size(), 1u);
-  EXPECT_TRUE(f.out[0].dest.broadcast);
+  EXPECT_TRUE(f.out[0].dest.cast);
   EXPECT_FALSE(Transport::IsPacked(f.out[0].datagram));
   EXPECT_EQ(f.out[0].datagram.ToString(), "solo");
   EXPECT_EQ(f.transport.pack_stats().single_flushes, 1u);

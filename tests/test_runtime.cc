@@ -212,8 +212,8 @@ TEST(ShardRuntimeTest, GroupsStayShardLocal) {
     EXPECT_EQ(rt.ShardOf(2 * g), rt.ShardOf(2 * g + 1)) << "group " << g;
   }
   rt.Start();
-  // Pt2pt send to the pair partner (Cast would fan out network-wide): rank 0
-  // sends to rank 1 and vice versa, so all payload traffic is shard-local.
+  // Pt2pt send to the pair partner: rank 0 sends to rank 1 and vice versa,
+  // so all payload traffic is shard-local.
   for (int i = 0; i < 8; i++) {
     Rank peer = (i % 2 == 0) ? 1 : 0;
     rt.PostToMember(i, [peer](GroupEndpoint& ep) {
@@ -500,32 +500,42 @@ struct Datapath {
 
 void PrintTo(const Datapath& path, std::ostream* os) { *os << path.name; }
 
+// Sets `config` up for `path` on FastEndpointConfig endpoints.  Returns why
+// the datapath cannot run in this environment, or "" when it can.
+std::string ConfigureDatapath(const Datapath& path, ShardRuntimeConfig* config) {
+  config->backend = path.backend;
+  config->ep = FastEndpointConfig();
+  if (path.timers_off) {
+    config->ep.timer_interval = 0;
+    config->poll_slice = Seconds(30);
+  }
+  if (path.backend != ShardBackend::kUdp) {
+    return "";
+  }
+  if (!UdpAvailable()) {
+    return "no UDP sockets in this environment";
+  }
+  if (path.net == NetBackend::kUring && !UringEngine::Available()) {
+    return "no io_uring in this environment";
+  }
+  switch (path.net) {
+    case NetBackend::kMmsg: config->net = NetBackendConfig::Batched(16); break;
+    case NetBackend::kUring: config->net = NetBackendConfig::Uring(16); break;
+    default: config->net = NetBackendConfig::Eager(); break;
+  }
+  return "";
+}
+
 class ShardRuntimeHandoffTest : public ::testing::TestWithParam<Datapath> {};
 
 TEST_P(ShardRuntimeHandoffTest, MigrateKeepsFifoWithTrafficInFlight) {
   const Datapath& path = GetParam();
   ShardRuntimeConfig config;
-  config.backend = path.backend;
-  if (path.backend == ShardBackend::kUdp) {
-    if (!UdpAvailable()) {
-      GTEST_SKIP() << "no UDP sockets in this environment";
-    }
-    if (path.net == NetBackend::kUring && !UringEngine::Available()) {
-      GTEST_SKIP() << "no io_uring in this environment";
-    }
-    switch (path.net) {
-      case NetBackend::kMmsg: config.net = NetBackendConfig::Batched(16); break;
-      case NetBackend::kUring: config.net = NetBackendConfig::Uring(16); break;
-      default: config.net = NetBackendConfig::Eager(); break;
-    }
+  if (std::string why = ConfigureDatapath(path, &config); !why.empty()) {
+    GTEST_SKIP() << why;
   }
   config.num_workers = 2;
-  config.ep = FastEndpointConfig();
   config.ep.params.pt2pt_window = 1u << 30;
-  if (path.timers_off) {
-    config.ep.timer_interval = 0;
-    config.poll_slice = Seconds(30);
-  }
   config.trace_enabled = true;        // Migration spans judged from the trace.
   config.trace_capacity = 1u << 18;  // Hot-path events share the rings.
   SeqTap tap;
@@ -569,18 +579,62 @@ TEST_P(ShardRuntimeHandoffTest, MigrateKeepsFifoWithTrafficInFlight) {
   EXPECT_EQ(tap.next_rx[1].load(), tap.next_tx[0].load());
   EXPECT_EQ(tap.next_rx[0].load(), tap.next_tx[1].load());
   EXPECT_EQ(rt.AggregateNetStats().dropped.value(), 0u);
-  // net.backend_active names the datapath that ran: what a UdpNetwork
-  // resolves this config to, and eager on the channel backend.
+  // Every shard's net.shard<N>.backend_active names the datapath that ran:
+  // what a UdpNetwork resolves this config to, and eager on the channel
+  // backend.
   obs::MetricsSnapshot snap = rt.SnapshotMetrics();
-  const obs::Sample* active = snap.Find("net.backend_active");
-  ASSERT_NE(active, nullptr);
   NetBackend expected = NetBackend::kEager;
   if (path.backend == ShardBackend::kUdp) {
     UdpNetwork probe;
     probe.set_backend_config(config.net);
     expected = probe.active_backend();
   }
-  EXPECT_EQ(active->value, static_cast<uint64_t>(expected));
+  for (int s = 0; s < rt.num_workers(); s++) {
+    std::string name = "net.shard" + std::to_string(s) + ".backend_active";
+    const obs::Sample* active = snap.Find(name);
+    ASSERT_NE(active, nullptr) << name;
+    EXPECT_EQ(active->value, static_cast<uint64_t>(expected)) << name;
+  }
+  // A gauge never merges across sources, so two shards registering one
+  // name would hide all but the last: every gauge has exactly one source.
+  for (const obs::Sample& sample : snap.samples) {
+    if (sample.kind == obs::MetricKind::kGauge) {
+      EXPECT_EQ(sample.sources, 1) << sample.name;
+    }
+  }
+}
+
+// A cast reaches the members of the sender's view and nothing else: two
+// pair groups share the runtime (one shard, then one shard each), member 0
+// casts, and only its partner delivers.  Every group starts in the same view
+// id, so a cast that reached the other pair would be delivered there.
+TEST_P(ShardRuntimeHandoffTest, CastReachesOnlyItsGroup) {
+  constexpr uint64_t kCasts = 10;
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE(std::to_string(workers) + " worker(s)");
+    ShardRuntimeConfig config;
+    if (std::string why = ConfigureDatapath(GetParam(), &config); !why.empty()) {
+      GTEST_SKIP() << why;
+    }
+    config.num_workers = workers;
+    ShardRuntime rt(config);
+    ASSERT_TRUE(rt.Build(4, /*group_size=*/2));  // Groups {0,1} and {2,3}.
+    rt.Start();
+    for (uint64_t i = 0; i < kCasts; i++) {
+      rt.PostToMember(0, [](GroupEndpoint& ep) {
+        ep.Cast(Iovec(Bytes::CopyString("in-group")));
+      });
+    }
+    bool done = WaitUntil([&] { return rt.delivered(1) >= kCasts; }, 5000);
+    // Give a misrouted cast the same time again to land before judging.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    rt.Stop();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(rt.delivered(1), kCasts);
+    EXPECT_EQ(rt.delivered(0), 0u);  // No local loopback.
+    EXPECT_EQ(rt.delivered(2), 0u);
+    EXPECT_EQ(rt.delivered(3), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -284,7 +284,11 @@ std::vector<std::string> LossyRunFingerprint(uint64_t seed) {
     uint64_t src = 1 + static_cast<uint64_t>(round % 3);
     std::string payload = "r" + std::to_string(round);
     if (round % 4 == 0) {
-      net.Broadcast(EndpointId{src}, Iovec(Bytes::CopyString(payload)));
+      for (uint64_t dst = 1; dst <= 3; dst++) {
+        if (dst != src) {
+          net.Send(EndpointId{src}, EndpointId{dst}, Iovec(Bytes::CopyString(payload)));
+        }
+      }
     } else {
       uint64_t dst = 1 + static_cast<uint64_t>((round + 1) % 3);
       net.Send(EndpointId{src}, EndpointId{dst}, Iovec(Bytes::CopyString(payload)));
