@@ -19,6 +19,7 @@
 #include <sys/utsname.h>
 
 #include "src/net/udp.h"
+#include "src/net/udp_uring.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/stats_adapters.h"
@@ -30,8 +31,9 @@ namespace ensemble {
 //
 // Every bench_* artifact opens with the same "header" block so results files
 // are comparable across machines and traceable to the tree that produced
-// them: git SHA (configure-time), host core count, kernel release, and the
-// backend a kAuto config would resolve to on this host.
+// them: git SHA (configure-time), host core count, kernel release, and
+// whether io_uring is available on this host (if not, uring configs run on
+// the mmsg fallback).
 
 #ifndef ENSEMBLE_GIT_SHA
 #define ENSEMBLE_GIT_SHA "unknown"
@@ -45,21 +47,9 @@ inline std::string KernelRelease() {
   return "unknown";
 }
 
-// What NetBackendConfig::Auto() resolves to here: attach a throwaway socket
-// and read back the active backend rather than re-deriving the probe logic.
-inline std::string ResolvedAutoBackendName() {
-  UdpNetwork probe;
-  probe.set_backend_config(NetBackendConfig::Auto());
-  probe.Attach(EndpointId{1}, [](const Packet&) {});
-  if (!probe.ok()) {
-    return "unavailable";
-  }
-  return NetBackendName(probe.active_backend());
-}
-
 // Writes the common header block under "header" into an already-open object:
 //   {"header": {"bench": ..., "git_sha": ..., "host_cores": ...,
-//               "kernel": ..., "auto_backend": ...}, ...}
+//               "kernel": ..., "uring_available": ...}, ...}
 inline void AppendBenchHeader(obs::JsonWriter& w, const std::string& bench_name) {
   w.Key("header");
   w.BeginObject();
@@ -67,7 +57,7 @@ inline void AppendBenchHeader(obs::JsonWriter& w, const std::string& bench_name)
   w.KV("git_sha", ENSEMBLE_GIT_SHA);
   w.KV("host_cores", static_cast<uint64_t>(std::thread::hardware_concurrency()));
   w.KV("kernel", KernelRelease());
-  w.KV("auto_backend", ResolvedAutoBackendName());
+  w.KV("uring_available", UringEngine::Available());
   w.EndObject();
 }
 

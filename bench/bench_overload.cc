@@ -75,6 +75,8 @@ struct Row {
   uint64_t tasks_posted = 0;     // Cast tasks the pacing loop posted.
   uint64_t tasks_run = 0;        // Of those, tasks that ran by Stop().
   uint64_t actions[overload::kActionCount] = {0};
+  // Rung engages by the signal that set the pressure (overload::Signal).
+  uint64_t engaged_by[overload::kSignalCount] = {0};
   uint64_t polls = 0;
 };
 
@@ -145,8 +147,7 @@ Row RunConfig(const std::string& name, bool manager_on, int load_x,
   config.overload.ladder[0] = {500, 450};  // tighten_flush
   config.overload.ladder[1] = {600, 520};  // shrink_window
   config.overload.ladder[2] = {750, 600};  // pause_group
-  config.overload.ladder[3] = {850, 700};  // shed_join
-  config.overload.ladder[4] = {950, 800};  // kill_shed
+  config.overload.ladder[3] = {950, 800};  // kill_shed
   config.on_deliver = [&](int member, const Event& ev) {
     if (ev.type != EventType::kDeliverCast) {
       return;
@@ -230,6 +231,11 @@ Row RunConfig(const std::string& name, bool manager_on, int load_x,
                       overload::ActionName(static_cast<overload::Action>(a));
     row.actions[a] = snap.Value(key);
   }
+  for (int s = 0; s < overload::kSignalCount; s++) {
+    std::string key = std::string("overload.engaged_by.") +
+                      overload::SignalName(static_cast<overload::Signal>(s));
+    row.engaged_by[s] = snap.Value(key);
+  }
 
   std::vector<uint64_t> merged;
   for (const auto& s : samples) {
@@ -278,6 +284,11 @@ void WriteJson(const std::vector<Row>& rows, const std::vector<std::string>& che
     w.Key("actions").BeginObject();
     for (int a = 0; a < overload::kActionCount; a++) {
       w.KV(overload::ActionName(static_cast<overload::Action>(a)), r.actions[a]);
+    }
+    w.EndObject();
+    w.Key("engaged_by").BeginObject();
+    for (int s = 0; s < overload::kSignalCount; s++) {
+      w.KV(overload::SignalName(static_cast<overload::Signal>(s)), r.engaged_by[s]);
     }
     w.EndObject();
     w.EndObject();

@@ -34,7 +34,7 @@ namespace {
 
 constexpr size_t kMsgSize = 64;       // 8-byte timestamp + padding.
 constexpr int kWindow = 64;           // In-flight messages per pair.
-constexpr double kMeasureSecs = 1.0;  // Measurement window per config.
+constexpr double kMeasureSecs = 3.0;  // Measurement window per config.
 constexpr size_t kMaxSamples = 100000;  // Latency samples kept per member.
 
 struct Row {

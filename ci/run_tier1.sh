@@ -48,7 +48,7 @@ case "$LEG" in
             BUILD_TARGET="--target ensemble_tests"
             # Any reported race fails the run even if the tests pass.
             export TSAN_OPTIONS="halt_on_error=0 exitcode=66"
-            CTEST_ARGS="-R TaskQueue|ChannelNetwork|ShardRuntime|GroupHarnessSharded|Obs|OverloadRuntime" ;;
+            CTEST_ARGS="-R TaskQueue|ChannelNetwork|ShardRuntime|Obs|OverloadRuntime" ;;
   notrace)  BUILD_DIR=build-notrace; CMAKE_FLAGS="-DENSEMBLE_TRACE=OFF" ;;
   nouring)  BUILD_DIR=build-nouring; CMAKE_FLAGS="-DENSEMBLE_URING=OFF" ;;
   overload) CTEST_ARGS="-R Overload|Watermark|SendWindow|LiveCounter|BufferPool"

@@ -40,7 +40,7 @@ GroupEndpoint::GroupEndpoint(EndpointId self, Network* net, EndpointConfig confi
             net_->Send(self_, dest.dst, wire);
           }
         },
-        config_.pack_window, config_.pack_budget);
+        config_.pack_window);
     // Packs staged by our deliver path (acks, NAK retransmissions, responses
     // cast from callbacks) flush when the network's receive drain ends — not
     // only on the next periodic timer, which may never come (timers off).

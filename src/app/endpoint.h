@@ -46,12 +46,11 @@ struct EndpointConfig {
   VTime timer_interval = Millis(1);
   // Transport-level message packing: outgoing wire datagrams for the same
   // destination coalesce into one packed datagram, flushed when pack_window
-  // messages or pack_budget bytes are staged, on every periodic timer tick,
-  // and on explicit Flush().  Both the normal marshal path and the compiled
-  // bypass send path emit into the pack.
+  // messages or Transport::EnablePacking's byte budget are staged, on every
+  // periodic timer tick, and on explicit Flush().  Both the normal marshal
+  // path and the compiled bypass send path emit into the pack.
   bool pack_messages = false;
   size_t pack_window = 16;
-  size_t pack_budget = 60000;
 };
 
 class GroupEndpoint {

@@ -1,9 +1,6 @@
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
 #include "src/app/harness.h"
-#include "src/runtime/runtime.h"
+
+#include <algorithm>
 
 namespace ensemble {
 
@@ -138,75 +135,6 @@ int GroupHarness::AddMember() {
   }
   members_.back()->Start(v);
   return index;
-}
-
-GroupHarness::ShardedRunResult GroupHarness::RunSharded(int num_workers,
-                                                        int casts_per_member,
-                                                        VTime max_wait) {
-  return RunSharded(num_workers, casts_per_member, max_wait, ShardedRunOptions{});
-}
-
-GroupHarness::ShardedRunResult GroupHarness::RunSharded(int num_workers,
-                                                        int casts_per_member,
-                                                        VTime max_wait,
-                                                        const ShardedRunOptions& options) {
-  ShardedRunResult result;
-  ShardRuntimeConfig rt_config;
-  rt_config.backend = ShardBackend::kUdp;
-  rt_config.num_workers = num_workers;
-  rt_config.ep = config_.ep;
-  rt_config.member_modes = config_.member_modes;
-  rt_config.net = options.net;
-  rt_config.steal = options.steal;
-  rt_config.pin_cores = options.pin_cores;
-  rt_config.initial_shard = options.initial_shard;
-  rt_config.stats_interval = options.stats_interval;
-  rt_config.stats_sink = options.stats_sink;
-  rt_config.trace_enabled = options.trace;
-
-  ShardRuntime rt(rt_config);
-  if (!rt.Build(config_.n)) {
-    return result;  // No sockets in this environment.
-  }
-  // Delta base: global metrics (dispatch, heap, bypass) outlive runtimes, so
-  // the result reports only what THIS run contributed.
-  obs::MetricsSnapshot before = rt.SnapshotMetrics();
-  rt.Start();
-  for (int i = 0; i < config_.n; i++) {
-    for (int c = 0; c < casts_per_member; c++) {
-      rt.PostToMember(i, [](GroupEndpoint& ep) {
-        ep.Cast(Iovec(Bytes::CopyString("sharded-round")));
-      });
-    }
-  }
-  const uint64_t want =
-      static_cast<uint64_t>(config_.n - 1) * static_cast<uint64_t>(casts_per_member);
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::nanoseconds(max_wait);
-  bool done = false;
-  while (!done && std::chrono::steady_clock::now() < deadline) {
-    done = true;
-    for (int i = 0; i < config_.n; i++) {
-      if (rt.delivered(i) < want) {
-        done = false;
-        break;
-      }
-    }
-    if (!done) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  rt.Stop();
-  result.ok = done;
-  result.total_delivered = rt.total_delivered();
-  result.net = rt.AggregateNetStats();
-  result.sched = rt.SchedStats();
-  obs::MetricsSnapshot delta = rt.SnapshotMetrics().DeltaSince(before);
-  result.metrics_text = delta.Text();
-  result.metrics_json = delta.Json();
-  if (options.trace && !options.trace_path.empty()) {
-    rt.WriteTrace(options.trace_path);
-  }
-  return result;
 }
 
 void GroupHarness::Crash(int member) {

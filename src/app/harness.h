@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/app/endpoint.h"
-#include "src/runtime/runtime.h"
+#include "src/net/network.h"
 
 namespace ensemble {
 
@@ -90,48 +90,6 @@ class GroupHarness {
   // simulator-side analog of an out-of-band join service).  Returns the new
   // member's index.
   int AddMember();
-
-  // Result of a RunSharded() round (see below).
-  struct ShardedRunResult {
-    bool ok = false;              // Every member delivered the full workload.
-    uint64_t total_delivered = 0; // Sum of per-member delivery counts.
-    NetworkStats net;             // Aggregated across all shards.
-    ShardSchedStats sched;        // Steals, wakeup coalescing.
-    // Full registry snapshot of the run (delta vs. before the workload),
-    // rendered once through the obs exporters: network, dispatch, scheduler,
-    // waker, pool, and bypass hit/punt metrics in one place.
-    std::string metrics_text;
-    std::string metrics_json;
-  };
-
-  // Runtime knobs RunSharded passes through to the ShardRuntime it builds.
-  struct ShardedRunOptions {
-    NetBackendConfig net;           // Datapath backend (default: eager).
-    bool steal = false;             // Work stealing (default: off).
-    bool pin_cores = false;         // Worker → core affinity.
-    std::vector<int> initial_shard; // Explicit member placement (skew setups).
-    // Periodic metrics-delta emission (0 = off) and its sink (default:
-    // stderr) — forwarded to ShardRuntimeConfig.
-    VTime stats_interval = 0;
-    std::function<void(const std::string&)> stats_sink;
-    // Turn the trace rings on for the run and (when non-empty) export
-    // Chrome trace-event JSON to this path after Stop().
-    bool trace = false;
-    std::string trace_path;
-  };
-
-  // Sharded-runtime mode: builds a *separate* ShardRuntime (UDP backend) with
-  // the harness's n/ep/member_modes config spread over `num_workers` worker
-  // threads, runs one all-to-all round (every member casts
-  // `casts_per_member` messages), and waits until every member has delivered
-  // (n-1)*casts_per_member casts or `max_wait` elapses.  The harness's own
-  // simulated members are untouched; this is the bridge from harness-style
-  // configs to the multi-core runtime.  ok=false when sockets are unavailable
-  // or the workload did not complete in time.
-  ShardedRunResult RunSharded(int num_workers, int casts_per_member = 1,
-                              VTime max_wait = Seconds(10));
-  ShardedRunResult RunSharded(int num_workers, int casts_per_member, VTime max_wait,
-                              const ShardedRunOptions& options);
 
  private:
   HarnessConfig config_;

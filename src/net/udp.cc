@@ -28,7 +28,6 @@ const char* NetBackendName(NetBackend b) {
     case NetBackend::kEager: return "eager";
     case NetBackend::kMmsg: return "mmsg";
     case NetBackend::kUring: return "uring";
-    case NetBackend::kAuto: return "auto";
   }
   return "?";
 }
@@ -81,11 +80,7 @@ void UdpNetwork::set_backend_config(NetBackendConfig config) {
 
 void UdpNetwork::ResolveBackend() {
   NetBackend want = cfg_.backend;
-  if (want == NetBackend::kAuto) {
-    want = UringEngine::Available() ? NetBackend::kUring : NetBackend::kMmsg;
-    LogOncePerProcess(LogLevel::kInfo, std::string("net: auto backend resolved to ") +
-                                           NetBackendName(want));
-  } else if (want == NetBackend::kUring && !UringEngine::Available()) {
+  if (want == NetBackend::kUring && !UringEngine::Available()) {
     LogUnsupportedOnce("io_uring backend (falling back to mmsg)");
     want = NetBackend::kMmsg;
   }
@@ -93,12 +88,7 @@ void UdpNetwork::ResolveBackend() {
     ShutdownUring(want);
   }
   if (want == NetBackend::kUring && !engine_) {
-    UringEngine::Options opts;
-    opts.sq_entries = cfg_.uring_sq_entries;
-    opts.recv_buffers = cfg_.uring_recv_buffers;
-    opts.gso = cfg_.uring_gso;
-    opts.gro = cfg_.uring_gro;
-    auto engine = std::make_unique<UringEngine>(&recv_pool_, &stats_, opts);
+    auto engine = std::make_unique<UringEngine>(&recv_pool_, &stats_);
     bool up = engine->Init(
         [this](uint64_t cookie, uint16_t src_port, Bytes payload) {
           auto it = endpoints_.find(EndpointId{cookie});
@@ -402,8 +392,6 @@ void UdpNetwork::Flush() {
   }
 }
 
-void UdpNetwork::PrewarmRecvBuffers(size_t chunks) { recv_pool_.Prewarm(chunks); }
-
 void UdpNetwork::ScheduleTimer(VTime delay, TimerFn fn) {
   timers_.Schedule(NowNanos() + delay, std::move(fn));
 }
@@ -440,7 +428,7 @@ size_t UdpNetwork::DrainOneBatched(Endpoint& state, EndpointId ep) {
   // chunk whose slice was handed out is replaced (the consumer's last ref
   // recycles it); untouched chunks are reused for the next syscall.
   size_t events = 0;
-  size_t vlen = std::max<size_t>(1, cfg_.recv_batch);
+  size_t vlen = std::max<size_t>(1, cfg_.batch);
   if (recv_bufs_.size() < vlen) {
     recv_bufs_.resize(vlen);
   }

@@ -21,7 +21,6 @@
 //     GSO coalescing, GRO splitting on receive.  Unavailable kernels (or
 //     seccomp, or the ENSEMBLE_URING=OFF build) fall back to kMmsg with one
 //     LogUnsupportedOnce line.
-//   kAuto — kUring when the probe succeeds, else kMmsg, silently.
 //
 // Endpoint identity ↔ address: every attached endpoint gets its own UDP
 // socket bound to 127.0.0.1 with an ephemeral port, so the receiving socket
@@ -62,7 +61,7 @@ namespace ensemble {
 class UringEngine;
 
 // Which kernel datapath carries the datagrams (see the file comment).
-enum class NetBackend { kEager, kMmsg, kUring, kAuto };
+enum class NetBackend { kEager, kMmsg, kUring };
 
 const char* NetBackendName(NetBackend b);
 
@@ -71,35 +70,27 @@ const char* NetBackendName(NetBackend b);
 // benchmark's workload setup still assigns NetBackendConfig::ingress.
 enum class IngressMode { kPerEndpoint };
 
-// The one knob bundle every backend consumer (GroupHarness, ShardRuntime,
-// benches) passes around — batching thresholds for eager/mmsg plus the uring
-// ring geometry.  Defaults reproduce the eager seed behaviour exactly (one
-// syscall per datagram, heap-copied receives).
+// The datapath choice every backend consumer (ShardRuntime, benches) passes
+// around.  The uring ring geometry is fixed in udp_uring.cc.  Defaults
+// reproduce the eager seed behaviour exactly (one syscall per datagram,
+// heap-copied receives).
 struct NetBackendConfig {
   NetBackend backend = NetBackend::kEager;
-  size_t send_batch = 16;        // Staging auto-flush threshold (mmsg/uring).
-  size_t recv_batch = 16;        // Messages per recvmmsg call (mmsg).
-  unsigned uring_sq_entries = 256;   // Submission ring depth (also send slots).
-  unsigned uring_recv_buffers = 32;  // Registered buffer-ring slots.
-  bool uring_gso = true;         // Coalesce same-size send runs (UDP_SEGMENT).
-  bool uring_gro = true;         // Kernel-coalesced receives (UDP_GRO).
+  // Datagrams per batch (mmsg/uring): the staging auto-flush threshold and
+  // the recvmmsg vector length.
+  size_t batch = 16;
   IngressMode ingress = IngressMode::kPerEndpoint;  // See IngressMode.
 
   static NetBackendConfig Eager() { return NetBackendConfig{}; }
   static NetBackendConfig Batched(size_t batch = 16) {
     NetBackendConfig c;
     c.backend = NetBackend::kMmsg;
-    c.send_batch = c.recv_batch = batch;
+    c.batch = batch;
     return c;
   }
   static NetBackendConfig Uring(size_t batch = 16) {
-    NetBackendConfig c = Batched(batch);  // Batch knobs double as fallback's.
+    NetBackendConfig c = Batched(batch);  // The batch doubles as the fallback's.
     c.backend = NetBackend::kUring;
-    return c;
-  }
-  static NetBackendConfig Auto(size_t batch = 16) {
-    NetBackendConfig c = Batched(batch);
-    c.backend = NetBackend::kAuto;
     return c;
   }
 };
@@ -195,12 +186,12 @@ class UdpNetwork : public Network {
 
   // Safe to change at any time; staged sends are flushed (and, when leaving
   // the uring backend, in-flight completions are drained) first.  Resolves
-  // kAuto / unavailable-kUring to the backend that will actually run — see
+  // an unavailable kUring to the backend that will actually run — see
   // active_backend().
   void set_backend_config(NetBackendConfig config);
   const NetBackendConfig& backend_config() const { return cfg_; }
-  // The backend datagrams actually flow through after auto-detection and
-  // fallback (never kAuto; kUring only when the engine came up).
+  // The backend datagrams actually flow through after fallback (kUring only
+  // when the engine came up).
   NetBackend active_backend() const { return active_; }
 
   bool ok() const { return ok_; }
@@ -208,11 +199,6 @@ class UdpNetwork : public Network {
   const NetworkStats& stats() const { return stats_; }
   const PoolStats& recv_pool_stats() const { return recv_pool_.stats(); }
   const BufferPool& recv_pool() const { return recv_pool_; }
-
-  // First-touches `chunks` receive-pool chunks on the calling thread.  The
-  // sharded runtime calls this from each pinned worker so receive slices are
-  // NUMA-local to the shard that fills them.
-  void PrewarmRecvBuffers(size_t chunks);
 
  private:
   // One staged outgoing datagram: destination port plus the scatter-gather
@@ -230,7 +216,7 @@ class UdpNetwork : public Network {
 
   // Staging auto-flush threshold after backpressure: 1 under pressure.
   size_t EffectiveSendBatch() const {
-    return pressure_.load(std::memory_order_relaxed) > 0 ? 1 : cfg_.send_batch;
+    return pressure_.load(std::memory_order_relaxed) > 0 ? 1 : cfg_.batch;
   }
 
   void Enqueue(Endpoint& from, uint16_t port, const Iovec& gather);
@@ -240,7 +226,7 @@ class UdpNetwork : public Network {
   size_t DrainSockets();
   size_t DrainOneEager(Endpoint& state, EndpointId ep);
   size_t DrainOneBatched(Endpoint& state, EndpointId ep);
-  // Resolves cfg_.backend (auto-detection, uring setup, fallback) into
+  // Resolves cfg_.backend (uring setup, fallback) into
   // active_, creating or tearing down the engine as needed.
   void ResolveBackend();
   // Quiesces `fd` on the engine and delivers anything it had already pulled

@@ -69,6 +69,11 @@ constexpr uint64_t UdPayload(uint64_t ud) {
   return ud & ((uint64_t{1} << kKindShift) - 1);
 }
 
+// Ring geometry: submission ring depth (also the number of send slots) and
+// provided receive-buffer slots, one pool chunk each.
+constexpr unsigned kSqEntries = 256;
+constexpr unsigned kRecvBuffers = 32;
+
 // GSO run limits: the coalesced payload must fit one super-datagram (the IP
 // length field bounds it) and the kernel caps segments at UDP_MAX_SEGMENTS
 // (64); stay comfortably inside both.
@@ -180,9 +185,6 @@ void UringEngine::ForceAvailabilityForTest(int forced) {
 
 // ---- Setup / teardown ------------------------------------------------------
 
-UringEngine::UringEngine(BufferPool* pool, NetworkStats* stats, Options opts)
-    : pool_(pool), stats_(stats), opts_(opts) {}
-
 UringEngine::~UringEngine() { TeardownRing(); }
 
 bool UringEngine::Init(RecvFn deliver) {
@@ -191,13 +193,13 @@ bool UringEngine::Init(RecvFn deliver) {
     TeardownRing();
     return false;
   }
-  slots_.resize(opts_.sq_entries);
-  free_slots_.reserve(opts_.sq_entries);
-  for (uint32_t i = 0; i < opts_.sq_entries; i++) {
-    free_slots_.push_back(opts_.sq_entries - 1 - i);  // Pop from the back → 0 first.
+  slots_.resize(kSqEntries);
+  free_slots_.reserve(kSqEntries);
+  for (uint32_t i = 0; i < kSqEntries; i++) {
+    free_slots_.push_back(kSqEntries - 1 - i);  // Pop from the back → 0 first.
   }
   // Seed provided-buffer group 0 with one pool chunk per slot.
-  ring_bufs_.resize(std::max(1u, opts_.recv_buffers));
+  ring_bufs_.resize(kRecvBuffers);
   need_provide_.reserve(ring_bufs_.size());
   for (uint16_t bid = 0; bid < ring_bufs_.size(); bid++) {
     QueueProvide(bid);
@@ -211,8 +213,8 @@ bool UringEngine::SetupRing() {
   io_uring_params p;
   std::memset(&p, 0, sizeof(p));
   p.flags = IORING_SETUP_CQSIZE;
-  p.cq_entries = std::max(opts_.sq_entries * 4, opts_.recv_buffers * 4);
-  ring_fd_ = SysUringSetup(opts_.sq_entries, &p);
+  p.cq_entries = std::max(kSqEntries, kRecvBuffers) * 4;
+  ring_fd_ = SysUringSetup(kSqEntries, &p);
   if (ring_fd_ < 0) {
     return false;
   }
@@ -368,10 +370,8 @@ bool UringEngine::AddSocket(int fd, uint64_t cookie) {
   if (!ok()) {
     return false;
   }
-  if (opts_.gro) {
-    int one = 1;
-    setsockopt(fd, SOL_UDP, UDP_GRO, &one, sizeof(one));  // Best-effort.
-  }
+  int one = 1;
+  setsockopt(fd, SOL_UDP, UDP_GRO, &one, sizeof(one));  // Best-effort.
   size_t index;
   auto it = sock_by_fd_.find(fd);
   if (it != sock_by_fd_.end()) {
@@ -413,7 +413,7 @@ void UringEngine::ArmRecv(size_t sock_index) {
   // payload inside it.  One SQE keeps producing CQEs until cancelled or the
   // buffer ring runs dry.
   rec.hdr_name_len = sizeof(sockaddr_in);
-  rec.hdr_ctrl_len = opts_.gro ? kCmsgSpace : 0;
+  rec.hdr_ctrl_len = kCmsgSpace;
   std::memset(&rec.hdr, 0, sizeof(rec.hdr));
   rec.hdr.msg_namelen = rec.hdr_name_len;
   rec.hdr.msg_controllen = rec.hdr_ctrl_len;
@@ -577,7 +577,7 @@ void UringEngine::SubmitSends() {
     // Find the longest GSO-able run: same fd + port, equal sizes (the run may
     // close with one smaller datagram — the kernel allows a short tail).
     size_t run = 1;
-    if (opts_.gso && staged_[i].bytes > 0) {
+    if (staged_[i].bytes > 0) {
       uint32_t seg = staged_[i].bytes;
       size_t total = seg;
       while (i + run < n && run < kMaxGsoSegs &&
@@ -898,8 +898,6 @@ struct UringEngine::SendSlot {};
 struct UringEngine::SocketRec {};
 struct UringEngine::PendingRecv {};
 
-UringEngine::UringEngine(BufferPool* pool, NetworkStats* stats, Options opts)
-    : pool_(pool), stats_(stats), opts_(opts) {}
 UringEngine::~UringEngine() = default;
 bool UringEngine::Available() { return false; }
 void UringEngine::ForceAvailabilityForTest(int) {}
@@ -918,3 +916,10 @@ void UringEngine::WaitCompletions(uint64_t) {}
 }  // namespace ensemble
 
 #endif
+
+namespace ensemble {
+
+// One constructor for both builds: the members it sets exist in each.
+UringEngine::UringEngine(BufferPool* pool, NetworkStats* stats) : pool_(pool), stats_(stats) {}
+
+}  // namespace ensemble

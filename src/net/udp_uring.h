@@ -60,13 +60,6 @@ namespace ensemble {
 
 class UringEngine {
  public:
-  struct Options {
-    unsigned sq_entries = 256;    // Submission ring depth (also send slots).
-    unsigned recv_buffers = 32;   // Registered buffer-ring slots (pool chunks).
-    bool gso = true;              // Coalesce same-size send runs via UDP_SEGMENT.
-    bool gro = true;              // Ask the kernel to coalesce receives (UDP_GRO).
-  };
-
   // One logical received datagram (post-GRO-split).  `payload` aliases a
   // registered pool chunk; holding it pins the chunk until released.
   using RecvFn =
@@ -75,7 +68,7 @@ class UringEngine {
   // `pool` provides the registered receive chunks (chunk_size must hold a max
   // datagram); `stats` receives the uring_* / gso_* / gro_* counters plus
   // sent/delivered/bytes accounting for traffic that flows through the rings.
-  UringEngine(BufferPool* pool, NetworkStats* stats, Options opts);
+  UringEngine(BufferPool* pool, NetworkStats* stats);
   ~UringEngine();
 
   UringEngine(const UringEngine&) = delete;
@@ -100,7 +93,7 @@ class UringEngine {
   bool recv_broken() const { return recv_broken_; }
 
   // Arms a multishot receive for `fd`; `cookie` tags its deliveries (the
-  // attach-time endpoint id).  Sets UDP_GRO on the socket when enabled.
+  // attach-time endpoint id).  Sets UDP_GRO on the socket.
   bool AddSocket(int fd, uint64_t cookie);
   // Quiesces `fd`: submits staged sends, waits for their completions, cancels
   // the multishot receive and waits for it to terminate.  Datagrams the ring
@@ -166,7 +159,6 @@ class UringEngine {
 
   BufferPool* pool_;
   NetworkStats* stats_;
-  Options opts_;
   RecvFn deliver_;
 
   int ring_fd_ = -1;

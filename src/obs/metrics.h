@@ -9,13 +9,13 @@
 // happens) and makes them *reportable*: each shard registers its instances
 // under stable names, Snapshot() merges per-shard sources (sum, or max for
 // high-water fields), and the text/JSON exporters are the single rendering
-// path for benches, the periodic snapshotter, and tests.
+// path for benches and tests.
 //
 // Three metric kinds:
 //   counter   — monotonic uint64, read from a RelaxedCounter* or a callback.
-//   gauge     — instantaneous int64 from a callback (resident counts, NUMA
-//               node, EWMA); never merged across sources — register gauges
-//               under per-shard names.
+//   gauge     — instantaneous int64 from a callback (resident counts, active
+//               backend, EWMA); never merged across sources — register
+//               gauges under per-shard names.
 //   histogram — log2-bucketed distribution (latencies, batch sizes) backed by
 //               RelaxedCounter buckets; merged bucket-wise across shards.
 //

@@ -44,23 +44,17 @@ void RegisterWakerStats(MetricsRegistry& reg, const WakerStats* s) {
   reg.Counter("waker.coalesced", &s->coalesced);
 }
 
-void RegisterPoolStats(MetricsRegistry& reg, const BufferPool* pool,
-                       const std::string& tag) {
+void RegisterPoolStats(MetricsRegistry& reg, const BufferPool* pool) {
   const PoolStats* s = &pool->stats();
   reg.Counter("pool.allocations", &s->allocations);
   reg.Counter("pool.fresh_chunks", &s->fresh_chunks);
   reg.Counter("pool.recycled", &s->recycled);
   reg.Counter("pool.returned", &s->returned);
-  reg.Counter("pool.prewarmed", &s->prewarmed);
   // Watermark visibility: live bytes sum across pools (DeltaSince clamps the
   // non-monotonic dips to 0); peak bytes are monotonic per pool, so kMax
   // merges to the process-wide high-water mark.
   reg.CounterFn("pool.live_bytes", [s]() { return s->bytes.live(); });
   reg.CounterFn("pool.peak_bytes", [s]() { return s->bytes.peak(); }, Agg::kMax);
-  if (!tag.empty()) {
-    reg.Gauge("pool." + tag + ".numa_node",
-              [pool]() { return static_cast<int64_t>(pool->numa_node()); });
-  }
 }
 
 void RegisterEndpointStats(MetricsRegistry& reg, const GroupEndpoint::Stats* s) {

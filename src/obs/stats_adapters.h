@@ -29,10 +29,8 @@ void RegisterNetworkStats(MetricsRegistry& reg, const NetworkStats* s,
                           const std::string& tag = "");
 // waker.* — one call per waker.
 void RegisterWakerStats(MetricsRegistry& reg, const WakerStats* s);
-// pool.* counters plus a `pool.<tag>.numa_node` gauge when `tag` is
-// non-empty (per-shard node placement is meaningless summed).
-void RegisterPoolStats(MetricsRegistry& reg, const BufferPool* pool,
-                       const std::string& tag = "");
+// pool.* — one call per pool.
+void RegisterPoolStats(MetricsRegistry& reg, const BufferPool* pool);
 // ep.* — one call per group member endpoint.
 void RegisterEndpointStats(MetricsRegistry& reg, const GroupEndpoint::Stats* s);
 // dispatch.* / heap.* / bypass.* read the process-global singletons, so one

@@ -62,8 +62,6 @@ const char* TraceKindName(TraceKind k) {
       return "timer_fire";
     case TraceKind::kWakeup:
       return "wakeup";
-    case TraceKind::kSnapshot:
-      return "snapshot";
     case TraceKind::kOverloadEngage:
       return "overload_engage";
     case TraceKind::kOverloadDisengage:

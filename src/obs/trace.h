@@ -43,7 +43,6 @@ enum class TraceKind : uint16_t {
   kAdopt,               // async end; a = source shard
   kTimerFire,           // a = number of timers fired
   kWakeup,              // a = 1 if coalesced
-  kSnapshot,            // periodic snapshotter tick; a = sequence number
   kOverloadEngage,      // async begin; a = overload::Action, b = pressure ‰
   kOverloadDisengage,   // async end; a = overload::Action, b = pressure ‰
   kOverloadShed,        // a = shed site (0 send window, 1 dispatch queue), b = bytes

@@ -17,11 +17,23 @@ const char* ActionName(Action a) {
       return "shrink_window";
     case Action::kPauseGroup:
       return "pause_group";
-    case Action::kShedJoin:
-      return "shed_join";
     case Action::kKillShed:
       return "kill_shed";
     case Action::kCount:
+      break;
+  }
+  return "unknown";
+}
+
+const char* SignalName(Signal s) {
+  switch (s) {
+    case Signal::kLiveBytes:
+      return "live_bytes";
+    case Signal::kDispatch:
+      return "dispatch";
+    case Signal::kTimer:
+      return "timer";
+    case Signal::kCount:
       break;
   }
   return "unknown";
@@ -66,15 +78,6 @@ void OverloadManager::ForcePoll(uint64_t now_ns) {
   busy_.store(false, std::memory_order_release);
 }
 
-bool OverloadManager::AcceptingJoins() {
-  if (engaged_[static_cast<int>(Action::kShedJoin)].load(
-          std::memory_order_relaxed)) {
-    stats_.joins_shed++;
-    return false;
-  }
-  return true;
-}
-
 uint64_t OverloadManager::TotalWindowSheds() const {
   uint64_t n = 0;
   for (const auto& w : windows_) {
@@ -107,11 +110,12 @@ void OverloadManager::PushPressureLevel() {
 }
 
 void OverloadManager::ApplyTransition(Action a, bool now_engaged,
-                                      uint32_t pressure) {
+                                      uint32_t pressure, Signal source) {
   int i = static_cast<int>(a);
   engaged_[i].store(now_engaged, std::memory_order_relaxed);
   if (now_engaged) {
     stats_.actions[i]++;
+    stats_.engaged_by[static_cast<int>(source)]++;
     ENS_TRACE(kOverloadEngage, -1, static_cast<uint64_t>(i), pressure);
   } else {
     ENS_TRACE(kOverloadDisengage, -1, static_cast<uint64_t>(i), pressure);
@@ -137,8 +141,6 @@ void OverloadManager::ApplyTransition(Action a, bool now_engaged,
         }
       }
       break;
-    case Action::kShedJoin:
-      break;  // AcceptingJoins() reads the mirror flag.
     case Action::kKillShed:
       PushPressureLevel();
       if (now_engaged) {
@@ -156,22 +158,30 @@ void OverloadManager::Evaluate(uint64_t now_ns) {
   (void)now_ns;
   stats_.polls++;
 
-  uint64_t p = 0;
+  // Per-signal per-mille, in Signal order; the largest sets the pressure.
+  uint64_t pm[kSignalCount] = {0, 0, 0};
   if (cfg_.bytes_high > 0 && signals_.live_bytes) {
-    p = std::max(p, signals_.live_bytes() * 1000 / cfg_.bytes_high);
+    pm[0] = signals_.live_bytes() * 1000 / cfg_.bytes_high;
   }
   if (cfg_.dispatch_high > 0 && signals_.dispatch_backlog) {
-    p = std::max(p, signals_.dispatch_backlog() * 1000 / cfg_.dispatch_high);
+    pm[1] = signals_.dispatch_backlog() * 1000 / cfg_.dispatch_high;
   }
   if (cfg_.timer_high > 0 && signals_.timer_backlog) {
-    p = std::max(p, signals_.timer_backlog() * 1000 / cfg_.timer_high);
+    pm[2] = signals_.timer_backlog() * 1000 / cfg_.timer_high;
   }
-  uint32_t pressure = static_cast<uint32_t>(std::min<uint64_t>(p, 10000));
+  int source = 0;
+  for (int s = 1; s < kSignalCount; s++) {
+    if (pm[s] > pm[source]) {
+      source = s;
+    }
+  }
+  uint32_t pressure = static_cast<uint32_t>(std::min<uint64_t>(pm[source], 10000));
   pressure_pm_.store(pressure, std::memory_order_relaxed);
 
   for (int i = 0; i < kActionCount; i++) {
     if (marks_[i].Update(pressure)) {
-      ApplyTransition(static_cast<Action>(i), marks_[i].engaged(), pressure);
+      ApplyTransition(static_cast<Action>(i), marks_[i].engaged(), pressure,
+                      static_cast<Signal>(source));
     }
   }
 
@@ -216,8 +226,12 @@ void OverloadManager::RegisterMetrics(obs::MetricsRegistry& reg) {
                     ActionName(static_cast<Action>(i)),
                 &stats_.actions[i]);
   }
+  for (int s = 0; s < kSignalCount; s++) {
+    reg.Counter(std::string("overload.engaged_by.") +
+                    SignalName(static_cast<Signal>(s)),
+                &stats_.engaged_by[s]);
+  }
   reg.Counter("overload.polls", &stats_.polls);
-  reg.Counter("overload.joins_shed", &stats_.joins_shed);
   reg.Counter("overload.window_decays", &stats_.window_decays);
   reg.CounterFn("overload.window_shed", [this]() { return TotalWindowSheds(); });
   reg.CounterFn("overload.window_shed_bytes",

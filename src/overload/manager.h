@@ -8,12 +8,12 @@
 //     ~500       tighten_flush     backends flush per message (level 1)
 //     ~600       shrink_window     halve per-group send windows each poll
 //     ~750       pause_group       pause low-priority groups' windows
-//     ~850       shed_join         stop admitting new group joins
 //     ~950       kill_shed         drop-oldest on non-reliable dispatch
 //                                  queues (level 2) + decay stuck windows
 //
-// Every engage/disengage transition is counted (`overload.action.<name>`)
-// and trace-ringed as an async span (kOverloadEngage/kOverloadDisengage), so
+// Every engage/disengage transition is counted (`overload.action.<name>`),
+// each engage also under the signal whose per-mille set the pressure
+// (`overload.engaged_by.<signal>`), and trace-ringed as an async span (kOverloadEngage/kOverloadDisengage), so
 // a TRACE_*.json shows exactly when each rung was active.  The manager never
 // owns a thread: every shard loop calls MaybePoll(), an atomic next-deadline
 // CAS elects one caller per interval, and a busy flag keeps evaluations from
@@ -44,13 +44,18 @@ enum class Action : uint8_t {
   kTightenFlush = 0,
   kShrinkWindow,
   kPauseGroup,
-  kShedJoin,
   kKillShed,
   kCount
 };
 inline constexpr int kActionCount = static_cast<int>(Action::kCount);
 
 const char* ActionName(Action a);
+
+// The occupancy signals folded into pressure, in OverloadSignals order.
+enum class Signal : uint8_t { kLiveBytes = 0, kDispatch, kTimer, kCount };
+inline constexpr int kSignalCount = static_cast<int>(Signal::kCount);
+
+const char* SignalName(Signal s);
 
 // Signal providers, installed by the runtime.  All must be callable from any
 // worker thread; missing ones read as zero pressure.
@@ -102,7 +107,6 @@ struct OverloadConfig {
       {500, 350},  // tighten_flush
       {600, 400},  // shrink_window
       {750, 500},  // pause_group
-      {850, 600},  // shed_join
       {950, 700},  // kill_shed
   };
 };
@@ -128,9 +132,6 @@ class OverloadManager {
   // Unconditional evaluation (tests drive the ladder deterministically).
   void ForcePoll(uint64_t now_ns);
 
-  // Join admission: false (and counted) while shed_join is engaged.
-  bool AcceptingJoins();
-
   uint32_t pressure_pm() const {
     return pressure_pm_.load(std::memory_order_relaxed);
   }
@@ -140,8 +141,9 @@ class OverloadManager {
 
   struct Stats {
     RelaxedCounter actions[kActionCount];  // engage transitions per rung
+    // Engage transitions by the signal whose per-mille was the maximum.
+    RelaxedCounter engaged_by[kSignalCount];
     RelaxedCounter polls;
-    RelaxedCounter joins_shed;
     RelaxedCounter window_decays;
   };
   const Stats& stats() const { return stats_; }
@@ -155,7 +157,7 @@ class OverloadManager {
 
  private:
   void Evaluate(uint64_t now_ns);
-  void ApplyTransition(Action a, bool now_engaged, uint32_t pressure);
+  void ApplyTransition(Action a, bool now_engaged, uint32_t pressure, Signal source);
   void PushPressureLevel();
 
   OverloadConfig cfg_;

@@ -6,9 +6,6 @@
 #include "src/obs/stats_adapters.h"
 #include "src/util/logging.h"
 
-#include <pthread.h>
-#include <sched.h>
-
 namespace ensemble {
 
 namespace {
@@ -82,13 +79,9 @@ bool ShardRuntime::Build(int n, int group_size) {
     if (static_cast<size_t>(i) < config_.initial_shard.size()) {
       shard = std::clamp(config_.initial_shard[static_cast<size_t>(i)], 0, w - 1);
     }
-    EndpointConfig ep_config = config_.ep;
-    if (static_cast<size_t>(i) < config_.member_modes.size()) {
-      ep_config.mode = config_.member_modes[static_cast<size_t>(i)];
-    }
     EndpointId id{static_cast<uint64_t>(i + 1)};
     auto ep = std::make_unique<GroupEndpoint>(id, workers_[static_cast<size_t>(shard)]->net,
-                                              ep_config);
+                                              config_.ep);
     delivered_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
     std::atomic<uint64_t>* counter = delivered_.back().get();
     int member = i;
@@ -224,7 +217,7 @@ void ShardRuntime::RegisterMetrics() {
     std::string shard_tag = "shard" + std::to_string(s);
     if (w.udp != nullptr) {
       RegisterNetworkStats(metrics_, &w.udp->stats(), shard_tag);
-      RegisterPoolStats(metrics_, &w.udp->recv_pool(), shard_tag);
+      RegisterPoolStats(metrics_, &w.udp->recv_pool());
     } else {
       RegisterNetworkStats(metrics_, &w.chan->stats(), shard_tag);
     }
@@ -289,42 +282,11 @@ void ShardRuntime::Start() {
   for (int s = 0; s < num_workers(); s++) {
     workers_[static_cast<size_t>(s)]->thread = std::thread([this, s] { WorkerLoop(s); });
   }
-  if (config_.stats_interval > 0) {
-    snap_thread_ = std::thread([this] { SnapshotterLoop(); });
-  }
-}
-
-void ShardRuntime::SnapshotterLoop() {
-  obs::MetricsSnapshot prev = metrics_.Snapshot();
-  uint64_t seq = 0;
-  std::unique_lock<std::mutex> lock(snap_mu_);
-  while (!snap_cv_.wait_for(lock, std::chrono::nanoseconds(config_.stats_interval),
-                            [this] { return snap_stop_; })) {
-    lock.unlock();
-    obs::MetricsSnapshot cur = metrics_.Snapshot();
-    std::string text = "== metrics delta #" + std::to_string(seq++) + " ==\n" +
-                       cur.DeltaSince(prev).Text();
-    prev = std::move(cur);
-    if (config_.stats_sink) {
-      config_.stats_sink(text);
-    } else {
-      std::fwrite(text.data(), 1, text.size(), stderr);
-    }
-    lock.lock();
-  }
 }
 
 void ShardRuntime::Stop() {
   if (!started_ || joined_) {
     return;
-  }
-  if (snap_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(snap_mu_);
-      snap_stop_ = true;
-    }
-    snap_cv_.notify_all();
-    snap_thread_.join();
   }
   stop_.store(true, std::memory_order_release);
   for (int s = 0; s < num_workers(); s++) {
@@ -491,31 +453,10 @@ void ShardRuntime::IdleBlock(int shard) {
   }
 }
 
-void ShardRuntime::PinToCore(int shard) {
-  unsigned cores = std::thread::hardware_concurrency();
-  if (cores == 0) {
-    return;
-  }
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(shard) % cores, &set);
-  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
-    ENS_LOG(kWarn) << "pin_cores: setaffinity failed for shard " << shard;
-  }
-}
-
 void ShardRuntime::WorkerLoop(int shard) {
   tls_rt = this;
   Worker& w = *workers_[static_cast<size_t>(shard)];
   obs::InstallThreadTraceRing(w.trace.get());
-  if (config_.pin_cores) {
-    PinToCore(shard);
-    if (w.udp != nullptr) {
-      // First-touch the receive pool from the pinned thread so its chunks are
-      // NUMA-local to this shard (ROADMAP: NUMA-local buffer pools).
-      w.udp->PrewarmRecvBuffers(kRecvPrewarmChunks);
-    }
-  }
   int idle_streak = 0;
   uint64_t last_steal_ns = 0;
   while (!stop_.load(std::memory_order_acquire)) {

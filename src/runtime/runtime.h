@@ -53,7 +53,6 @@
 #define ENSEMBLE_SRC_RUNTIME_RUNTIME_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -83,9 +82,7 @@ struct ShardRuntimeConfig {
   ShardBackend backend = ShardBackend::kUdp;
   int num_workers = 1;
   EndpointConfig ep;
-  // Optional per-member mode override (same convention as HarnessConfig).
-  std::vector<StackMode> member_modes;
-  NetBackendConfig net;          // UDP datapath backend + batching knobs.
+  NetBackendConfig net;          // UDP datapath backend + batch size.
   VTime poll_slice = Millis(5);  // Max idle block per worker loop iteration.
   // Work stealing: an idle or underloaded worker pulls whole groups off the
   // hottest shard (thresholds are fixed in runtime.cc).  Default off so
@@ -95,10 +92,6 @@ struct ShardRuntimeConfig {
   // every member, a manager polled from the shard loops, and graduated
   // backpressure into the backends.  Default off: no gate, no polling.
   overload::OverloadConfig overload;
-  // Pin worker i to core i % hardware_concurrency (pthread_setaffinity_np).
-  // When the kernel refuses the mask, the worker logs a warning and runs
-  // unpinned.
-  bool pin_cores = false;
   // Optional explicit member → shard assignment (overrides the round-robin
   // group placement; entries clamped to [0, num_workers)).  The skew bench
   // uses it to build deliberately imbalanced placements.
@@ -108,11 +101,6 @@ struct ShardRuntimeConfig {
   // shards' state; payload slices must not outlive the callback unless
   // copied (receive buffers are pool-backed and shard-local).
   std::function<void(int member, const Event&)> on_deliver;
-  // Periodic observability: every `stats_interval` ns a snapshotter thread
-  // renders the metrics delta since the previous tick and hands the text to
-  // `stats_sink` (default: stderr).  0 disables the thread entirely.
-  VTime stats_interval = 0;
-  std::function<void(const std::string&)> stats_sink;
   // Per-shard trace ring size in events (rounded up to a power of two).
   size_t trace_capacity = 8192;
   // Flip the global trace switch on at Start().  Off keeps the hot-path cost
@@ -261,11 +249,6 @@ class ShardRuntime {
   // pressure, per-group send windows, and action counters; tests/benches may
   // also ForcePoll through it.
   overload::OverloadManager* overload_manager() { return overload_mgr_.get(); }
-  // Join admission under overload: the harness consults this before adding a
-  // member to a group.  Always true when the manager is off or idle.
-  bool AcceptingJoins() {
-    return overload_mgr_ == nullptr || overload_mgr_->AcceptingJoins();
-  }
 
   // The unified metrics registry: every backend, task queue, waker, pool, endpoint
   // and scheduler counter is registered here during Build().  Callers may add
@@ -291,9 +274,6 @@ class ShardRuntime {
 
  private:
   static constexpr uint64_t kEwmaScale = 256;  // Fixed-point EWMA unit.
-  // Receive-pool chunks first-touched per pinned worker (chunks are 64 KiB,
-  // so this faults in ~1 MiB of node-local receive buffers per shard).
-  static constexpr size_t kRecvPrewarmChunks = 16;
 
   struct ShardLoadStats {
     RelaxedCounter events;
@@ -324,9 +304,7 @@ class ShardRuntime {
   };
 
   void WorkerLoop(int shard);
-  void PinToCore(int shard);
   void RegisterMetrics();
-  void SnapshotterLoop();
   // Build() helper: constructs the overload manager, gates every member on
   // its group's send window, and wires signals/actions into the shards.
   void SetupOverload();
@@ -378,10 +356,6 @@ class ShardRuntime {
   // registry itself never dereferences outside Snapshot(), which callers may
   // not invoke during destruction.
   obs::MetricsRegistry metrics_;
-  std::thread snap_thread_;
-  std::mutex snap_mu_;
-  std::condition_variable snap_cv_;
-  bool snap_stop_ = false;
 };
 
 }  // namespace ensemble

@@ -133,7 +133,6 @@ SpanCheckResult CheckSpanShapes(const std::vector<TraceEvent>& events,
   constexpr int kRungs = overload::kActionCount;
   std::array<bool, kRungs> engaged{};
   auto check_prefix = [&](uint64_t ts) {
-    if (!options.check_ladder_prefix) return;
     bool seen_gap = false;
     for (int i = 0; i < kRungs; i++) {
       if (engaged[i] && seen_gap) {
@@ -187,12 +186,9 @@ SpanCheckResult CheckSpanShapes(const std::vector<TraceEvent>& events,
   for (int i = 0; i < kRungs; i++) {
     if (engaged[i]) {
       r.overload_open++;
-      if (options.require_overload_closed) {
-        fail("overload rung " +
-             std::string(
-                 overload::ActionName(static_cast<overload::Action>(i))) +
-             " still engaged at end of trace");
-      }
+      fail("overload rung " +
+           std::string(overload::ActionName(static_cast<overload::Action>(i))) +
+           " still engaged at end of trace");
     }
   }
 

@@ -26,17 +26,13 @@
 
 namespace ensemble {
 
+// Overload rungs are always checked: the engaged set must be a prefix of the
+// ladder at every evaluation boundary (rungs disengage in reverse order), and
+// no rung may still be engaged at the end of the stream.
 struct SpanCheckOptions {
   // Flag migrations still open at the end of the stream.  Turn off for
   // best-effort live snapshots taken while handoffs are in flight.
   bool require_migrations_closed = true;
-  // Flag overload rungs still engaged at the end of the stream.
-  bool require_overload_closed = true;
-  // Overload rung IDs form the ladder in escalation order; with monotone
-  // thresholds the engaged set must always be a prefix of the ladder at
-  // every evaluation boundary (rungs disengage in reverse order).  Turn off
-  // when checking traces from a manager with non-monotone custom thresholds.
-  bool check_ladder_prefix = true;
 };
 
 struct SpanCheckResult {
@@ -48,7 +44,8 @@ struct SpanCheckResult {
   size_t migrations_open = 0;        // Starts never adopted (violation when
                                      // require_migrations_closed).
   size_t overload_engages = 0;       // Balanced engage→disengage pairs count
-  size_t overload_open = 0;          // toward engages; open ones here.
+  size_t overload_open = 0;          // toward engages; open ones (always a
+                                     // violation) here.
   size_t events_seen = 0;
 
   std::string ToString() const;

@@ -39,21 +39,17 @@ void LogMessage(LogLevel level, const char* file, int line, const std::string& m
                msg.c_str());
 }
 
-void LogOncePerProcess(LogLevel level, const std::string& msg) {
+void LogUnsupportedOnce(const char* what) {
   static std::mutex mu;
   static std::set<std::string> seen;
   {
     std::lock_guard<std::mutex> lock(mu);
-    if (!seen.insert(msg).second) {
+    if (!seen.insert(what).second) {
       return;
     }
   }
-  LogMessage(level, "once", 0, msg);
-}
-
-void LogUnsupportedOnce(const char* what) {
-  LogOncePerProcess(LogLevel::kError,
-                    std::string(what) + " unavailable on this platform");
+  LogMessage(LogLevel::kError, "once", 0,
+             std::string(what) + " unavailable on this platform");
 }
 
 void FatalCheckFailure(const char* file, int line, const char* expr, const std::string& msg) {

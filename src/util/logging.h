@@ -41,14 +41,8 @@ class LogLine {
 [[noreturn]] void FatalCheckFailure(const char* file, int line, const char* expr,
                                     const std::string& msg);
 
-// One log line per distinct `msg` for the process lifetime, at `level`.
-// For decisions made once but queried often — resolved kAuto backends,
-// platform fallbacks — where per-call logging would spam and silent
-// resolution hides what actually ran.
-void LogOncePerProcess(LogLevel level, const std::string& msg);
-
-// One kError line per distinct `what` for the process lifetime.  Every
-// stubbed platform path (non-POSIX UDP, waker, core pinning) reports through
+// One kError line per distinct `what` for the process lifetime.  A platform
+// fallback (io_uring refused, so mmsg carries the traffic) reports through
 // this so "feature unavailable on this platform" surfaces exactly once
 // instead of silently or per-call.
 void LogUnsupportedOnce(const char* what);

@@ -25,7 +25,6 @@ struct PoolStats {
   RelaxedCounter fresh_chunks = 0;  // Chunks that had to come from the heap.
   RelaxedCounter recycled = 0;      // Chunks served from the freelist.
   RelaxedCounter returned = 0;      // Chunks released back to the pool.
-  RelaxedCounter prewarmed = 0;     // Chunks pre-faulted by Prewarm().
   // Bytes currently held by live (handed-out, not yet recycled) chunks, at
   // chunk granularity, and the high-water mark.  Freelist chunks are not
   // live; oversized requests fall to the heap and show up in HeapBufferStats
@@ -58,16 +57,6 @@ class BufferPool {
   // Internal: called by Bytes release when the last ref drops.
   void Recycle(BufferChunk* chunk);
 
-  // Allocates and first-touches `chunks` freelist entries on the calling
-  // thread.  Under first-touch NUMA policy (Linux default), calling this from
-  // a core-pinned shard worker places the pool's memory on that worker's
-  // node.  Also records the caller's NUMA node for numa_node().
-  void Prewarm(size_t chunks);
-
-  // NUMA node the pool was prewarmed on; -1 when never prewarmed or the
-  // platform can't report it.
-  int numa_node() const { return numa_node_; }
-
   static constexpr size_t kDefaultChunkSize = 4096;
 
  private:
@@ -76,7 +65,6 @@ class BufferPool {
   size_t chunk_size_;
   std::vector<BufferChunk*> free_;
   PoolStats stats_;
-  int numa_node_ = -1;
 };
 
 // Process-wide counters for plain heap chunk traffic, so benches can report

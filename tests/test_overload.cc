@@ -149,24 +149,19 @@ TEST(OverloadManagerTest, LadderEngagesInOrderAndDisengagesWithHysteresis) {
   bytes = 960;  // Every rung including kill (950).
   mgr.ForcePoll(3);
   EXPECT_TRUE(mgr.engaged(Action::kPauseGroup));
-  EXPECT_TRUE(mgr.engaged(Action::kShedJoin));
   EXPECT_TRUE(mgr.engaged(Action::kKillShed));
   EXPECT_TRUE(mgr.window(1)->paused());   // Low-priority group paused.
   EXPECT_FALSE(mgr.window(0)->paused());
   ASSERT_EQ(levels.size(), 2u);
   EXPECT_EQ(levels[1], 2);
-  EXPECT_FALSE(mgr.AcceptingJoins());
-  EXPECT_EQ(mgr.stats().joins_shed.value(), 1u);
 
   bytes = 800;  // Inside every band: hysteresis holds all rungs engaged.
   mgr.ForcePoll(4);
   EXPECT_TRUE(mgr.engaged(Action::kKillShed));
-  EXPECT_TRUE(mgr.engaged(Action::kShedJoin));
 
-  bytes = 550;  // Below kill/join disengage (700/600), above tighten's (350).
+  bytes = 550;  // Below kill's disengage (700), above tighten's (350).
   mgr.ForcePoll(5);
   EXPECT_FALSE(mgr.engaged(Action::kKillShed));
-  EXPECT_FALSE(mgr.engaged(Action::kShedJoin));
   EXPECT_TRUE(mgr.engaged(Action::kTightenFlush));
   ASSERT_EQ(levels.size(), 3u);
   EXPECT_EQ(levels[2], 1);  // Kill off, tighten still on.
@@ -177,7 +172,6 @@ TEST(OverloadManagerTest, LadderEngagesInOrderAndDisengagesWithHysteresis) {
   EXPECT_FALSE(mgr.window(1)->paused());  // Resumed on disengage.
   ASSERT_EQ(levels.size(), 4u);
   EXPECT_EQ(levels[3], 0);
-  EXPECT_TRUE(mgr.AcceptingJoins());
 
   // Each rung engaged exactly once end to end.
   for (int i = 0; i < overload::kActionCount; i++) {
@@ -246,8 +240,10 @@ TEST(OverloadManagerTest, RegistersActionCountersAndPressureGauge) {
   cfg.bytes_high = 1000;
   OverloadManager mgr(cfg, 2);
   std::atomic<uint64_t> bytes{990};
+  std::atomic<uint64_t> dispatch{0};
   OverloadSignals sig;
   sig.live_bytes = [&]() { return bytes.load(); };
+  sig.dispatch_backlog = [&]() { return dispatch.load(); };
   mgr.InstallSignals(std::move(sig));
   obs::MetricsRegistry reg;
   mgr.RegisterMetrics(reg);
@@ -259,6 +255,24 @@ TEST(OverloadManagerTest, RegistersActionCountersAndPressureGauge) {
   EXPECT_EQ(snap.Value("overload.polls"), 1u);
   EXPECT_EQ(snap.Value("overload.pressure_x1000"), 990u);
   ASSERT_NE(snap.Find("overload.window_shed"), nullptr);
+  // Every rung engaged on live bytes, the only nonzero signal.
+  const uint64_t rungs = static_cast<uint64_t>(overload::kActionCount);
+  EXPECT_EQ(snap.Value("overload.engaged_by.live_bytes"), rungs);
+  EXPECT_EQ(snap.Value("overload.engaged_by.dispatch"), 0u);
+  EXPECT_EQ(snap.Value("overload.engaged_by.timer"), 0u);
+
+  // Release, then re-engage with dispatch backlog above the bytes signal:
+  // the larger per-mille is the one that set the pressure.
+  bytes = 0;
+  mgr.ForcePoll(2);
+  bytes = 600;
+  dispatch = cfg.dispatch_high;
+  mgr.ForcePoll(3);
+  snap = reg.Snapshot();
+  EXPECT_EQ(snap.Value("overload.pressure_x1000"), 1000u);
+  EXPECT_EQ(snap.Value("overload.engaged_by.live_bytes"), rungs);
+  EXPECT_EQ(snap.Value("overload.engaged_by.dispatch"), rungs);
+  EXPECT_EQ(snap.Value("overload.engaged_by.timer"), 0u);
 }
 
 // Integration: a 2-shard channel runtime with thresholds small enough that a
@@ -284,7 +298,6 @@ TEST(OverloadRuntimeTest, FloodTripsLadderAndShedsAtSource) {
   ASSERT_TRUE(rt.Build(4));  // One 4-member group over 2 shards.
   ASSERT_NE(rt.overload_manager(), nullptr);
   EXPECT_EQ(rt.overload_manager()->num_windows(), 1);
-  EXPECT_TRUE(rt.AcceptingJoins());
   rt.Start();
 
   // Flood: each member casts 1 KiB payloads far faster than the group can

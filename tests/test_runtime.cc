@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/app/harness.h"
 #include "src/net/udp.h"
 #include "src/net/udp_uring.h"
 #include "src/runtime/runtime.h"
@@ -490,12 +489,16 @@ void PrimePair(ShardRuntime* rt, SeqTap* tap, int even_member, int window) {
 // straddles shards in between) and back, and the stream must stay gapless
 // and lossless.  The `channel_timers_off` instance runs with no endpoint
 // timers and a 30 s idle block: a push that woke a stale owner would stall
-// it, with no timer tick to rescue the packet.
+// it, with no timer tick to rescue the packet.  The `uring_unavailable`
+// instance requests uring with io_uring forced unavailable, so the mmsg
+// fallback runs on every host and must keep the same guarantees.
 struct Datapath {
   const char* name;
   ShardBackend backend;
-  NetBackend net;
+  NetBackend net;     // Requested UDP datapath.
+  NetBackend active;  // What every shard's backend_active must report.
   bool timers_off;
+  bool uring_unavailable;
 };
 
 void PrintTo(const Datapath& path, std::ostream* os) { *os << path.name; }
@@ -515,7 +518,7 @@ std::string ConfigureDatapath(const Datapath& path, ShardRuntimeConfig* config) 
   if (!UdpAvailable()) {
     return "no UDP sockets in this environment";
   }
-  if (path.net == NetBackend::kUring && !UringEngine::Available()) {
+  if (path.active == NetBackend::kUring && !UringEngine::Available()) {
     return "no io_uring in this environment";
   }
   switch (path.net) {
@@ -526,7 +529,15 @@ std::string ConfigureDatapath(const Datapath& path, ShardRuntimeConfig* config) 
   return "";
 }
 
-class ShardRuntimeHandoffTest : public ::testing::TestWithParam<Datapath> {};
+class ShardRuntimeHandoffTest : public ::testing::TestWithParam<Datapath> {
+ protected:
+  void SetUp() override {
+    if (GetParam().uring_unavailable) {
+      UringEngine::ForceAvailabilityForTest(0);
+    }
+  }
+  void TearDown() override { UringEngine::ForceAvailabilityForTest(-1); }
+};
 
 TEST_P(ShardRuntimeHandoffTest, MigrateKeepsFifoWithTrafficInFlight) {
   const Datapath& path = GetParam();
@@ -579,21 +590,14 @@ TEST_P(ShardRuntimeHandoffTest, MigrateKeepsFifoWithTrafficInFlight) {
   EXPECT_EQ(tap.next_rx[1].load(), tap.next_tx[0].load());
   EXPECT_EQ(tap.next_rx[0].load(), tap.next_tx[1].load());
   EXPECT_EQ(rt.AggregateNetStats().dropped.value(), 0u);
-  // Every shard's net.shard<N>.backend_active names the datapath that ran:
-  // what a UdpNetwork resolves this config to, and eager on the channel
-  // backend.
+  // Every shard's net.shard<N>.backend_active names the datapath that ran
+  // (eager on the channel backend, mmsg where uring was refused).
   obs::MetricsSnapshot snap = rt.SnapshotMetrics();
-  NetBackend expected = NetBackend::kEager;
-  if (path.backend == ShardBackend::kUdp) {
-    UdpNetwork probe;
-    probe.set_backend_config(config.net);
-    expected = probe.active_backend();
-  }
   for (int s = 0; s < rt.num_workers(); s++) {
     std::string name = "net.shard" + std::to_string(s) + ".backend_active";
     const obs::Sample* active = snap.Find(name);
     ASSERT_NE(active, nullptr) << name;
-    EXPECT_EQ(active->value, static_cast<uint64_t>(expected)) << name;
+    EXPECT_EQ(active->value, static_cast<uint64_t>(path.active)) << name;
   }
   // A gauge never merges across sources, so two shards registering one
   // name would hide all but the last: every gauge has exactly one source.
@@ -639,12 +643,18 @@ TEST_P(ShardRuntimeHandoffTest, CastReachesOnlyItsGroup) {
 
 INSTANTIATE_TEST_SUITE_P(
     Datapaths, ShardRuntimeHandoffTest,
-    ::testing::Values(Datapath{"channel", ShardBackend::kChannel, NetBackend::kEager, false},
+    ::testing::Values(Datapath{"channel", ShardBackend::kChannel, NetBackend::kEager,
+                               NetBackend::kEager, false, false},
                       Datapath{"channel_timers_off", ShardBackend::kChannel,
-                               NetBackend::kEager, true},
-                      Datapath{"eager", ShardBackend::kUdp, NetBackend::kEager, false},
-                      Datapath{"mmsg", ShardBackend::kUdp, NetBackend::kMmsg, false},
-                      Datapath{"uring", ShardBackend::kUdp, NetBackend::kUring, false}),
+                               NetBackend::kEager, NetBackend::kEager, true, false},
+                      Datapath{"eager", ShardBackend::kUdp, NetBackend::kEager,
+                               NetBackend::kEager, false, false},
+                      Datapath{"mmsg", ShardBackend::kUdp, NetBackend::kMmsg,
+                               NetBackend::kMmsg, false, false},
+                      Datapath{"uring", ShardBackend::kUdp, NetBackend::kUring,
+                               NetBackend::kUring, false, false},
+                      Datapath{"uring_unavailable", ShardBackend::kUdp, NetBackend::kUring,
+                               NetBackend::kMmsg, false, true}),
     [](const ::testing::TestParamInfo<Datapath>& info) {
       return std::string(info.param.name);
     });
@@ -682,6 +692,7 @@ TEST(ShardRuntimeTest, StealingRebalancesSkewedPlacement) {
   rt.Stop();
   EXPECT_TRUE(rebalanced) << "steals=" << rt.steals();
   EXPECT_GE(rt.SchedStats().steal_requests, 1u);
+  EXPECT_GT(rt.SchedStats().wakeup_writes, 0u);  // Posts woke sleeping workers.
   if (obs::kTraceCompiledIn && rt.TraceComplete()) {
     // Policy-driven steals: the count varies with timing and another may be
     // mid-flight at Stop(), but every completed span must be well shaped and
@@ -819,24 +830,6 @@ TEST(ShardRuntimeTest, OutsideThreadFloodStaysWithinDepthBound) {
   }
 }
 
-TEST(ShardRuntimeTest, PinCoresRunsEverywhere) {
-  ShardRuntimeConfig config;
-  config.backend = ShardBackend::kChannel;
-  config.num_workers = 2;
-  config.pin_cores = true;  // A refused affinity mask only logs a warning.
-  config.ep = FastEndpointConfig();
-
-  ShardRuntime rt(config);
-  ASSERT_TRUE(rt.Build(2));
-  rt.Start();
-  rt.PostToMember(0, [](GroupEndpoint& ep) {
-    ep.Cast(Iovec(Bytes::CopyString("pinned")));
-  });
-  bool done = WaitUntil([&] { return rt.delivered(1) >= 1u; }, 5000);
-  rt.Stop();
-  EXPECT_TRUE(done);
-}
-
 // TSan target: repeated ownership handoffs while every pair keeps traffic in
 // flight and the main thread reads live stats.  Any missing synchronization
 // in the steal/task-queue/wakeup paths shows up here.
@@ -877,40 +870,6 @@ TEST(ShardRuntimeStressTest, MigrationUnderSustainedTrafficIsRaceFree) {
   EXPECT_GE(rt.SchedStats().steals, 1u);
   TaskQueueStats tasks = rt.AggregateTaskStats();
   EXPECT_EQ(tasks.pushed.value(), tasks.popped.value());
-}
-
-TEST(GroupHarnessShardedTest, RunShardedCompletesAllToAllRound) {
-  if (!UdpAvailable()) {
-    GTEST_SKIP() << "no UDP sockets in this environment";
-  }
-  HarnessConfig config;
-  config.n = 4;
-  config.ep = FastEndpointConfig();
-  GroupHarness harness(config);
-  auto result = harness.RunSharded(/*num_workers=*/2, /*casts_per_member=*/3);
-  EXPECT_TRUE(result.ok);
-  EXPECT_EQ(result.total_delivered, 4u * 3u * 3u);
-  EXPECT_GT(result.net.sent.value(), 0u);
-}
-
-TEST(GroupHarnessShardedTest, RunShardedHonorsSchedulerOptions) {
-  if (!UdpAvailable()) {
-    GTEST_SKIP() << "no UDP sockets in this environment";
-  }
-  HarnessConfig config;
-  config.n = 4;
-  config.ep = FastEndpointConfig();
-  GroupHarness harness(config);
-  GroupHarness::ShardedRunOptions options;
-  options.net = NetBackendConfig::Batched(8);
-  options.pin_cores = true;
-  options.initial_shard = {0, 0, 1, 1};
-  auto result = harness.RunSharded(/*num_workers=*/2, /*casts_per_member=*/3,
-                                   Seconds(10), options);
-  EXPECT_TRUE(result.ok);
-  EXPECT_EQ(result.total_delivered, 4u * 3u * 3u);
-  EXPECT_EQ(result.sched.steals, 0u);         // Stealing defaults off.
-  EXPECT_GT(result.sched.wakeup_writes, 0u);  // Posts woke sleeping workers.
 }
 
 }  // namespace

@@ -617,12 +617,6 @@ TEST(UdpUringTest, FallsBackToMmsgWhenUnavailable) {
   EXPECT_EQ(net.stats().uring_enters, 0u);
   EXPECT_GT(net.stats().send_syscalls, 0u);  // Classic path carried it.
   UringEngine::ForceAvailabilityForTest(-1);
-
-  // kAuto resolves without logging: uring when possible, mmsg otherwise.
-  UdpNetwork auto_net;
-  auto_net.set_backend_config(NetBackendConfig::Auto(16));
-  EXPECT_NE(auto_net.active_backend(), NetBackend::kAuto);
-  EXPECT_NE(auto_net.active_backend(), NetBackend::kEager);
 }
 
 }  // namespace
