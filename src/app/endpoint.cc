@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/layers/collect.h"
 #include "src/obs/trace.h"
 #include "src/util/logging.h"
 
@@ -70,6 +71,7 @@ void GroupEndpoint::SwitchStack(std::vector<LayerId> layers, ViewRef new_view) {
   ENS_CHECK_MSG(!view_ || new_view->vid.counter > view_->vid.counter,
                 "stack switches must move to a later view");
   config_.layers = std::move(layers);
+  gossip_origin_ = nullptr;  // Goes with the old stack.
   EngineKind engine = config_.mode == StackMode::kImperative ? EngineKind::kImperative
                                                              : EngineKind::kFunctional;
   stack_ = BuildStack(engine, config_.layers, config_.params, self_);
@@ -87,6 +89,11 @@ void GroupEndpoint::CompileBypass() {
   conns_.Clear();
   cast_route_.reset();
   send_route_.reset();
+  gossip_route_.reset();
+  if (gossip_origin_ != nullptr) {
+    gossip_origin_->fast().gossip_routed = 0;
+    gossip_origin_ = nullptr;
+  }
   hand_.reset();
   if (config_.mode == StackMode::kMachine) {
     std::string error;
@@ -96,6 +103,15 @@ void GroupEndpoint::CompileBypass() {
     ENS_CHECK_MSG(send_route_ != nullptr, "bypass compile failed: " << error);
     ENS_CHECK(conns_.Register(cast_route_.get()));
     ENS_CHECK(conns_.Register(send_route_.get()));
+    // Collect's stability gossip gets its own route wherever the layers'
+    // rules compose one; otherwise it keeps the normal path.
+    gossip_route_ = CompileProtoCastRoute(stack_.get(), LayerId::kCollect, nullptr);
+    if (gossip_route_ != nullptr) {
+      ENS_CHECK(conns_.Register(gossip_route_.get()));
+      gossip_origin_ =
+          static_cast<CollectLayer*>(stack_->layer(gossip_route_->origin_layer_index()));
+      gossip_origin_->fast().gossip_routed = 1;
+    }
   } else if (config_.mode == StackMode::kHand) {
     std::string error;
     hand_ = Hand4Bypass::Create(stack_.get(), &error);
@@ -125,6 +141,12 @@ void GroupEndpoint::ArmTimer() {
     if (!*token || !alive_) {
       return;
     }
+    // The quiescence gossip round takes the compiled route too.  It leaves
+    // before the tick enters the stack, where the normal path would emit it:
+    // the layers above collect pass timers through without emitting.
+    if (gossip_origin_ != nullptr && gossip_origin_->TimerGossipDue()) {
+      EmitGossip();
+    }
     stack_->Down(Event::Timer(net_->Now()));
     // Timer ticks double as flush boundaries: staged packs (and the
     // network's staging rings) never outlive one timer interval.
@@ -149,6 +171,22 @@ void GroupEndpoint::Flush() {
   transport_.FlushPacked();
   if (net_ != nullptr) {
     net_->Flush();
+  }
+}
+
+void GroupEndpoint::EmitGossip() {
+  Event gossip = gossip_origin_->TakeGossip();
+  Iovec wire;
+  if (gossip_route_->TryDown(gossip, &wire, nullptr)) {
+    EmitCastWire(wire);
+    return;
+  }
+  stack_->DownFrom(gossip_route_->origin_layer_index() + 1, std::move(gossip));
+}
+
+void GroupEndpoint::EmitDueGossip() {
+  if (gossip_origin_ != nullptr && gossip_origin_->fast().gossip_due != 0) {
+    EmitGossip();
   }
 }
 
@@ -205,6 +243,7 @@ void GroupEndpoint::Cast(Iovec payload) {
     std::vector<Event> self_deliveries;
     if (cast_route_->TryDown(ev, &wire, &self_deliveries)) {
       stats_.bypass_down++;
+      EmitDueGossip();  // Due only on stacks that put collect above local.
       EmitCastWire(wire);
       for (Event& self : self_deliveries) {
         HandleStackUpOut(std::move(self));
@@ -328,13 +367,10 @@ void GroupEndpoint::InjectDatagram(const Bytes& datagram) {
   // traffic still hits the bypass/CCP path below.  Sub-messages are never
   // themselves packed, so this recursion is one level deep.
   if (Transport::IsPacked(datagram)) {
-    std::vector<Bytes> subs;
-    if (transport_.Unpack(datagram, &subs)) {
-      stats_.packed_in += subs.size();
-      for (const Bytes& sub : subs) {
-        InjectDatagram(sub);
-      }
-    }
+    transport_.ForEachPacked(datagram, [this](const Bytes& sub) {
+      stats_.packed_in++;
+      InjectDatagram(sub);
+    });
     return;
   }
 
@@ -358,6 +394,9 @@ void GroupEndpoint::InjectDatagram(const Bytes& datagram) {
         stats_.bypass_up++;
         HandleStackUpOut(std::move(out));
         return;
+      case RoutePair::UpResult::kConsumed:
+        stats_.bypass_up++;
+        return;
       case RoutePair::UpResult::kFallback:
         stats_.bypass_up_fallback++;
         stack_->Up(std::move(out));
@@ -371,7 +410,13 @@ void GroupEndpoint::InjectDatagram(const Bytes& datagram) {
   switch (up.kind) {
     case Transport::UpKind::kDelivered:
       stats_.bypass_up++;
+      // A round this delivery completed goes out first, as the normal path
+      // flushes its down events before its deliveries.
+      EmitDueGossip();
       HandleStackUpOut(std::move(up.ev));
+      return;
+    case Transport::UpKind::kConsumed:
+      stats_.bypass_up++;
       return;
     case Transport::UpKind::kStackEvent:
       if (up.via_bypass) {
@@ -391,6 +436,9 @@ std::string GroupEndpoint::DescribeBypass() const {
   }
   if (send_route_ != nullptr) {
     out += send_route_->Describe();
+  }
+  if (gossip_route_ != nullptr) {
+    out += gossip_route_->Describe();
   }
   if (hand_ != nullptr) {
     out += "HAND bypass wrapping:\n";

@@ -35,6 +35,8 @@
 
 namespace ensemble {
 
+class CollectLayer;
+
 enum class StackMode { kImperative, kFunctional, kMachine, kHand };
 const char* StackModeName(StackMode m);
 
@@ -63,7 +65,7 @@ class GroupEndpoint {
     RelaxedCounter delivered = 0;
     RelaxedCounter bypass_down = 0;       // Fast-path sends.
     RelaxedCounter bypass_down_miss = 0;  // CCP said no: normal path used.
-    RelaxedCounter bypass_up = 0;         // Fast-path deliveries.
+    RelaxedCounter bypass_up = 0;  // Fast-path receives: deliveries and consumed gossip.
     RelaxedCounter bypass_up_fallback = 0;
     RelaxedCounter packets_in = 0;
     RelaxedCounter packed_in = 0;  // Sub-messages split out of packed datagrams.
@@ -145,6 +147,8 @@ class GroupEndpoint {
 
   // Exposed for the latency benches, which drive the phases by hand.
   RoutePair* cast_route() { return cast_route_.get(); }
+  // Collect's stability gossip route (MACH stacks whose rules compose it).
+  RoutePair* gossip_route() { return gossip_route_.get(); }
   Transport& transport() { return transport_; }
   void InjectDatagram(const Bytes& datagram);  // As if received from the net.
 
@@ -157,6 +161,11 @@ class GroupEndpoint {
   void EmitSendWire(Rank dest, const Iovec& wire);
   void InstallView(ViewRef v);
   void CompileBypass();
+  // Casts a gossip round through gossip_route_ (the normal path below
+  // collect on a CCP miss); EmitDueGossip does so when a bypassed delivery
+  // completed an interval.
+  void EmitGossip();
+  void EmitDueGossip();
   void ArmTimer();
 
   EndpointId self_;
@@ -167,6 +176,8 @@ class GroupEndpoint {
   Transport transport_;
   std::unique_ptr<RoutePair> cast_route_;
   std::unique_ptr<RoutePair> send_route_;
+  std::unique_ptr<RoutePair> gossip_route_;
+  CollectLayer* gossip_origin_ = nullptr;  // Set while gossip_route_ is.
   std::unique_ptr<Hand4Bypass> hand_;
   ViewRef view_;
   DeliverFn on_deliver_;

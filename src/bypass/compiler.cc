@@ -57,33 +57,79 @@ bool ReadVar(const uint8_t* src, size_t avail, FieldType type, uint64_t* v, size
   return true;
 }
 
+FCase UpCaseOf(FCase dn_case) {
+  switch (dn_case) {
+    case FCase::kDnSend:
+      return FCase::kUpSend;
+    case FCase::kDnProtoCast:
+      return FCase::kUpProtoCast;
+    default:
+      return FCase::kUpCast;
+  }
+}
+
+void MissingRule(LayerId layer, FCase fcase, std::string* error) {
+  if (error != nullptr) {
+    std::ostringstream os;
+    os << "layer " << LayerIdName(layer) << " has no a-priori optimization for "
+       << FCaseName(fcase);
+    *error = os.str();
+  }
+}
+
 }  // namespace
 
-std::unique_ptr<RoutePair> CompileRoutePair(ProtocolStack* stack, bool cast,
-                                            std::string* error) {
+// Composes the rules of layers [first, depth) for one message kind.
+std::unique_ptr<RoutePair> CompileRoute(ProtocolStack* stack, FCase dn_case, size_t first,
+                                        std::string* error) {
   auto route = std::unique_ptr<RoutePair>(new RoutePair());
-  route->cast_ = cast;
-  FCase dn_case = cast ? FCase::kDnCast : FCase::kDnSend;
-  FCase up_case = cast ? FCase::kUpCast : FCase::kUpSend;
+  FCase up_case = UpCaseOf(dn_case);
+  route->cast_ = dn_case != FCase::kDnSend;
+  route->dn_case_ = dn_case;
+  route->up_case_ = up_case;
+  route->origin_index_ = first;
+  route->plans_.reserve(stack->depth() - first);
 
   uint16_t var_slot = 0;
   uint64_t hash = kFnvOffset;
-  hash = FnvMixU64(hash, cast ? 1 : 2);
+  hash = FnvMixU64(hash, static_cast<uint64_t>(dn_case) + 1);
 
-  for (size_t i = 0; i < stack->depth(); i++) {
+  for (size_t i = first; i < stack->depth(); i++) {
     Layer* layer = stack->layer(i);
     const BypassRule* dn = FindBypassRule(layer->id(), dn_case);
     const BypassRule* up = FindBypassRule(layer->id(), up_case);
     if (dn == nullptr || up == nullptr) {
-      if (error != nullptr) {
-        std::ostringstream os;
-        os << "layer " << LayerIdName(layer->id()) << " has no a-priori optimization for "
-           << FCaseName(dn == nullptr ? dn_case : up_case);
-        *error = os.str();
-      }
+      MissingRule(layer->id(), dn == nullptr ? dn_case : up_case, error);
       return nullptr;
     }
     hash = FnvMixU64(hash, static_cast<uint64_t>(layer->id()));
+    if (up->emits_stable) {
+      // The announced kStable vector travels down to the layers below and up
+      // to the layers above; the route applies their kStable rules in that
+      // order (the normal path passes it down first).
+      auto add_stable = [&](size_t k) {
+        Layer* other = stack->layer(k);
+        const BypassRule* st = FindBypassRule(other->id(), FCase::kStable);
+        if (st == nullptr) {
+          MissingRule(other->id(), FCase::kStable, error);
+          return false;
+        }
+        if (!st->transparent) {
+          route->stable_plans_.push_back({other->id(), other->FastState(), st});
+        }
+        return true;
+      };
+      for (size_t k = i + 1; k < stack->depth(); k++) {
+        if (!add_stable(k)) {
+          return nullptr;
+        }
+      }
+      for (size_t k = i; k-- > 0;) {
+        if (!add_stable(k)) {
+          return nullptr;
+        }
+      }
+    }
     if (dn->transparent && up->transparent) {
       continue;  // Fully invisible to this message kind: fused away.
     }
@@ -151,6 +197,24 @@ std::unique_ptr<RoutePair> CompileRoutePair(ProtocolStack* stack, bool cast,
   route->conn_id_ = static_cast<uint32_t>(hash ^ (hash >> 32));
   route->my_rank_ = stack->depth() > 0 ? stack->layer(0)->rank() : kNoRank;
   return route;
+}
+
+std::unique_ptr<RoutePair> CompileRoutePair(ProtocolStack* stack, bool cast,
+                                            std::string* error) {
+  return CompileRoute(stack, cast ? FCase::kDnCast : FCase::kDnSend, 0, error);
+}
+
+std::unique_ptr<RoutePair> CompileProtoCastRoute(ProtocolStack* stack, LayerId originator,
+                                                 std::string* error) {
+  for (size_t i = 0; i < stack->depth(); i++) {
+    if (stack->layer(i)->id() == originator) {
+      return CompileRoute(stack, FCase::kDnProtoCast, i, error);
+    }
+  }
+  if (error != nullptr) {
+    *error = std::string("stack has no ") + LayerIdName(originator) + " layer";
+  }
+  return nullptr;
 }
 
 size_t RoutePair::wire_header_bytes() const {
@@ -347,16 +411,27 @@ RoutePair::UpResult RoutePair::UpFromVars(const Bytes& datagram, size_t payload_
   GlobalBypassPuntStats().up_hits++;
   ENS_TRACE(kBypassUpHit, static_cast<int32_t>(my_rank_), plans_.size(), 0);
   // Update phase, bottom -> top.
+  BypassCtx ctx;
+  ctx.ev = &deliver;
   for (size_t i = plans_.size(); i-- > 0;) {
     const LayerPlan& plan = plans_[i];
     if (plan.up->update == nullptr) {
       continue;
     }
-    BypassCtx ctx;
     ctx.state = plan.state;
-    ctx.ev = &deliver;
     ctx.vars_in = vars + plan.var_base;
     plan.up->update(ctx);
+  }
+  if (is_proto_cast()) {
+    // The originator consumed its protocol cast; a kStable vector it
+    // announced takes effect in the layers that act on one.
+    if (ctx.stable != nullptr) {
+      for (const StablePlan& sp : stable_plans_) {
+        ctx.state = sp.state;
+        sp.rule->update(ctx);
+      }
+    }
+    return UpResult::kConsumed;
   }
   *out = std::move(deliver);
   return UpResult::kDelivered;
@@ -404,8 +479,12 @@ void RoutePair::MaterializeHeaders(const uint64_t* vars, size_t end, HeaderStack
 
 std::string RoutePair::Describe() const {
   std::ostringstream os;
-  os << "STACK BYPASS for " << (cast_ ? "Cast" : "Send") << " conn=0x" << std::hex << conn_id_
-     << std::dec << " vars=" << nvars_ << " hdr_bytes=" << wire_header_bytes();
+  const char* kind = cast_ ? "Cast" : "Send";
+  if (is_proto_cast()) {
+    kind = "ProtoCast";
+  }
+  os << "STACK BYPASS for " << kind << " conn=0x" << std::hex << conn_id_ << std::dec
+     << " vars=" << nvars_ << " hdr_bytes=" << wire_header_bytes();
   if (ccp_stats_.down_hits + ccp_stats_.down_misses + ccp_stats_.up_hits +
           ccp_stats_.up_fallbacks >
       0) {
@@ -414,10 +493,11 @@ std::string RoutePair::Describe() const {
   }
   os << "\n";
   for (const LayerPlan& plan : plans_) {
-    os << "  " << RenderOptimizationTheorem(plan.id, cast_ ? FCase::kDnCast : FCase::kDnSend)
-       << "\n";
-    os << "  " << RenderOptimizationTheorem(plan.id, cast_ ? FCase::kUpCast : FCase::kUpSend)
-       << "\n";
+    os << "  " << RenderOptimizationTheorem(plan.id, dn_case_) << "\n";
+    os << "  " << RenderOptimizationTheorem(plan.id, up_case_) << "\n";
+  }
+  for (const StablePlan& sp : stable_plans_) {
+    os << "  " << RenderOptimizationTheorem(sp.id, FCase::kStable) << "\n";
   }
   return os.str();
 }

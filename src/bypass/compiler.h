@@ -13,6 +13,15 @@
 // split (local delivery) additionally routes the event through the up-rules
 // of the layers above the split point, with all CCPs — including the
 // self-delivery arm's — checked *before* any state update runs.
+//
+// CompileProtoCastRoute compiles a third kind: a cast a layer originates for
+// its own protocol (collect's stability gossip).  Its plans run from that
+// layer down to the bottom, under the layers' Dn/ProtoCast and Up/ProtoCast
+// rules; the receive side consumes the message instead of delivering it.
+// When the originator's up update announces a kStable vector, the route
+// applies every other layer's kStable rule directly (mnak prunes its
+// retransmission buffer; the rest are transparent) — and a layer without a
+// kStable rule blocks the route, so such a stack keeps the normal path.
 
 #ifndef ENSEMBLE_SRC_BYPASS_COMPILER_H_
 #define ENSEMBLE_SRC_BYPASS_COMPILER_H_
@@ -57,6 +66,8 @@ class RoutePair {
   // What TryUp did with a received compressed message.
   enum class UpResult {
     kDelivered,  // CCP held; state updated; `out` is the app delivery.
+    kConsumed,   // CCP held; state updated; a protocol cast, so nothing is
+                 // delivered (`out` is untouched).
     kFallback,   // CCP failed; `out` is the reconstructed full event for the
                  // normal stack's Up path.
     kBad,        // Malformed datagram.
@@ -104,6 +115,10 @@ class RoutePair {
 
   uint32_t conn_id() const { return conn_id_; }
   bool is_cast() const { return cast_; }
+  // Protocol-cast routes: the originating layer's index in the stack (the
+  // normal path for a down CCP miss enters the stack just below it).
+  bool is_proto_cast() const { return dn_case_ == FCase::kDnProtoCast; }
+  size_t origin_layer_index() const { return origin_index_; }
   size_t var_count() const { return nvars_; }
   size_t wire_header_bytes() const;  // Compressed header size (without payload).
 
@@ -131,8 +146,16 @@ class RoutePair {
   std::string Describe() const;
 
  private:
-  friend std::unique_ptr<RoutePair> CompileRoutePair(ProtocolStack* stack, bool cast,
-                                                     std::string* error);
+  friend std::unique_ptr<RoutePair> CompileRoute(ProtocolStack* stack, FCase dn_case,
+                                                 size_t first, std::string* error);
+
+  // A layer whose kStable rule has an update, applied when the originator's
+  // up update announces stability.
+  struct StablePlan {
+    LayerId id;
+    void* state;
+    const BypassRule* rule;
+  };
 
   void BuildWireHeader(const uint64_t* vars, Iovec* wire, const Event& ev) const;
   void ReconstructEvent(const uint64_t* vars, const Bytes& datagram, size_t payload_off,
@@ -142,7 +165,11 @@ class RoutePair {
   void MaterializeHeaders(const uint64_t* vars, size_t end, HeaderStack* hdrs) const;
 
   bool cast_ = true;
+  FCase dn_case_ = FCase::kDnCast;
+  FCase up_case_ = FCase::kUpCast;
+  size_t origin_index_ = 0;
   std::vector<LayerPlan> plans_;  // Top -> bottom.
+  std::vector<StablePlan> stable_plans_;
   std::vector<WireField> wire_;
   size_t nvars_ = 0;
   size_t split_plan_ = SIZE_MAX;  // Index into plans_ of the split layer.
@@ -157,6 +184,12 @@ class RoutePair {
 // layers compose).
 std::unique_ptr<RoutePair> CompileRoutePair(ProtocolStack* stack, bool cast,
                                             std::string* error);
+
+// Compiles the route for the protocol cast that `originator` emits, from
+// that layer down.  Returns nullptr with *error set when the stack lacks the
+// layer or some layer lacks a rule the route needs.
+std::unique_ptr<RoutePair> CompileProtoCastRoute(ProtocolStack* stack, LayerId originator,
+                                                 std::string* error);
 
 // Process-global punt accounting keyed by the layer whose CCP failed.
 // Global rather than per-RoutePair because routes are recompiled on every

@@ -124,6 +124,13 @@ EquivalenceReport CheckStackEquivalence(StackMode mode, const std::vector<LayerI
   }
   ga.Run(Millis(100));
   gb.Run(Millis(100));
+  for (int m = 0; m < options.members; m++) {
+    if (const RoutePair* gossip = ga.member(m).gossip_route()) {
+      report.gossip_down_hits += gossip->ccp_stats().down_hits;
+      report.gossip_up_hits += gossip->ccp_stats().up_hits;
+      report.gossip_up_fallbacks += gossip->ccp_stats().up_fallbacks;
+    }
+  }
   if (!CompareDeliveries(ga, gb, options.members, &report.detail)) {
     report.equal = false;
     return report;

@@ -1,7 +1,6 @@
 #include "src/bypass/rule.h"
 
 #include <array>
-#include <map>
 #include <sstream>
 
 #include "src/marshal/header_desc.h"
@@ -19,25 +18,37 @@ const char* FCaseName(FCase c) {
       return "Up/Cast";
     case FCase::kUpSend:
       return "Up/Send";
+    case FCase::kDnProtoCast:
+      return "Dn/ProtoCast";
+    case FCase::kUpProtoCast:
+      return "Up/ProtoCast";
+    case FCase::kStable:
+      return "Stable";
   }
   return "?";
 }
 
 namespace {
-using RuleKey = std::pair<LayerId, FCase>;
-std::map<RuleKey, BypassRule>& Registry() {
-  static std::map<RuleKey, BypassRule> table;
+// Indexed by (layer, case): every route compile looks up two rules per layer.
+struct RuleSlot {
+  bool present = false;
+  BypassRule rule;
+};
+std::array<std::array<RuleSlot, kFCaseCount>, kLayerIdCount>& Registry() {
+  static std::array<std::array<RuleSlot, kFCaseCount>, kLayerIdCount> table;
   return table;
 }
 }  // namespace
 
 void RegisterBypassRule(LayerId layer, FCase fcase, BypassRule rule) {
-  Registry()[{layer, fcase}] = std::move(rule);
+  RuleSlot& slot = Registry()[static_cast<size_t>(layer)][static_cast<size_t>(fcase)];
+  slot.present = true;
+  slot.rule = std::move(rule);
 }
 
 const BypassRule* FindBypassRule(LayerId layer, FCase fcase) {
-  auto it = Registry().find({layer, fcase});
-  return it == Registry().end() ? nullptr : &it->second;
+  const RuleSlot& slot = Registry()[static_cast<size_t>(layer)][static_cast<size_t>(fcase)];
+  return slot.present ? &slot.rule : nullptr;
 }
 
 std::string RenderOptimizationTheorem(LayerId layer, FCase fcase) {
@@ -79,6 +90,9 @@ std::string RenderOptimizationTheorem(LayerId layer, FCase fcase) {
   }
   if (rule->split_deliver) {
     os << " AND DELIVERS LOCALLY (split)";
+  }
+  if (rule->emits_stable) {
+    os << " AND ANNOUNCES Stable";
   }
   return os.str();
 }

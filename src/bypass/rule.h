@@ -3,7 +3,9 @@
 //
 // For each layer and each of the four fundamental cases — down/up ×
 // point-to-point/broadcast ("Optimizations for each layer are initiated for
-// four fundamental cases") — a rule states:
+// four fundamental cases") — plus down/up for a protocol cast that a layer
+// originates (collect's stability gossip) and the kStable event that
+// gossip produces, a rule states:
 //
 //   * the Common Case Predicate (CCP) under which the optimized path is
 //     semantically equal to the layer's code,
@@ -29,9 +31,23 @@
 
 namespace ensemble {
 
-// The four fundamental cases.
-enum class FCase : uint8_t { kDnCast = 0, kDnSend = 1, kUpCast = 2, kUpSend = 3 };
-constexpr size_t kFCaseCount = 4;
+// The four fundamental cases, then the protocol-cast pair and kStable.
+//   kDnProtoCast / kUpProtoCast — a cast a layer originates (the route starts
+//     at that layer; the layers below carry it like a data cast, except that
+//     flow control passes it uncharged).
+//   kStable — how a layer reacts to the kStable event the originator's up
+//     update announces: transparent (passes it on, either direction) or an
+//     update applied directly (mnak's pruning).
+enum class FCase : uint8_t {
+  kDnCast = 0,
+  kDnSend = 1,
+  kUpCast = 2,
+  kUpSend = 3,
+  kDnProtoCast = 4,
+  kUpProtoCast = 5,
+  kStable = 6,
+};
+constexpr size_t kFCaseCount = 7;
 const char* FCaseName(FCase c);
 
 // Context handed to the rule callbacks.
@@ -41,11 +57,14 @@ const char* FCaseName(FCase c);
 //                 update fills them (they become the wire bytes); on an up
 //                 route they arrive decoded from the wire before the CCP
 //                 runs.
+//   * stable    — the kStable vector: an originator's Up/ProtoCast update
+//                 sets it when stability advanced; kStable rules read it.
 struct BypassCtx {
   void* state = nullptr;
   Event* ev = nullptr;
   const uint64_t* vars_in = nullptr;
   uint64_t* vars_out = nullptr;
+  const std::vector<uint64_t>* stable = nullptr;
 };
 
 using CcpFn = bool (*)(const BypassCtx&);
@@ -104,6 +123,11 @@ struct BypassRule {
   // The compiled route materializes them from the upper layers' header plans
   // just before this update runs.
   bool needs_upper_headers = false;
+
+  // Up/ProtoCast only: the update may announce a kStable vector (through
+  // BypassCtx::stable), so the route compiles only if every other layer of
+  // the stack has a kStable rule.
+  bool emits_stable = false;
 };
 
 // Registry.  Layers (or a central rules file) register their rules once at

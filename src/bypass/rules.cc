@@ -99,6 +99,14 @@ BypassRule MnakUpCast() {
   return r;
 }
 
+BypassRule MnakStable() {
+  BypassRule r;
+  r.ccp_desc = "true";
+  r.update_desc = "sent.erase(seqno < stable[rank])";
+  r.update = +[](BypassCtx& ctx) { MutSt<MnakFast>(ctx)->self->PruneStable(*ctx.stable); };
+  return r;
+}
+
 BypassRule MnakPassSend() {
   BypassRule r;
   r.ccp_desc = "true (pass-through header only)";
@@ -173,7 +181,8 @@ BypassRule MflowUpCast() {
   return r;
 }
 
-BypassRule MflowPassSend() {
+// Sends and protocol casts: uncharged, pass header only.
+BypassRule MflowPass() {
   BypassRule r;
   r.ccp_desc = "true (pass-through header only)";
   r.fields = {FieldPlan::Const(kMflowPass), FieldPlan::Const(0)};
@@ -251,17 +260,46 @@ BypassRule CollectDnCast() {
 
 BypassRule CollectUpCast() {
   BypassRule r;
-  r.ccp_desc = "no stability gossip round due";
+  r.ccp_desc = "no stability gossip round due, or a gossip route casts it";
   r.ccp = +[](const BypassCtx& ctx) {
     auto* f = St<CollectFast>(ctx);
-    return f->since_gossip + 1 < f->interval;
+    return f->gossip_routed != 0 || f->since_gossip + 1 < f->interval;
   };
-  r.update_desc = "acks[origin] = seq_hint + 1, since_gossip++, data_since_gossip = 1";
+  r.update_desc =
+      "acks[origin] = seq_hint + 1, since_gossip++, data_since_gossip = 1, "
+      "gossip_due = (since_gossip == interval)";
   r.update = +[](BypassCtx& ctx) {
-    MutSt<CollectFast>(ctx)->self->CountDelivered(ctx.ev->origin, ctx.ev->seq_hint,
-                                                  /*is_data=*/true);
+    auto* f = MutSt<CollectFast>(ctx);
+    if (!f->self->CountDelivered(ctx.ev->origin, ctx.ev->seq_hint, /*is_data=*/true)) {
+      f->gossip_due = 1;
+    }
   };
   r.fields = {FieldPlan::Const(kCollectData)};
+  return r;
+}
+
+// The gossip route starts here: TakeGossip has already done the sender's
+// bookkeeping, so the rule only fixes the header.
+BypassRule CollectDnGossip() {
+  BypassRule r;
+  r.ccp_desc = "true (originates the stability gossip)";
+  r.fields = {FieldPlan::Const(kCollectGossip)};
+  return r;
+}
+
+BypassRule CollectUpGossip() {
+  BypassRule r;
+  r.ccp_desc = "true";
+  r.update_desc =
+      "acks[origin] = seq_hint + 1, peer_acks[origin] = gossip, stable = column minima";
+  r.update = +[](BypassCtx& ctx) {
+    CollectLayer* self = MutSt<CollectFast>(ctx)->self;
+    if (self->ReceiveGossip(ctx.ev->origin, ctx.ev->seq_hint, ctx.ev->payload)) {
+      ctx.stable = &self->last_stable();
+    }
+  };
+  r.emits_stable = true;
+  r.fields = {FieldPlan::Const(kCollectGossip)};
   return r;
 }
 
@@ -365,8 +403,8 @@ const bool registered = [] {
 
   RegisterBypassRule(LayerId::kMflow, FCase::kDnCast, MflowDnCast());
   RegisterBypassRule(LayerId::kMflow, FCase::kUpCast, MflowUpCast());
-  RegisterBypassRule(LayerId::kMflow, FCase::kDnSend, MflowPassSend());
-  RegisterBypassRule(LayerId::kMflow, FCase::kUpSend, MflowPassSend());
+  RegisterBypassRule(LayerId::kMflow, FCase::kDnSend, MflowPass());
+  RegisterBypassRule(LayerId::kMflow, FCase::kUpSend, MflowPass());
 
   RegisterBypassRule(LayerId::kPt2ptw, FCase::kDnCast, Transparent());
   RegisterBypassRule(LayerId::kPt2ptw, FCase::kUpCast, Transparent());
@@ -400,6 +438,33 @@ const bool registered = [] {
 
   for (FCase c : {FCase::kDnCast, FCase::kDnSend, FCase::kUpCast, FCase::kUpSend}) {
     RegisterBypassRule(LayerId::kTop, c, Transparent());
+  }
+
+  // The protocol-cast route: collect's stability gossip, from collect down.
+  // mflow carries it uncharged; mnak numbers, buffers and orders it exactly
+  // as a data cast.
+  RegisterBypassRule(LayerId::kCollect, FCase::kDnProtoCast, CollectDnGossip());
+  RegisterBypassRule(LayerId::kCollect, FCase::kUpProtoCast, CollectUpGossip());
+  RegisterBypassRule(LayerId::kFrag, FCase::kDnProtoCast, FragDn());
+  RegisterBypassRule(LayerId::kFrag, FCase::kUpProtoCast, FragUp());
+  RegisterBypassRule(LayerId::kMflow, FCase::kDnProtoCast, MflowPass());
+  RegisterBypassRule(LayerId::kMflow, FCase::kUpProtoCast, MflowPass());
+  RegisterBypassRule(LayerId::kMnak, FCase::kDnProtoCast, MnakDnCast());
+  RegisterBypassRule(LayerId::kMnak, FCase::kUpProtoCast, MnakUpCast());
+  for (LayerId id : {LayerId::kPt2ptw, LayerId::kPt2pt}) {
+    RegisterBypassRule(id, FCase::kDnProtoCast, Transparent());
+    RegisterBypassRule(id, FCase::kUpProtoCast, Transparent());
+  }
+  RegisterBypassRule(LayerId::kBottom, FCase::kDnProtoCast, BottomRule());
+  RegisterBypassRule(LayerId::kBottom, FCase::kUpProtoCast, BottomRule());
+
+  // kStable: only mnak acts on it (pruning); every other layer passes it on
+  // in either direction, and bottom and top absorb it.
+  RegisterBypassRule(LayerId::kMnak, FCase::kStable, MnakStable());
+  for (LayerId id : {LayerId::kBottom, LayerId::kPt2pt, LayerId::kMflow, LayerId::kPt2ptw,
+                     LayerId::kFrag, LayerId::kLocal, LayerId::kTotal, LayerId::kPartialAppl,
+                     LayerId::kTop}) {
+    RegisterBypassRule(id, FCase::kStable, Transparent());
   }
   return true;
 }();

@@ -25,10 +25,16 @@ bool CollectLayer::CountDelivered(Rank origin, uint64_t seq_hint, bool is_data) 
   return fast_.since_gossip < fast_.interval;
 }
 
-void CollectLayer::Gossip(EventSink& sink) {
+Event CollectLayer::TakeGossip() {
+  GlobalProtocolStats().gossips_sent++;
   fast_.since_gossip = 0;
   fast_.data_since_gossip = 0;
+  fast_.gossip_due = 0;
   last_gossiped_ = acks_;
+  // Our own vector participates in the aggregate directly.
+  if (rank_ != kNoRank && static_cast<size_t>(rank_) < peer_acks_.size()) {
+    peer_acks_[static_cast<size_t>(rank_)] = acks_;
+  }
   WireWriter w;
   w.U16(static_cast<uint16_t>(acks_.size()));
   for (uint64_t a : acks_) {
@@ -37,44 +43,57 @@ void CollectLayer::Gossip(EventSink& sink) {
   Event gossip = Event::Cast(Iovec(w.Take()));
   gossip.protocol_cast = true;
   gossip.hdrs.Push(LayerId::kCollect, CollectHeader{kCollectGossip});
-  sink.PassDn(std::move(gossip));
-  // Our own vector participates in the aggregate directly.
-  if (rank_ != kNoRank && static_cast<size_t>(rank_) < peer_acks_.size()) {
-    peer_acks_[static_cast<size_t>(rank_)] = acks_;
-  }
+  return gossip;
 }
 
-void CollectLayer::Aggregate(Rank from, const std::vector<uint64_t>& their_acks,
-                             EventSink& sink) {
-  if (static_cast<size_t>(from) >= peer_acks_.size() || their_acks.size() != acks_.size()) {
-    return;
+bool CollectLayer::TimerGossipDue() const {
+  return fast_.data_since_gossip != 0 && acks_ != last_gossiped_;
+}
+
+bool CollectLayer::ReceiveGossip(Rank from, uint64_t seq_hint, const Iovec& payload) {
+  GlobalProtocolStats().gossips_recv++;
+  CountDelivered(from, seq_hint, /*is_data=*/false);
+  if (from < 0 || static_cast<size_t>(from) >= peer_acks_.size()) {
+    return false;
   }
-  peer_acks_[static_cast<size_t>(from)] = their_acks;
+  // Parse straight into the sender's row, once the vector is known to be
+  // whole and sized for this view.
+  Bytes flat = payload.Flatten();
+  WireReader r(flat);
+  uint16_t n = r.U16();
+  if (!r.ok() || n != acks_.size() || r.remaining() < size_t{n} * 8) {
+    return false;
+  }
+  std::vector<uint64_t>& row = peer_acks_[static_cast<size_t>(from)];
+  for (uint64_t& a : row) {
+    a = r.U64();
+  }
+  return Aggregate();
+}
+
+bool CollectLayer::Aggregate() {
   // For each sender's column: minimum over the OTHER members' rows — a
   // sender trivially possesses its own casts, so its row never constrains
   // its own column.  Unheard members hold the minimum at zero (safely
   // conservative).
-  std::vector<uint64_t> mins(acks_.size(), 0);
-  for (size_t col = 0; col < mins.size(); col++) {
+  mins_.resize(acks_.size());
+  for (size_t col = 0; col < mins_.size(); col++) {
     uint64_t m = UINT64_MAX;
     for (size_t row = 0; row < peer_acks_.size(); row++) {
       if (row == col) {
         continue;
       }
-      uint64_t v = peer_acks_[row].size() == mins.size() ? peer_acks_[row][col] : 0;
+      uint64_t v = peer_acks_[row].size() == mins_.size() ? peer_acks_[row][col] : 0;
       m = std::min(m, v);
     }
-    mins[col] = m == UINT64_MAX ? 0 : m;
+    mins_[col] = m == UINT64_MAX ? 0 : m;
   }
-  if (mins != last_stable_) {
-    last_stable_ = mins;
-    Event stable = Event::OfType(EventType::kStable);
-    stable.vec = mins;
-    sink.PassDn(std::move(stable));
-    Event stable_up = Event::OfType(EventType::kStable);
-    stable_up.vec = std::move(mins);
-    sink.PassUp(std::move(stable_up));
+  if (mins_ == last_stable_) {
+    return false;
   }
+  last_stable_ = mins_;
+  GlobalProtocolStats().stable_advances++;
+  return true;
 }
 
 void CollectLayer::Dn(Event ev, EventSink& sink) {
@@ -89,8 +108,8 @@ void CollectLayer::Dn(Event ev, EventSink& sink) {
       // counters still reach the group so stability keeps advancing.  Gated
       // on data (not protocol) traffic — delivered or cast — to damp gossip
       // ping-pong.
-      if (fast_.data_since_gossip != 0 && acks_ != last_gossiped_) {
-        Gossip(sink);
+      if (TimerGossipDue()) {
+        sink.PassDn(TakeGossip());
       }
       sink.PassDn(std::move(ev));
       return;
@@ -110,15 +129,13 @@ void CollectLayer::Up(Event ev, EventSink& sink) {
     case EventType::kDeliverCast: {
       CollectHeader hdr = ev.hdrs.Pop<CollectHeader>(LayerId::kCollect);
       if (hdr.kind == kCollectGossip) {
-        CountDelivered(ev.origin, ev.seq_hint, /*is_data=*/false);
-        WireReader r(ev.payload.Flatten());
-        uint16_t n = r.U16();
-        std::vector<uint64_t> theirs(n);
-        for (uint16_t i = 0; i < n; i++) {
-          theirs[i] = r.U64();
-        }
-        if (r.ok()) {
-          Aggregate(ev.origin, theirs, sink);
+        if (ReceiveGossip(ev.origin, ev.seq_hint, ev.payload)) {
+          Event stable = Event::OfType(EventType::kStable);
+          stable.vec = last_stable_;
+          sink.PassDn(std::move(stable));
+          Event stable_up = Event::OfType(EventType::kStable);
+          stable_up.vec = last_stable_;
+          sink.PassUp(std::move(stable_up));
         }
         return;
       }
@@ -126,7 +143,7 @@ void CollectLayer::Up(Event ev, EventSink& sink) {
       uint64_t seq_hint = ev.seq_hint;
       sink.PassUp(std::move(ev));
       if (!CountDelivered(origin, seq_hint, /*is_data=*/true)) {
-        Gossip(sink);
+        sink.PassDn(TakeGossip());
       }
       return;
     }
@@ -145,6 +162,7 @@ void CollectLayer::ResetForView() {
   size_t n = view_ ? static_cast<size_t>(nmembers_) : 0;
   fast_.since_gossip = 0;
   fast_.data_since_gossip = 0;
+  fast_.gossip_due = 0;
   last_gossiped_.assign(n, 0);
   acks_.assign(n, 0);
   peer_acks_.assign(n, std::vector<uint64_t>(n, 0));

@@ -18,6 +18,12 @@
 // Delivering gossip arms nothing, which keeps an idle group from
 // ping-ponging gossip.  Gossip is marked Event::protocol_cast, so mflow
 // carries it without a flow-control charge.
+//
+// In MACH mode the endpoint compiles a route for the gossip itself
+// (src/bypass/compiler.h, CompileProtoCastRoute): a bypassed data delivery
+// then only marks a due round (CollectFast::gossip_due) and the endpoint
+// casts it through that route, and received gossip is aggregated by the
+// route without running this layer's Up.
 
 #ifndef ENSEMBLE_SRC_LAYERS_COLLECT_H_
 #define ENSEMBLE_SRC_LAYERS_COLLECT_H_
@@ -42,6 +48,11 @@ struct CollectFast {
   uint32_t since_gossip = 0;  // Deliveries since the last gossip round.
   uint32_t interval = 16;
   uint8_t data_since_gossip = 0;  // Delivered or cast data since the last gossip.
+  // Set by the endpoint while a compiled gossip route exists: the bypassed
+  // data delivery that completes an interval then stays on the bypass and
+  // sets gossip_due, and the endpoint casts the round through the route.
+  uint8_t gossip_routed = 0;
+  uint8_t gossip_due = 0;
   class CollectLayer* self = nullptr;
 };
 
@@ -62,12 +73,23 @@ class CollectLayer : public Layer {
   // for data casts, counts toward the gossip interval.  Returns true when no
   // gossip round fell due.
   bool CountDelivered(Rank origin, uint64_t seq_hint, bool is_data);
+  // Starts a gossip round (shared by the normal path and the endpoint's
+  // compiled emission): resets the interval, records what it reports, and
+  // returns the gossip cast with this layer's header pushed.
+  Event TakeGossip();
+  // True when the timer's quiescence round is due.
+  bool TimerGossipDue() const;
+  // Bookkeeping for a delivered gossip cast from `from` (shared by the normal
+  // path and the compiled route): counts it, takes the sender's vector, and
+  // returns true when the aggregate announced a new last_stable().  A vector
+  // of the wrong size or a short payload is ignored.
+  bool ReceiveGossip(Rank from, uint64_t seq_hint, const Iovec& payload);
+  CollectFast& fast() { return fast_; }
   const std::vector<uint64_t>& acks() const { return acks_; }
   const std::vector<uint64_t>& last_stable() const { return last_stable_; }
 
  private:
-  void Gossip(EventSink& sink);
-  void Aggregate(Rank from, const std::vector<uint64_t>& their_acks, EventSink& sink);
+  bool Aggregate();
   void ResetForView();
 
   CollectFast fast_;
@@ -75,6 +97,7 @@ class CollectLayer : public Layer {
   std::vector<uint64_t> acks_;                      // acks_[r]: watermark of r's casts.
   std::vector<std::vector<uint64_t>> peer_acks_;    // Last vector heard from each member.
   std::vector<uint64_t> last_stable_;               // Last announced minimum.
+  std::vector<uint64_t> mins_;                      // Aggregate's column minima, reused.
 };
 
 }  // namespace ensemble

@@ -1,6 +1,7 @@
 #include "src/layers/mnak.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/marshal/header_desc.h"
 #include "src/util/hash.h"
@@ -12,6 +13,8 @@ ENSEMBLE_REGISTER_HEADER(MnakHeader, LayerId::kMnak, ENS_FIELD(MnakHeader, kU8, 
                          ENS_FIELD(MnakHeader, kU32, seqno), ENS_FIELD(MnakHeader, kU32, lo),
                          ENS_FIELD(MnakHeader, kU32, hi));
 ENSEMBLE_REGISTER_LAYER(LayerId::kMnak, MnakLayer);
+
+MnakLayer::~MnakLayer() { ClearSent(); }
 
 MnakLayer::PeerState& MnakLayer::Peer(Rank origin) { return peers_[origin]; }
 
@@ -33,7 +36,26 @@ void MnakLayer::SaveSent(Seqno seqno, const Event& ev) {
   MnakSavedMsg saved;
   saved.payload = ev.payload;
   saved.upper_hdrs = ev.hdrs;  // Headers of the layers above us (ours not yet pushed).
-  sent_.emplace(seqno, std::move(saved));
+  if (sent_.emplace(seqno, std::move(saved)).second) {
+    GlobalProtocolStats().retrans_depth.Add(1);
+  }
+}
+
+void MnakLayer::PruneStable(const std::vector<uint64_t>& stable) {
+  if (rank_ == kNoRank || static_cast<size_t>(rank_) >= stable.size()) {
+    return;
+  }
+  auto end = sent_.lower_bound(stable[static_cast<size_t>(rank_)]);
+  size_t pruned = static_cast<size_t>(std::distance(sent_.begin(), end));
+  if (pruned > 0) {
+    sent_.erase(sent_.begin(), end);
+    GlobalProtocolStats().retrans_depth.Sub(pruned);
+  }
+}
+
+void MnakLayer::ClearSent() {
+  GlobalProtocolStats().retrans_depth.Sub(sent_.size());
+  sent_.clear();
 }
 
 void MnakLayer::Dn(Event ev, EventSink& sink) {
@@ -56,16 +78,11 @@ void MnakLayer::Dn(Event ev, EventSink& sink) {
       AdvertiseWatermark(sink);
       sink.PassDn(std::move(ev));
       return;
-    case EventType::kStable: {
-      // Stability vector from the collect layer: my casts below vec[rank_]
-      // are delivered everywhere; prune the retransmission buffer.
-      if (rank_ != kNoRank && static_cast<size_t>(rank_) < ev.vec.size()) {
-        Seqno stable = ev.vec[static_cast<size_t>(rank_)];
-        sent_.erase(sent_.begin(), sent_.lower_bound(stable));
-      }
+    case EventType::kStable:
+      // Stability vector from the collect layer.
+      PruneStable(ev.vec);
       sink.PassDn(std::move(ev));
       return;
-    }
     case EventType::kView:
       NoteView(ev);
       ResetForView();
@@ -214,7 +231,7 @@ void MnakLayer::ResetForView() {
   hi_backoff_ = 1;
   hi_wait_ = 0;
   peers_.clear();
-  sent_.clear();
+  ClearSent();
 }
 
 uint64_t MnakLayer::StateDigest() const {

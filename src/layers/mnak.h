@@ -73,6 +73,7 @@ class MnakLayer : public Layer {
   explicit MnakLayer(const LayerParams& params) : Layer(LayerId::kMnak) {
     fast_.self = this;
   }
+  ~MnakLayer() override;
 
   void Dn(Event ev, EventSink& sink) override;
   void Up(Event ev, EventSink& sink) override;
@@ -90,6 +91,10 @@ class MnakLayer : public Layer {
   void FastReceive(Rank origin, Seqno seqno);
   // Fast-path send bookkeeping: save a sent cast for retransmission.
   void SaveSent(Seqno seqno, const Event& ev);
+  // kStable bookkeeping (shared by the normal path and the compiled gossip
+  // route): my casts below stable[rank] are delivered everywhere, so they
+  // leave the retransmission buffer.
+  void PruneStable(const std::vector<uint64_t>& stable);
 
   size_t retrans_buffer_size() const { return sent_.size(); }
 
@@ -105,6 +110,7 @@ class MnakLayer : public Layer {
   void AdvertiseWatermark(EventSink& sink);
   void HandleNak(Rank from, uint32_t lo, uint32_t hi, EventSink& sink);
   void ResetForView();
+  void ClearSent();
 
   MnakFast fast_;
   std::map<Rank, PeerState> peers_;

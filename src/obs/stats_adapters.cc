@@ -96,10 +96,20 @@ void RegisterBypassPuntStats(MetricsRegistry& reg) {
   }
 }
 
+void RegisterProtocolStats(MetricsRegistry& reg) {
+  const ProtocolStats* s = &GlobalProtocolStats();
+  reg.Counter("collect.gossips_sent", &s->gossips_sent);
+  reg.Counter("collect.gossips_recv", &s->gossips_recv);
+  reg.Counter("collect.stable_advances", &s->stable_advances);
+  reg.Gauge("mnak.retrans_depth",
+            [s]() { return static_cast<int64_t>(s->retrans_depth.live()); });
+}
+
 void RegisterGlobalStats(MetricsRegistry& reg) {
   RegisterDispatchStats(reg);
   RegisterHeapStats(reg);
   RegisterBypassPuntStats(reg);
+  RegisterProtocolStats(reg);
 }
 
 }  // namespace obs

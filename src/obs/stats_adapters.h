@@ -41,6 +41,10 @@ void RegisterHeapStats(MetricsRegistry& reg);
 // (bypass.punt_down.<layer>, bypass.punt_up.<layer>).
 void RegisterBypassPuntStats(MetricsRegistry& reg);
 
+// collect.gossips_sent / gossips_recv / stable_advances and the gauge
+// mnak.retrans_depth (casts held for retransmission across every mnak).
+void RegisterProtocolStats(MetricsRegistry& reg);
+
 // Everything process-global in one call.
 void RegisterGlobalStats(MetricsRegistry& reg);
 

@@ -88,6 +88,11 @@ void ImperativeStack::Up(Event ev) {
   RunScheduler();
 }
 
+void ImperativeStack::DownFrom(size_t index, Event ev) {
+  Enqueue(static_cast<int>(index), Dir::kDown, std::move(ev));
+  RunScheduler();
+}
+
 // ---------------------------------------------------------------------------
 // FunctionalStack
 // ---------------------------------------------------------------------------
@@ -187,8 +192,12 @@ void FunctionalStack::Flush(EventLists& out) {
 }
 
 void FunctionalStack::Down(Event ev) {
+  DownFrom(0, std::move(ev));
+}
+
+void FunctionalStack::DownFrom(size_t index, Event ev) {
   EventLists out;
-  DnAt(0, std::move(ev), out);
+  DnAt(index, std::move(ev), out);
   Flush(out);
 }
 

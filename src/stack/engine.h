@@ -36,6 +36,10 @@ class ProtocolStack {
   virtual void Down(Event ev) = 0;
   // Event from the transport entering the bottom layer.
   virtual void Up(Event ev) = 0;
+  // Event entering layer `index` travelling down, as if the layer above had
+  // passed it: a cast a layer originates whose compiled route's CCP failed
+  // continues on the normal path below its originator.
+  virtual void DownFrom(size_t index, Event ev) = 0;
 
   void set_up_out(OutFn fn) { up_out_ = std::move(fn); }
   void set_dn_out(OutFn fn) { dn_out_ = std::move(fn); }
@@ -87,6 +91,7 @@ class ImperativeStack : public ProtocolStack {
 
   void Down(Event ev) override;
   void Up(Event ev) override;
+  void DownFrom(size_t index, Event ev) override;
 
  private:
   struct Pending {
@@ -115,6 +120,7 @@ class FunctionalStack : public ProtocolStack {
 
   void Down(Event ev) override;
   void Up(Event ev) override;
+  void DownFrom(size_t index, Event ev) override;
 
  private:
   struct EventLists {

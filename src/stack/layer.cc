@@ -18,6 +18,11 @@ DispatchStats& GlobalDispatchStats() {
   return stats;
 }
 
+ProtocolStats& GlobalProtocolStats() {
+  static ProtocolStats stats;
+  return stats;
+}
+
 void RegisterLayerFactory(LayerId id, LayerFactory factory) {
   FactoryTable()[static_cast<size_t>(id)] = factory;
 }

@@ -108,6 +108,17 @@ struct DispatchStats {
 };
 DispatchStats& GlobalDispatchStats();
 
+// Process-wide protocol counters, bumped by the layers' shared code so the
+// normal path and the compiled bypass count alike (registry names in
+// src/obs/stats_adapters.cc).
+struct ProtocolStats {
+  RelaxedCounter gossips_sent;     // collect: stability gossip rounds cast.
+  RelaxedCounter gossips_recv;     // collect: gossip casts delivered.
+  RelaxedCounter stable_advances;  // collect: new stability vectors announced.
+  LiveCounter retrans_depth;       // mnak: casts held for retransmission, all stacks.
+};
+ProtocolStats& GlobalProtocolStats();
+
 // Factory registry: each layer's .cc registers a creator so stacks can be
 // assembled from LayerId lists (the paper's "names of the protocol layers").
 using LayerFactory = std::unique_ptr<Layer> (*)(const LayerParams&);

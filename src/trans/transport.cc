@@ -5,9 +5,6 @@
 namespace ensemble {
 
 namespace {
-// Packed framing constants: [tag u8][count u8] header, [len u32] per entry.
-constexpr size_t kPackHeader = 2;
-constexpr size_t kPackLenPrefix = 4;
 constexpr size_t kPackMaxCount = 255;  // Count is a u8.
 }  // namespace
 
@@ -44,6 +41,9 @@ Transport::UpResult Transport::DispatchUp(const Bytes& datagram) const {
       case RoutePair::UpResult::kDelivered:
         result.kind = UpKind::kDelivered;
         result.ev = std::move(out);
+        return result;
+      case RoutePair::UpResult::kConsumed:
+        result.kind = UpKind::kConsumed;
         return result;
       case RoutePair::UpResult::kFallback:
         result.kind = UpKind::kStackEvent;
@@ -130,35 +130,26 @@ bool Transport::IsPacked(const Bytes& datagram) {
   return datagram.size() >= kPackHeader && datagram[0] == kWirePacked;
 }
 
-bool Transport::Unpack(const Bytes& datagram, std::vector<Bytes>* out) {
+bool Transport::CheckPacked(const Bytes& datagram, size_t* count) {
   if (!IsPacked(datagram)) {
     return false;
   }
-  size_t count = datagram[1];
   size_t pos = kPackHeader;
-  std::vector<Bytes> subs;
-  subs.reserve(count);
-  for (size_t i = 0; i < count; i++) {
+  for (size_t i = 0; i < datagram[1]; i++) {
     if (pos + kPackLenPrefix > datagram.size()) {
       return false;
     }
     uint32_t len;
     std::memcpy(&len, datagram.data() + pos, kPackLenPrefix);
     pos += kPackLenPrefix;
-    if (pos + len > datagram.size()) {
+    if (len > datagram.size() - pos) {
       return false;
     }
-    subs.push_back(datagram.Slice(pos, len));  // Zero-copy view.
     pos += len;
   }
-  if (pos != datagram.size()) {
-    return false;  // Trailing garbage: treat the whole datagram as malformed.
-  }
-  pack_stats_.unpacked_submsgs += subs.size();
-  for (Bytes& b : subs) {
-    out->push_back(std::move(b));
-  }
-  return true;
+  // Trailing garbage makes the whole datagram malformed.
+  *count = datagram[1];
+  return pos == datagram.size();
 }
 
 }  // namespace ensemble

@@ -23,6 +23,7 @@
 #ifndef ENSEMBLE_SRC_TRANS_TRANSPORT_H_
 #define ENSEMBLE_SRC_TRANS_TRANSPORT_H_
 
+#include <cstring>
 #include <functional>
 #include <map>
 #include <vector>
@@ -55,6 +56,7 @@ class Transport {
   enum class UpKind {
     kStackEvent,  // `ev` must be fed to the normal stack's Up path.
     kDelivered,   // A bypass delivered `ev` directly to the application.
+    kConsumed,    // A bypass consumed a protocol cast; nothing to deliver.
     kDrop,        // Malformed / unknown connection: drop.
   };
   struct UpResult {
@@ -93,9 +95,15 @@ class Transport {
 
   // True iff `datagram` carries the packed tag.
   static bool IsPacked(const Bytes& datagram);
-  // Splits a packed datagram into zero-copy sub-slices, appended to `out`.
-  // Returns false (leaving `out` as-is) on malformed framing.
-  bool Unpack(const Bytes& datagram, std::vector<Bytes>* out);
+  // Calls visit(sub) for each sub-message of a packed datagram, in order, as
+  // zero-copy slices.  The whole framing is checked first: on malformed
+  // framing nothing is visited and the result is false.
+  template <typename Visit>
+  bool ForEachPacked(const Bytes& datagram, Visit&& visit);
+  // ForEachPacked, appending the sub-slices to `out`.
+  bool Unpack(const Bytes& datagram, std::vector<Bytes>* out) {
+    return ForEachPacked(datagram, [out](const Bytes& sub) { out->push_back(sub); });
+  }
 
   const PackStats& pack_stats() const { return pack_stats_; }
 
@@ -109,6 +117,12 @@ class Transport {
     size_t bytes = 0;
   };
 
+  // Packed framing: [tag u8][count u8] header, [len u32] per entry.
+  static constexpr size_t kPackHeader = 2;
+  static constexpr size_t kPackLenPrefix = 4;
+
+  // Checks a packed datagram's whole framing; sets *count on success.
+  static bool CheckPacked(const Bytes& datagram, size_t* count);
   void StageOn(Staging* q, const PackDest& dest, const Iovec& wire);
   void FlushQueue(Staging* q, const PackDest& dest);
 
@@ -120,6 +134,24 @@ class Transport {
   std::map<EndpointId, Staging> send_q_;
   PackStats pack_stats_;
 };
+
+template <typename Visit>
+bool Transport::ForEachPacked(const Bytes& datagram, Visit&& visit) {
+  size_t count = 0;
+  if (!CheckPacked(datagram, &count)) {
+    return false;
+  }
+  size_t pos = kPackHeader;
+  for (size_t i = 0; i < count; i++) {
+    uint32_t len;
+    std::memcpy(&len, datagram.data() + pos, kPackLenPrefix);
+    pos += kPackLenPrefix;
+    visit(datagram.Slice(pos, len));
+    pos += len;
+  }
+  pack_stats_.unpacked_submsgs += count;
+  return true;
+}
 
 }  // namespace ensemble
 

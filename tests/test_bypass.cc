@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/bypass/compiler.h"
 #include "src/bypass/conn_table.h"
 #include "src/bypass/hand.h"
@@ -280,6 +282,176 @@ TEST(SplitRouteTest, SelfDeliveryThroughUpperUpRules) {
   EXPECT_EQ(total->fast().expected_gseq, 1u);
 }
 
+// ---------------------------------------------------------------------------
+// The protocol-cast route: collect's stability gossip.
+// ---------------------------------------------------------------------------
+
+CollectLayer* CollectOf(ProtocolStack* stack) {
+  return static_cast<CollectLayer*>(stack->FindLayer(LayerId::kCollect));
+}
+
+TEST(GossipRouteTest, CompilesFromCollectDownWithItsOwnTheorems) {
+  BypassFixture f(TenLayerStack());
+  std::string error;
+  auto gossip = CompileProtoCastRoute(f.tx.get(), LayerId::kCollect, &error);
+  ASSERT_NE(gossip, nullptr) << error;
+  EXPECT_TRUE(gossip->is_proto_cast());
+  EXPECT_EQ(gossip->origin_layer_index(), 3u);  // partial_appl, total, local above.
+  EXPECT_EQ(gossip->var_count(), 1u);           // mnak seqno only.
+  EXPECT_NE(gossip->conn_id(), f.tx_route->conn_id());
+  auto rx_gossip = CompileProtoCastRoute(f.rx.get(), LayerId::kCollect, &error);
+  ASSERT_NE(rx_gossip, nullptr) << error;
+  EXPECT_EQ(gossip->conn_id(), rx_gossip->conn_id());
+  std::string text = gossip->Describe();
+  EXPECT_NE(text.find("STACK BYPASS for ProtoCast"), std::string::npos) << text;
+  EXPECT_NE(text.find("OPTIMIZING LAYER collect FOR EVENT Up/ProtoCast"), std::string::npos);
+  EXPECT_NE(text.find("AND ANNOUNCES Stable"), std::string::npos);
+  EXPECT_NE(text.find("OPTIMIZING LAYER mflow FOR EVENT Dn/ProtoCast ASSUMING true "
+                      "(pass-through header only) YIELDS header {kind=1 const"),
+            std::string::npos);
+  EXPECT_NE(text.find("OPTIMIZING LAYER mnak FOR EVENT Stable ASSUMING true YIELDS no header "
+                      "UPDATING sent.erase(seqno < stable[rank])"),
+            std::string::npos);
+  EXPECT_EQ(text.find("OPTIMIZING LAYER total"), std::string::npos);  // Above collect.
+}
+
+TEST(GossipRouteTest, LayerWithoutStableRuleBlocksRoute) {
+  // The stable layer consolidates kStable events: it has no kStable rule, so
+  // gossip keeps the normal path on a stack that includes it.
+  LayerParams params;
+  auto stack = BuildStack(EngineKind::kFunctional,
+                          {LayerId::kStable, LayerId::kCollect, LayerId::kFrag, LayerId::kMflow,
+                           LayerId::kMnak, LayerId::kBottom},
+                          params, EndpointId{1});
+  auto view = std::make_shared<View>();
+  view->vid = ViewId{0, 1};
+  view->members = {EndpointId{1}, EndpointId{2}};
+  stack->Init(view);
+  std::string error;
+  EXPECT_EQ(CompileProtoCastRoute(stack.get(), LayerId::kCollect, &error), nullptr);
+  EXPECT_NE(error.find("stable has no a-priori optimization for Stable"), std::string::npos)
+      << error;
+}
+
+TEST(GossipRouteTest, ConsumedGossipPrunesTheSendersBuffer) {
+  // rx delivers three bypassed casts, then reports them in a gossip round
+  // cast through its gossip route; tx's route consumes it and composes the
+  // kStable effect: mnak prunes the three casts it kept for retransmission.
+  BypassFixture f(TenLayerStack());
+  std::string error;
+  auto tx_gossip = CompileProtoCastRoute(f.tx.get(), LayerId::kCollect, &error);
+  auto rx_gossip = CompileProtoCastRoute(f.rx.get(), LayerId::kCollect, &error);
+  ASSERT_NE(tx_gossip, nullptr) << error;
+  ASSERT_NE(rx_gossip, nullptr) << error;
+  for (int i = 0; i < 3; i++) {
+    Event ev = Event::Cast(Iovec(Bytes::CopyString("d")));
+    Iovec wire;
+    ASSERT_TRUE(f.tx_route->TryDown(ev, &wire, nullptr));
+    Event out;
+    ASSERT_EQ(f.rx_route->TryUp(wire.Flatten(), 6, 0, &out), RoutePair::UpResult::kDelivered);
+  }
+  auto* tx_mnak = static_cast<MnakLayer*>(f.tx->FindLayer(LayerId::kMnak));
+  EXPECT_EQ(tx_mnak->retrans_buffer_size(), 3u);
+
+  Event round = CollectOf(f.rx.get())->TakeGossip();
+  Iovec wire;
+  ASSERT_TRUE(rx_gossip->TryDown(round, &wire, nullptr));
+  Event out;
+  out.type = EventType::kNone;
+  ASSERT_EQ(tx_gossip->TryUp(wire.Flatten(), 6, 1, &out), RoutePair::UpResult::kConsumed);
+  EXPECT_EQ(out.type, EventType::kNone);  // Nothing for the application.
+  EXPECT_EQ(tx_mnak->retrans_buffer_size(), 0u);
+  EXPECT_EQ(CollectOf(f.tx.get())->last_stable(), (std::vector<uint64_t>{3, 0}));
+  // The gossip itself sits in rx's buffer until someone reports it.
+  auto* rx_mnak = static_cast<MnakLayer*>(f.rx->FindLayer(LayerId::kMnak));
+  EXPECT_EQ(rx_mnak->retrans_buffer_size(), 1u);
+}
+
+TEST(GossipRouteTest, CcpMissReconstructsTheGenericEvent) {
+  // Two gossip rounds from the same sender state, once through the compiled
+  // route and once through the normal path below collect (a twin stack).
+  // Delivering the second compiled round first misses mnak's in-order CCP;
+  // the reconstructed event must equal what generic unmarshal makes of the
+  // normal path's datagram — type, origin, payload and every header.
+  BypassFixture f(TenLayerStack());
+  auto twin = BuildStack(EngineKind::kFunctional, TenLayerStack(), BypassFixture::Quiet(),
+                         EndpointId{1});
+  std::vector<Event> twin_out;
+  twin->set_dn_out([&](Event ev) { twin_out.push_back(std::move(ev)); });
+  twin->set_up_out([](Event) {});
+  twin->Init(f.tx->layer(0)->view());
+  std::string error;
+  auto tx_gossip = CompileProtoCastRoute(f.tx.get(), LayerId::kCollect, &error);
+  auto rx_gossip = CompileProtoCastRoute(f.rx.get(), LayerId::kCollect, &error);
+  ASSERT_NE(tx_gossip, nullptr) << error;
+  ASSERT_NE(rx_gossip, nullptr) << error;
+
+  std::vector<Bytes> compiled;
+  for (int i = 0; i < 2; i++) {
+    Event round = CollectOf(f.tx.get())->TakeGossip();
+    Iovec wire;
+    ASSERT_TRUE(tx_gossip->TryDown(round, &wire, nullptr));
+    compiled.push_back(wire.Flatten());
+    twin->DownFrom(tx_gossip->origin_layer_index() + 1, CollectOf(twin.get())->TakeGossip());
+  }
+  ASSERT_EQ(twin_out.size(), 2u);
+  Event generic;
+  ASSERT_TRUE(GenericUnmarshal(GenericMarshal(twin_out[1], 0).Flatten(), &generic));
+
+  Event reconstructed;
+  ASSERT_EQ(rx_gossip->TryUp(compiled[1], 6, 0, &reconstructed),
+            RoutePair::UpResult::kFallback);
+  EXPECT_EQ(reconstructed.type, generic.type);
+  EXPECT_EQ(reconstructed.origin, generic.origin);
+  EXPECT_TRUE(reconstructed.payload.ContentEquals(generic.payload));
+  EXPECT_TRUE(reconstructed.hdrs == generic.hdrs);
+  EXPECT_EQ(rx_gossip->ccp_stats().up_fallbacks, 1u);
+
+  // Both arrive through the normal path: the first in order, then mnak
+  // releases the buffered second, and both are consumed by collect.
+  Event first;
+  ASSERT_EQ(rx_gossip->TryUp(compiled[0], 6, 0, &first), RoutePair::UpResult::kConsumed);
+  f.rx->Up(std::move(reconstructed));
+  auto* rx_mnak = static_cast<MnakLayer*>(f.rx->FindLayer(LayerId::kMnak));
+  EXPECT_EQ(rx_mnak->Expected(0), 2u);
+  EXPECT_TRUE(f.rx_deliveries.empty());
+}
+
+TEST(GossipRouteTest, DueRoundStaysOnTheDataRouteWhenGossipIsRouted) {
+  // Interval 2: the second bypassed delivery completes a round.  Without a
+  // gossip route the data route's CCP refuses it (collect gossips on the
+  // normal path); with one, it delivers and marks the round due.
+  LayerParams params = BypassFixture::Quiet();
+  params.stable_interval = 2;
+  BypassFixture f(TenLayerStack(), params);
+  CollectFast& fast = CollectOf(f.rx.get())->fast();
+  std::vector<Bytes> wires;
+  for (int i = 0; i < 3; i++) {
+    Event ev = Event::Cast(Iovec(Bytes::CopyString("d")));
+    Iovec wire;
+    ASSERT_TRUE(f.tx_route->TryDown(ev, &wire, nullptr));
+    wires.push_back(wire.Flatten());
+  }
+  Event out;
+  ASSERT_EQ(f.rx_route->TryUp(wires[0], 6, 0, &out), RoutePair::UpResult::kDelivered);
+  ASSERT_EQ(f.rx_route->TryUp(wires[1], 6, 0, &out), RoutePair::UpResult::kFallback);
+  f.rx->Up(std::move(out));
+  EXPECT_EQ(f.rx_dn_out.size(), 1u);  // The round, cast by the normal path.
+  EXPECT_EQ(fast.gossip_due, 0);
+
+  fast.gossip_routed = 1;
+  ASSERT_EQ(f.rx_route->TryUp(wires[2], 6, 0, &out), RoutePair::UpResult::kDelivered);
+  EXPECT_EQ(fast.gossip_due, 0);  // One delivery into the new interval.
+  Event ev = Event::Cast(Iovec(Bytes::CopyString("d")));
+  Iovec wire;
+  ASSERT_TRUE(f.tx_route->TryDown(ev, &wire, nullptr));
+  ASSERT_EQ(f.rx_route->TryUp(wire.Flatten(), 6, 0, &out), RoutePair::UpResult::kDelivered);
+  EXPECT_EQ(fast.gossip_due, 1);
+  EXPECT_EQ(f.rx_dn_out.size(), 1u);  // Nothing more left the normal path.
+  CollectOf(f.rx.get())->TakeGossip();
+  EXPECT_EQ(fast.gossip_due, 0);
+}
+
 TEST(ConnTableTest, RegisterFindUnregister) {
   BypassFixture f(TenLayerStack());
   ConnTable table;
@@ -419,10 +591,20 @@ TEST(CcpStatsTest, HitAndMissRatesTracked) {
 }
 
 TEST(TheoremTest, RulesRegisteredForAllBenchedLayers) {
-  for (LayerId id : TenLayerStack()) {
+  std::vector<LayerId> ten = TenLayerStack();
+  for (LayerId id : ten) {
     for (FCase c : {FCase::kDnCast, FCase::kDnSend, FCase::kUpCast, FCase::kUpSend}) {
       EXPECT_NE(FindBypassRule(id, c), nullptr)
           << LayerIdName(id) << " " << FCaseName(c);
+    }
+    if (id != LayerId::kCollect) {
+      EXPECT_NE(FindBypassRule(id, FCase::kStable), nullptr) << LayerIdName(id);
+    }
+  }
+  // The gossip route: collect and every layer below it.
+  for (auto it = std::find(ten.begin(), ten.end(), LayerId::kCollect); it != ten.end(); ++it) {
+    for (FCase c : {FCase::kDnProtoCast, FCase::kUpProtoCast}) {
+      EXPECT_NE(FindBypassRule(*it, c), nullptr) << LayerIdName(*it) << " " << FCaseName(c);
     }
   }
   EXPECT_EQ(FindBypassRule(LayerId::kSuspect, FCase::kDnCast), nullptr);
@@ -434,7 +616,8 @@ TEST(TheoremTest, FieldPlansMatchDescriptors) {
   // checks it exhaustively).
   for (size_t i = 1; i < kLayerIdCount; i++) {
     LayerId id = static_cast<LayerId>(i);
-    for (FCase c : {FCase::kDnCast, FCase::kDnSend, FCase::kUpCast, FCase::kUpSend}) {
+    for (FCase c : {FCase::kDnCast, FCase::kDnSend, FCase::kUpCast, FCase::kUpSend,
+                    FCase::kDnProtoCast, FCase::kUpProtoCast}) {
       const BypassRule* rule = FindBypassRule(id, c);
       if (rule == nullptr || rule->fields.empty()) {
         continue;

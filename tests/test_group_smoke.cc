@@ -117,7 +117,10 @@ TEST(MachSmokeTest, BypassHitsOnCommonCase) {
   const auto& rx = g.member(1).stats();
   EXPECT_EQ(tx.bypass_down, 8u);
   EXPECT_EQ(tx.bypass_down_miss, 0u);
-  EXPECT_EQ(rx.bypass_up, 8u);
+  // Every data cast and every stability gossip cast took a compiled route.
+  ASSERT_NE(g.member(1).gossip_route(), nullptr);
+  EXPECT_EQ(rx.bypass_up, 8u + g.member(1).gossip_route()->ccp_stats().up_hits);
+  EXPECT_EQ(rx.bypass_up_fallback, 0u);
   EXPECT_EQ(rx.delivered, 8u);
 }
 

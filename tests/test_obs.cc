@@ -11,14 +11,61 @@
 
 #include <gtest/gtest.h>
 
+#include "src/app/harness.h"
+#include "src/layers/mnak.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/obs/stats_adapters.h"
 #include "src/obs/trace.h"
 #include "src/util/counters.h"
 
 namespace ensemble {
 namespace obs {
 namespace {
+
+// ---- protocol counters --------------------------------------------------------
+
+TEST(ObsProtocol, GossipCountersAndRetransDepthMoveInFourMemberGroup) {
+  MetricsRegistry reg;
+  RegisterProtocolStats(reg);
+  HarnessConfig config;
+  config.n = 4;
+  config.ep.mode = StackMode::kMachine;
+  config.ep.params.stable_interval = 4;
+  GroupHarness g(config);
+  g.StartAll();
+  MetricsSnapshot before = reg.Snapshot();
+  auto depth = [&](const MetricsSnapshot& snap) {
+    return static_cast<int64_t>(snap.Value("mnak.retrans_depth")) -
+           static_cast<int64_t>(before.Value("mnak.retrans_depth"));
+  };
+  for (int i = 0; i < 20; i++) {
+    for (int m = 0; m < 4; m++) {
+      g.CastFrom(m, "c");
+    }
+  }
+  // Member 0 holds the total-order token, so its 20 casts pass mnak at once
+  // and wait in its retransmission buffer; the others wait for the token.
+  int64_t peak = depth(reg.Snapshot());
+  EXPECT_GE(peak, 20);
+  g.Run(Millis(100));
+  MetricsSnapshot now = reg.Snapshot();
+  MetricsSnapshot delta = now.DeltaSince(before);
+  uint64_t sent = delta.Value("collect.gossips_sent");
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(delta.Value("collect.gossips_recv"), 3 * sent);  // Perfect network.
+  EXPECT_GT(delta.Value("collect.stable_advances"), 0u);
+  // After quiescence the gauge is the four buffers' depth, which stability
+  // has pruned below the peak: only casts no gossip reported yet remain.
+  int64_t buffered = 0;
+  for (int m = 0; m < 4; m++) {
+    buffered += static_cast<int64_t>(
+        static_cast<MnakLayer*>(g.member(m).stack()->FindLayer(LayerId::kMnak))
+            ->retrans_buffer_size());
+  }
+  EXPECT_EQ(depth(now), buffered);
+  EXPECT_LT(buffered, peak);
+}
 
 // ---- JSON writer + validator -----------------------------------------------
 
