@@ -8,7 +8,8 @@
 # post-suite smoke benches), so adding a leg is one case arm.
 #
 #   (none)      full suite + skew scheduler smoke + the perfbench package
-#               built with warnings as errors and perfbench_defects run
+#               built with warnings as errors, perfbench_defects run, and
+#               every perfbench workload run end to end for a second
 #   --tsan      separate tree, -DENSEMBLE_TSAN=ON: concurrency suite (worker
 #               task queue + channel mailboxes + sharded runtime +
 #               observability + overload control on the runtime, whose
@@ -28,6 +29,10 @@
 #   --asan      separate tree under AddressSanitizer + UndefinedBehaviorSanitizer
 #               with libstdc++ assertions: full suite + bench_scenario --smoke;
 #               any memory error or undefined behaviour fails the run
+#
+# "Full suite" is every ctest entry: ensemble_tests and ensemble_alloc_tests
+# (steady-state operator new counts of the compiled routes; it skips itself
+# under a sanitizer, so it counts in the default, notrace and nouring legs).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -70,6 +75,32 @@ json_check() {
     && echo "$1: valid JSON"
 }
 
+# One perfbench run of workload $1 (further arguments passed on): it must
+# exit 0, which means every cast delivered, in order, with its checks met.
+# Exit 2 is a skip only where the datapath it asks for is missing: no UDP
+# sockets at all, or no io_uring for stream.
+run_perfbench() {
+  workload="$1"
+  shift
+  rc=0
+  ./perfbench/perfbench --workload "$workload" --seed 1 "$@" > perfbench_run.out 2>&1 || rc=$?
+  if [ "$rc" -eq 2 ] && grep -q "UDP sockets unavailable" perfbench_run.out; then
+    echo "perfbench $workload: skipped (no UDP sockets)"
+    return 0
+  fi
+  if [ "$rc" -eq 2 ] && [ "$workload" = stream ] &&
+     grep -q "uring backend unavailable" perfbench_run.out; then
+    echo "perfbench $workload: skipped (no io_uring)"
+    return 0
+  fi
+  if [ "$rc" -ne 0 ]; then
+    cat perfbench_run.out
+    echo "perfbench $workload $*: exit $rc" >&2
+    exit 1
+  fi
+  echo "perfbench $workload $*: $(tail -n 1 perfbench_run.out)"
+}
+
 # Post-suite smoke benches.  Each one skips itself cleanly when the
 # environment has no UDP sockets (the benches print "unavailable"); with
 # sockets it must also emit parseable artifacts.
@@ -94,6 +125,13 @@ run_smoke() {
       cmake -B perfbench -S ../perfbench -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
       cmake --build perfbench -j "$JOBS" --target perfbench perfbench_defects
       ./perfbench/perfbench_defects
+      # Every workload end to end: a fast-path change that loses or reorders
+      # a delivery fails here.  Traced pingpong also enforces its Table 1
+      # accounting (segments leave at most 10% of a round unaccounted).
+      for workload in pingpong stream bulk; do
+        run_perfbench "$workload" --seconds 1 --trace 0
+      done
+      run_perfbench pingpong --seconds 1 --trace 1
       ;;
     overload)
       # 10x sustained offered load: bench_overload exits nonzero unless the

@@ -175,12 +175,14 @@ void GroupEndpoint::Flush() {
 }
 
 void GroupEndpoint::EmitGossip() {
-  Event gossip = gossip_origin_->TakeGossip();
+  Event gossip = gossip_origin_->TakeRoutedGossip();
   Iovec wire;
   if (gossip_route_->TryDown(gossip, &wire, nullptr)) {
     EmitCastWire(wire);
     return;
   }
+  // The layers below collect pop the header its Dn would have pushed.
+  gossip.hdrs.Push(LayerId::kCollect, CollectHeader{kCollectGossip});
   stack_->DownFrom(gossip_route_->origin_layer_index() + 1, std::move(gossip));
 }
 
@@ -240,12 +242,12 @@ void GroupEndpoint::Cast(Iovec payload) {
   Event ev = Event::Cast(std::move(payload));
   if (config_.mode == StackMode::kMachine && cast_route_ != nullptr) {
     Iovec wire;
-    std::vector<Event> self_deliveries;
-    if (cast_route_->TryDown(ev, &wire, &self_deliveries)) {
+    Event self;  // A split (loopback) route's local delivery.
+    if (cast_route_->TryDown(ev, &wire, &self)) {
       stats_.bypass_down++;
       EmitDueGossip();  // Due only on stacks that put collect above local.
       EmitCastWire(wire);
-      for (Event& self : self_deliveries) {
+      if (self.type != EventType::kNone) {
         HandleStackUpOut(std::move(self));
       }
       return;

@@ -17,8 +17,8 @@ BypassPuntStats& GlobalBypassPuntStats() {
 
 namespace {
 
-constexpr size_t kMaxHeaderStructSize = 64;
-constexpr size_t kMaxVars = 32;
+constexpr size_t kMaxHeaderStructSize = HeaderLayout::kMaxHeaderBytes;
+constexpr size_t kMaxVars = RoutePair::kMaxWireVars;
 
 size_t WriteVar(uint8_t* dst, FieldType type, uint64_t v) {
   switch (type) {
@@ -194,6 +194,16 @@ std::unique_ptr<RoutePair> CompileRoute(ProtocolStack* stack, FCase dn_case, siz
 
   ENS_CHECK_MSG(var_slot <= kMaxVars, "too many variable header fields");
   route->nvars_ = var_slot;
+  for (size_t i = 0; i < route->plans_.size(); i++) {
+    const LayerPlan& plan = route->plans_[i];
+    if (plan.dn->needs_upper_headers) {
+      // The saved upper vars are the slots of the plans above: [0, var_base).
+      ENS_CHECK_MSG(route->saved_plan_ == SIZE_MAX, "two retransmitting layers in one route");
+      ENS_CHECK_MSG(plan.var_base <= kMaxSavedVars,
+                    "too many variable header fields above " << LayerIdName(plan.id));
+      route->saved_plan_ = i;
+    }
+  }
   route->conn_id_ = static_cast<uint32_t>(hash ^ (hash >> 32));
   route->my_rank_ = stack->depth() > 0 ? stack->layer(0)->rank() : kNoRank;
   return route;
@@ -275,7 +285,7 @@ int RoutePair::FailingDownPlan(const Event& ev) const {
   return -1;
 }
 
-bool RoutePair::DownUpdates(Event& ev, uint64_t* vars, std::vector<Event>* self_deliveries) {
+bool RoutePair::DownUpdates(Event& ev, uint64_t* vars, Event* self_delivery) {
   int failing = FailingDownPlan(ev);
   if (failing >= 0) {
     ccp_stats_.down_misses++;
@@ -298,19 +308,19 @@ bool RoutePair::DownUpdates(Event& ev, uint64_t* vars, std::vector<Event>* self_
       continue;
     }
     if (plan.dn->needs_upper_headers) {
-      // Give retransmission-buffering layers the header stack the normal
-      // path would have built above them.  The upper layers' updates have
-      // already run, so their wire vars are final.
-      ev.hdrs.Clear();
-      MaterializeHeaders(vars, i, &ev.hdrs);
+      // Give retransmission-buffering layers the headers the normal path
+      // would have pushed above them, as layout plus vars.  The upper
+      // layers' updates have already run, so their wire vars are final.
+      ctx.upper = LazyHeaders{&SavedLayout(), vars};
     }
     ctx.state = plan.state;
     ctx.vars_out = vars + plan.var_base;
     plan.dn->update(ctx);
   }
 
-  // Self-delivery arm (split shape).
-  if (split_plan_ != SIZE_MAX && self_deliveries != nullptr) {
+  // Self-delivery arm (split shape).  Its updates run whether or not the
+  // caller takes the delivery: its CCPs were checked with the rest.
+  if (split_plan_ != SIZE_MAX) {
     Event self = Event::DeliverCast(my_rank_, ev.payload);
     BypassCtx uctx;
     uctx.ev = &self;
@@ -323,21 +333,23 @@ bool RoutePair::DownUpdates(Event& ev, uint64_t* vars, std::vector<Event>* self_
       uctx.vars_in = vars + plan.var_base;
       plan.up->update(uctx);
     }
-    self_deliveries->push_back(std::move(self));
+    if (self_delivery != nullptr) {
+      *self_delivery = std::move(self);
+    }
   }
   return true;
 }
 
-bool RoutePair::TryDown(Event& ev, Iovec* wire, std::vector<Event>* self_deliveries) {
+bool RoutePair::TryDown(Event& ev, Iovec* wire, Event* self_delivery) {
   uint64_t vars[kMaxVars] = {0};
-  if (!DownUpdates(ev, vars, self_deliveries)) {
+  if (!DownUpdates(ev, vars, self_delivery)) {
     return false;
   }
   BuildWireHeader(vars, wire, ev);
   return true;
 }
 
-void RoutePair::BuildWireHeader(const uint64_t* vars, Iovec* wire, const Event& ev) const {
+void RoutePair::BuildWireHeader(const uint64_t* vars, Iovec* wire, const Event& ev) {
   // [tag u8][conn u32][origin u8][vars...]
   uint8_t buf[1 + 4 + 1 + kMaxVars * 8];
   size_t pos = 0;
@@ -349,7 +361,7 @@ void RoutePair::BuildWireHeader(const uint64_t* vars, Iovec* wire, const Event& 
     pos += WriteVar(buf + pos, wf.type, vars[wf.var_slot]);
   }
   wire->Clear();
-  wire->Append(Bytes::Copy(buf, pos));
+  wire->Append(slab_.Copy(buf, pos));
   wire->Append(ev.payload);
 }
 
@@ -446,35 +458,58 @@ void RoutePair::ReconstructEvent(const uint64_t* vars, const Bytes& datagram,
     ev.payload.Append(datagram.Slice(payload_off, datagram.size() - payload_off));
   }
   // Rebuild the full header stack in push order (top layer pushed first on
-  // the sender, so we push in plans_ order).
-  MaterializeHeaders(vars, plans_.size(), &ev.hdrs);
+  // the sender, so the layout runs in plans_ order).
+  if (layout_ == nullptr) {
+    layout_ = LayoutOf(plans_.size());
+  }
+  layout_->Materialize(vars, &ev.hdrs);
   *out = std::move(ev);
 }
 
-void RoutePair::MaterializeHeaders(const uint64_t* vars, size_t end, HeaderStack* hdrs) const {
+const std::shared_ptr<const HeaderLayout>& RoutePair::SavedLayout() {
+  if (saved_layout_ == nullptr && saved_plan_ != SIZE_MAX) {
+    saved_layout_ = LayoutOf(saved_plan_);
+  }
+  return saved_layout_;
+}
+
+std::shared_ptr<const HeaderLayout> RoutePair::LayoutOf(size_t end) const {
+  auto layout = std::make_shared<HeaderLayout>();
+  size_t headers = 0, bytes = 0, vars = 0;
+  for (size_t i = 0; i < end; i++) {
+    if (plans_[i].has_header) {
+      headers++;
+      bytes += HeaderDescriptorFor(plans_[i].id).size;
+      vars += plans_[i].var_count;
+    }
+  }
+  layout->Reserve(headers, bytes, vars);
   uint8_t scratch[kMaxHeaderStructSize];
-  size_t next_wire = 0;
   for (size_t i = 0; i < end; i++) {
     const LayerPlan& plan = plans_[i];
     if (!plan.has_header) {
       continue;
     }
     const HeaderDescriptor& desc = HeaderDescriptorFor(plan.id);
+    ENS_CHECK(desc.size <= kMaxHeaderStructSize);
     std::memset(scratch, 0, desc.size);
     for (size_t f = 0; f < desc.fields.size(); f++) {
-      uint64_t value;
-      if (plan.dn->fields[f].is_var()) {
-        // Vars for this plan appear consecutively in wire_ starting at
-        // next_wire (wire_ was built in the same traversal order).
-        value = vars[wire_[next_wire].var_slot];
-        next_wire++;
-      } else {
-        value = plan.const_values[f];
+      if (!plan.dn->fields[f].is_var()) {
+        std::memcpy(scratch + desc.fields[f].offset, &plan.const_values[f],
+                    FieldTypeSize(desc.fields[f].type));
       }
-      std::memcpy(scratch + desc.fields[f].offset, &value, FieldTypeSize(desc.fields[f].type));
     }
-    hdrs->PushRaw(plan.id, scratch, desc.size);
+    layout->AddHeader(plan.id, scratch, desc.size);
+    // A plan's vars take consecutive slots from var_base, in field order
+    // (the order CompileRoute assigned them).
+    uint16_t slot = plan.var_base;
+    for (size_t f = 0; f < desc.fields.size(); f++) {
+      if (plan.dn->fields[f].is_var()) {
+        layout->AddVar(desc.fields[f].offset, desc.fields[f].type, slot++);
+      }
+    }
   }
+  return layout;
 }
 
 std::string RoutePair::Describe() const {

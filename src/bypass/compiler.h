@@ -76,10 +76,11 @@ class RoutePair {
   static constexpr size_t kMaxWireVars = 32;
 
   // Down fast path.  On success: state updated, `wire` is the compressed
-  // datagram (header block + payload, scatter-gather) and `self_deliveries`
-  // receives local deliveries from split rules.  On failure (CCP miss)
-  // nothing was mutated and the caller must use the normal stack.
-  bool TryDown(Event& ev, Iovec* wire, std::vector<Event>* self_deliveries);
+  // datagram (header block + payload, scatter-gather) and, on a split
+  // route, `*self_delivery` is the local delivery (its state updates run
+  // even when the caller passes nullptr and drops it).  On failure (CCP
+  // miss) nothing was mutated and the caller must use the normal stack.
+  bool TryDown(Event& ev, Iovec* wire, Event* self_delivery);
 
   // Phase-split variants of TryDown/TryUp, used by the latency harness to
   // attribute stack vs. transport time separately (Table 1's four rows).
@@ -87,8 +88,8 @@ class RoutePair {
   // BuildWire    = compressed-header construction (transport);
   // DecodeVars   = wire parsing (transport);
   // UpFromVars   = CCP check + fused updates + delivery event (stack).
-  bool DownUpdates(Event& ev, uint64_t* vars, std::vector<Event>* self_deliveries);
-  void BuildWire(const uint64_t* vars, const Event& ev, Iovec* wire) const {
+  bool DownUpdates(Event& ev, uint64_t* vars, Event* self_delivery);
+  void BuildWire(const uint64_t* vars, const Event& ev, Iovec* wire) {
     BuildWireHeader(vars, wire, ev);
   }
   bool DecodeVars(const Bytes& datagram, size_t offset, uint64_t* vars,
@@ -108,6 +109,11 @@ class RoutePair {
   int FailingDownPlan(const Event& ev) const;
 
   const std::vector<LayerPlan>& plans() const { return plans_; }
+
+  // The layout of the headers above the route's retransmitting layer (its
+  // needs_upper_headers plan), which every message that layer saves
+  // shares; built on the first save.  Null when no plan saves.
+  const std::shared_ptr<const HeaderLayout>& SavedLayout();
 
   // Up fast path for a compressed datagram body (the bytes after the
   // conn-id preamble).
@@ -157,12 +163,14 @@ class RoutePair {
     const BypassRule* rule;
   };
 
-  void BuildWireHeader(const uint64_t* vars, Iovec* wire, const Event& ev) const;
+  // Writes the compressed header into slab_: one refcounted slice, no
+  // allocation in steady state.
+  void BuildWireHeader(const uint64_t* vars, Iovec* wire, const Event& ev);
   void ReconstructEvent(const uint64_t* vars, const Bytes& datagram, size_t payload_off,
                         Rank origin, Event* out) const;
-  // Pushes the headers of plans_[0, end) onto `hdrs` from their plans (const
-  // values + wire vars), in push order.
-  void MaterializeHeaders(const uint64_t* vars, size_t end, HeaderStack* hdrs) const;
+  // The layout of the headers of plans_[0, end) (const values + var slots),
+  // in push order.
+  std::shared_ptr<const HeaderLayout> LayoutOf(size_t end) const;
 
   bool cast_ = true;
   FCase dn_case_ = FCase::kDnCast;
@@ -171,6 +179,12 @@ class RoutePair {
   std::vector<LayerPlan> plans_;  // Top -> bottom.
   std::vector<StablePlan> stable_plans_;
   std::vector<WireField> wire_;
+  // Layouts are built on first use: a route that never saves or falls back
+  // (most, between two view changes) never pays for them.
+  size_t saved_plan_ = SIZE_MAX;  // The needs_upper_headers plan, if any.
+  std::shared_ptr<const HeaderLayout> saved_layout_;
+  mutable std::shared_ptr<const HeaderLayout> layout_;  // Every plan's header.
+  HeaderSlab slab_;
   size_t nvars_ = 0;
   size_t split_plan_ = SIZE_MAX;  // Index into plans_ of the split layer.
   uint32_t conn_id_ = 0;

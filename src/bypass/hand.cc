@@ -25,6 +25,8 @@ std::unique_ptr<Hand4Bypass> Hand4Bypass::Create(ProtocolStack* stack, std::stri
   hand->mnak_ = static_cast<MnakFast*>(stack->layer(2)->FastState());
   hand->bottom_ = static_cast<BottomFast*>(stack->layer(3)->FastState());
   hand->my_rank_ = stack->layer(0)->rank();
+  hand->cast_upper_ = hand->cast_route_->SavedLayout();
+  hand->send_upper_ = hand->send_route_->SavedLayout();
   return hand;
 }
 
@@ -37,21 +39,25 @@ uint32_t Hand4Bypass::DownCastUpdates(const Event& ev) {
   }
   skip_next_ccp_ = false;
   uint32_t seqno = mnak_->send_seqno;
-  mnak_->self->SaveSent(seqno, ev);
+  // Nothing above mnak has a var on this stack, so the layout stands alone.
+  mnak_->self->SaveSent(seqno).Save(ev.payload, LazyHeaders{&cast_upper_, nullptr});
   mnak_->send_seqno = seqno + 1;
   return seqno;
 }
 
-void Hand4Bypass::BuildCastWire(uint32_t seqno, const Iovec& payload, Iovec* wire) const {
+void Hand4Bypass::BuildWire(uint32_t conn, uint32_t seqno, const Iovec& payload, Iovec* wire) {
   uint8_t buf[10];
   buf[0] = kWireCompressed;
-  uint32_t conn = cast_route_->conn_id();
   std::memcpy(buf + 1, &conn, 4);
   buf[5] = static_cast<uint8_t>(my_rank_);
   std::memcpy(buf + 6, &seqno, 4);
   wire->Clear();
-  wire->Append(Bytes::Copy(buf, sizeof(buf)));
+  wire->Append(slab_.Copy(buf, sizeof(buf)));
   wire->Append(payload);
+}
+
+void Hand4Bypass::BuildCastWire(uint32_t seqno, const Iovec& payload, Iovec* wire) {
+  BuildWire(cast_route_->conn_id(), seqno, payload, wire);
 }
 
 bool Hand4Bypass::TryDownCast(Event& ev, Iovec* wire) {
@@ -71,17 +77,8 @@ bool Hand4Bypass::TryDownSend(Event& ev, Iovec* wire) {
   }
   skip_next_ccp_ = false;
   uint32_t seqno = static_cast<uint32_t>(pt2pt_->self->NextSendSeqno(ev.dest));
-  pt2pt_->self->FastSend(ev.dest, ev);
-
-  uint8_t buf[10];
-  buf[0] = kWireCompressed;
-  uint32_t conn = send_route_->conn_id();
-  std::memcpy(buf + 1, &conn, 4);
-  buf[5] = static_cast<uint8_t>(my_rank_);
-  std::memcpy(buf + 6, &seqno, 4);
-  wire->Clear();
-  wire->Append(Bytes::Copy(buf, sizeof(buf)));
-  wire->Append(ev.payload);
+  pt2pt_->self->SaveNext(ev.dest).Save(ev.payload, LazyHeaders{&send_upper_, nullptr});
+  BuildWire(send_route_->conn_id(), seqno, ev.payload, wire);
   return true;
 }
 

@@ -44,7 +44,7 @@ class Hand4Bypass {
   // transport; UpCastCommit is the receive-side CCP + updates given the
   // already-decoded seqno.
   uint32_t DownCastUpdates(const Event& ev);
-  void BuildCastWire(uint32_t seqno, const Iovec& payload, Iovec* wire) const;
+  void BuildCastWire(uint32_t seqno, const Iovec& payload, Iovec* wire);
   RoutePair::UpResult UpCastCommit(uint32_t seqno, const Bytes& datagram, size_t payload_off,
                                    Rank origin, Event* out);
 
@@ -56,6 +56,9 @@ class Hand4Bypass {
  private:
   Hand4Bypass() = default;
 
+  // [tag][conn][origin][seqno u32] into slab_, then the payload.
+  void BuildWire(uint32_t conn, uint32_t seqno, const Iovec& payload, Iovec* wire);
+
   BottomFast* bottom_ = nullptr;
   MnakFast* mnak_ = nullptr;
   Pt2ptFast* pt2pt_ = nullptr;
@@ -65,6 +68,12 @@ class Hand4Bypass {
 
   std::unique_ptr<RoutePair> cast_route_;
   std::unique_ptr<RoutePair> send_route_;
+  // The compiled routes' layouts of the headers above mnak (casts) and
+  // pt2pt (sends): saved messages share them as MACH's do.  Taken at
+  // Create, since HAND saves without going through the routes.
+  std::shared_ptr<const HeaderLayout> cast_upper_;
+  std::shared_ptr<const HeaderLayout> send_upper_;
+  HeaderSlab slab_;
 };
 
 }  // namespace ensemble

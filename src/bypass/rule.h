@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/event/event.h"
+#include "src/event/saved_msg.h"
 
 namespace ensemble {
 
@@ -59,12 +60,15 @@ const char* FCaseName(FCase c);
 //                 runs.
 //   * stable    — the kStable vector: an originator's Up/ProtoCast update
 //                 sets it when stability advanced; kStable rules read it.
+//   * upper     — needs_upper_headers rules only: the headers of the layers
+//                 above, as the route's layout plus their (final) vars.
 struct BypassCtx {
   void* state = nullptr;
   Event* ev = nullptr;
   const uint64_t* vars_in = nullptr;
   uint64_t* vars_out = nullptr;
   const std::vector<uint64_t>* stable = nullptr;
+  LazyHeaders upper;
 };
 
 using CcpFn = bool (*)(const BypassCtx&);
@@ -118,10 +122,11 @@ struct BypassRule {
   bool (*split_if)(const void* state) = nullptr;
 
   // Down cases only: this layer's update saves the message for possible
-  // retransmission, so it needs ev.hdrs to hold the headers the layers above
-  // would have pushed on the normal path (mnak for casts, pt2pt for sends).
-  // The compiled route materializes them from the upper layers' header plans
-  // just before this update runs.
+  // retransmission, so it needs the headers the layers above would have
+  // pushed on the normal path (mnak for casts, pt2pt for sends).  The
+  // compiled route hands them over as BypassCtx::upper — its layout of those
+  // headers plus their vars — and the saved message builds the header stack
+  // only if it is ever retransmitted.
   bool needs_upper_headers = false;
 
   // Up/ProtoCast only: the update may announce a kStable vector (through

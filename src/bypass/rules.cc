@@ -69,7 +69,7 @@ BypassRule MnakDnCast() {
   r.update = +[](BypassCtx& ctx) {
     auto* f = MutSt<MnakFast>(ctx);
     ctx.vars_out[0] = f->send_seqno;
-    f->self->SaveSent(f->send_seqno, *ctx.ev);
+    f->self->SaveSent(f->send_seqno).Save(ctx.ev->payload, ctx.upper);
     f->send_seqno++;
   };
   r.predict = +[](const BypassCtx& ctx, int) -> uint64_t {
@@ -127,7 +127,7 @@ BypassRule Pt2ptDnSend() {
   r.update = +[](BypassCtx& ctx) {
     auto* f = MutSt<Pt2ptFast>(ctx);
     ctx.vars_out[0] = f->self->NextSendSeqno(ctx.ev->dest);
-    f->self->FastSend(ctx.ev->dest, *ctx.ev);
+    f->self->SaveNext(ctx.ev->dest).Save(ctx.ev->payload, ctx.upper);
   };
   r.predict = +[](const BypassCtx& ctx, int) -> uint64_t {
     return St<Pt2ptFast>(ctx)->self->NextSendSeqno(ctx.ev->dest);

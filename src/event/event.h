@@ -33,9 +33,6 @@ struct Event {
   VTime time = 0;
   // New membership for kInit / kView events.
   ViewRef view;
-  // Compressed-header fast path: when a compiled bypass produced this event,
-  // the wire header bytes live here instead of in `hdrs` (see src/bypass/).
-  Bytes compressed_hdr;
   // Small numeric vector payload for control events: per-rank stable seqnos
   // for kStable, member endpoint ids for view-change coordination.
   std::vector<uint64_t> vec;

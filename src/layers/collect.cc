@@ -1,6 +1,7 @@
 #include "src/layers/collect.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/marshal/header_desc.h"
 #include "src/marshal/wire.h"
@@ -26,6 +27,12 @@ bool CollectLayer::CountDelivered(Rank origin, uint64_t seq_hint, bool is_data) 
 }
 
 Event CollectLayer::TakeGossip() {
+  Event gossip = TakeRoutedGossip();
+  gossip.hdrs.Push(LayerId::kCollect, CollectHeader{kCollectGossip});
+  return gossip;
+}
+
+Event CollectLayer::TakeRoutedGossip() {
   GlobalProtocolStats().gossips_sent++;
   fast_.since_gossip = 0;
   fast_.data_since_gossip = 0;
@@ -35,14 +42,16 @@ Event CollectLayer::TakeGossip() {
   if (rank_ != kNoRank && static_cast<size_t>(rank_) < peer_acks_.size()) {
     peer_acks_[static_cast<size_t>(rank_)] = acks_;
   }
-  WireWriter w;
-  w.U16(static_cast<uint16_t>(acks_.size()));
-  for (uint64_t a : acks_) {
-    w.U64(a);
+  // [count u16][acks u64...], little-endian as WireReader parses it.
+  uint16_t n = static_cast<uint16_t>(acks_.size());
+  gossip_buf_.resize(2 + size_t{n} * 8);
+  std::memcpy(gossip_buf_.data(), &n, 2);
+  if (n > 0) {
+    std::memcpy(gossip_buf_.data() + 2, acks_.data(), size_t{n} * 8);
   }
-  Event gossip = Event::Cast(Iovec(w.Take()));
+  Event gossip =
+      Event::Cast(Iovec(gossip_slab_.Copy(gossip_buf_.data(), gossip_buf_.size())));
   gossip.protocol_cast = true;
-  gossip.hdrs.Push(LayerId::kCollect, CollectHeader{kCollectGossip});
   return gossip;
 }
 

@@ -77,6 +77,10 @@ class CollectLayer : public Layer {
   // compiled emission): resets the interval, records what it reports, and
   // returns the gossip cast with this layer's header pushed.
   Event TakeGossip();
+  // TakeGossip without the header, which the compiled gossip route's plan
+  // holds: the payload is a slice of this layer's slab, so a routed round
+  // allocates nothing.
+  Event TakeRoutedGossip();
   // True when the timer's quiescence round is due.
   bool TimerGossipDue() const;
   // Bookkeeping for a delivered gossip cast from `from` (shared by the normal
@@ -98,6 +102,8 @@ class CollectLayer : public Layer {
   std::vector<std::vector<uint64_t>> peer_acks_;    // Last vector heard from each member.
   std::vector<uint64_t> last_stable_;               // Last announced minimum.
   std::vector<uint64_t> mins_;                      // Aggregate's column minima, reused.
+  std::vector<uint8_t> gossip_buf_;                 // The next gossip payload, reused.
+  HeaderSlab gossip_slab_;                          // Gossip payloads go out from here.
 };
 
 }  // namespace ensemble

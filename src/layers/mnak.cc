@@ -1,7 +1,6 @@
 #include "src/layers/mnak.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "src/marshal/header_desc.h"
 #include "src/util/hash.h"
@@ -32,37 +31,31 @@ void MnakLayer::FastReceive(Rank origin, Seqno seqno) {
   p.window.SlideOne();
 }
 
-void MnakLayer::SaveSent(Seqno seqno, const Event& ev) {
-  MnakSavedMsg saved;
-  saved.payload = ev.payload;
-  saved.upper_hdrs = ev.hdrs;  // Headers of the layers above us (ours not yet pushed).
-  if (sent_.emplace(seqno, std::move(saved)).second) {
-    GlobalProtocolStats().retrans_depth.Add(1);
-  }
+SavedMsg& MnakLayer::SaveSent(Seqno seqno) {
+  GlobalProtocolStats().retrans_depth.Add(1);
+  return sent_.Push(seqno);
 }
 
 void MnakLayer::PruneStable(const std::vector<uint64_t>& stable) {
   if (rank_ == kNoRank || static_cast<size_t>(rank_) >= stable.size()) {
     return;
   }
-  auto end = sent_.lower_bound(stable[static_cast<size_t>(rank_)]);
-  size_t pruned = static_cast<size_t>(std::distance(sent_.begin(), end));
+  size_t pruned = sent_.PopBelow(stable[static_cast<size_t>(rank_)]);
   if (pruned > 0) {
-    sent_.erase(sent_.begin(), end);
     GlobalProtocolStats().retrans_depth.Sub(pruned);
   }
 }
 
 void MnakLayer::ClearSent() {
   GlobalProtocolStats().retrans_depth.Sub(sent_.size());
-  sent_.clear();
+  sent_.Clear();
 }
 
 void MnakLayer::Dn(Event ev, EventSink& sink) {
   switch (ev.type) {
     case EventType::kCast: {
       uint32_t seqno = fast_.send_seqno++;
-      SaveSent(seqno, ev);
+      SaveSent(seqno).Save(ev);  // The headers of the layers above, ours not yet pushed.
       ev.hdrs.Push(LayerId::kMnak, MnakHeader{kMnakData, seqno, 0, 0});
       sink.PassDn(std::move(ev));
       return;
@@ -213,15 +206,14 @@ void MnakLayer::SendNaks(EventSink& sink) {
 }
 
 void MnakLayer::HandleNak(Rank from, uint32_t lo, uint32_t hi, EventSink& sink) {
-  for (uint32_t s = lo; s < hi; s++) {
-    auto it = sent_.find(s);
-    if (it == sent_.end()) {
-      continue;  // Pruned as stable (requester will learn via stability) or never sent.
+  // Seqnos outside the buffer were pruned as stable (the requester will
+  // learn via stability) or never sent.
+  Seqno last = std::min<Seqno>(hi, sent_.end());
+  for (Seqno s = std::max<Seqno>(lo, sent_.begin()); s < last; s++) {
+    if (const SavedMsg* saved = sent_.Find(s)) {
+      sink.PassDn(saved->Retransmission(
+          from, LayerId::kMnak, MnakHeader{kMnakRetrans, static_cast<uint32_t>(s), 0, 0}));
     }
-    Event re = Event::Send(from, it->second.payload);
-    re.hdrs = it->second.upper_hdrs;
-    re.hdrs.Push(LayerId::kMnak, MnakHeader{kMnakRetrans, s, 0, 0});
-    sink.PassDn(std::move(re));
   }
 }
 

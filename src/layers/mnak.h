@@ -27,6 +27,7 @@
 #include <map>
 #include <vector>
 
+#include "src/event/saved_msg.h"
 #include "src/stack/layer.h"
 #include "src/util/seqwin.h"
 
@@ -50,14 +51,6 @@ enum MnakKind : uint8_t {
 // Cap, in timer ticks, on the gap between re-advertisements of an unchanged
 // send watermark.
 constexpr uint32_t kMaxHiBackoffTicks = 1024;
-
-// A buffered message: payload plus the headers of the layers above mnak,
-// exactly as they were when the message passed down (retransmissions must
-// reproduce them).
-struct MnakSavedMsg {
-  Iovec payload;
-  HeaderStack upper_hdrs;
-};
 
 // Hot state shared with the compiled bypass.  Per-sender receive windows live
 // in the cold part; the bypass only needs the single-peer fast path data,
@@ -89,8 +82,9 @@ class MnakLayer : public Layer {
   // Fast-path receive bookkeeping: advance the window past `seqno`
   // (which must equal Expected(origin)).
   void FastReceive(Rank origin, Seqno seqno);
-  // Fast-path send bookkeeping: save a sent cast for retransmission.
-  void SaveSent(Seqno seqno, const Event& ev);
+  // Send bookkeeping (normal path and compiled routes): the slot that saves
+  // my cast `seqno` for retransmission, which the caller fills.
+  SavedMsg& SaveSent(Seqno seqno);
   // kStable bookkeeping (shared by the normal path and the compiled gossip
   // route): my casts below stable[rank] are delivered everywhere, so they
   // leave the retransmission buffer.
@@ -114,7 +108,7 @@ class MnakLayer : public Layer {
 
   MnakFast fast_;
   std::map<Rank, PeerState> peers_;
-  std::map<Seqno, MnakSavedMsg> sent_;  // My own casts, for retransmission.
+  SeqRing<SavedMsg> sent_;              // My own casts, for retransmission.
   uint32_t advertised_ = 0;             // Watermark last announced via kMnakHi.
   uint32_t hi_backoff_ = 1;             // Ticks between re-advertisements of it.
   uint32_t hi_wait_ = 0;                // Ticks left until the next one.

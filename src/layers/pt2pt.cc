@@ -11,11 +11,9 @@ ENSEMBLE_REGISTER_HEADER(Pt2ptHeader, LayerId::kPt2pt, ENS_FIELD(Pt2ptHeader, kU
                          ENS_FIELD(Pt2ptHeader, kU32, ackno));
 ENSEMBLE_REGISTER_LAYER(LayerId::kPt2pt, Pt2ptLayer);
 
-void Pt2ptLayer::FastSend(Rank dest, const Event& ev) {
+SavedMsg& Pt2ptLayer::SaveNext(Rank dest) {
   SendSide& s = To(dest);
-  Event saved = ev;  // Payload slices are refcounted; this is cheap.
-  s.unacked.emplace(s.next_seqno, std::move(saved));
-  s.next_seqno++;
+  return s.unacked.Push(s.next_seqno++);
 }
 
 void Pt2ptLayer::FastReceive(Rank origin, Seqno seqno) {
@@ -29,16 +27,9 @@ void Pt2ptLayer::FastReceive(Rank origin, Seqno seqno) {
 void Pt2ptLayer::Dn(Event ev, EventSink& sink) {
   switch (ev.type) {
     case EventType::kSend: {
-      SendSide& s = To(ev.dest);
-      uint32_t seqno = static_cast<uint32_t>(s.next_seqno);
+      uint32_t seqno = static_cast<uint32_t>(NextSendSeqno(ev.dest));
       // Save payload + upper headers for retransmission before pushing ours.
-      Event saved;
-      saved.type = EventType::kSend;
-      saved.dest = ev.dest;
-      saved.payload = ev.payload;
-      saved.hdrs = ev.hdrs;
-      s.unacked.emplace(s.next_seqno, std::move(saved));
-      s.next_seqno++;
+      SaveNext(ev.dest).Save(ev);
       ev.hdrs.Push(LayerId::kPt2pt, Pt2ptHeader{kPt2ptData, seqno, 0});
       sink.PassDn(std::move(ev));
       return;
@@ -67,7 +58,7 @@ void Pt2ptLayer::Up(Event ev, EventSink& sink) {
         SendSide& s = To(ev.origin);
         if (hdr.ackno > s.acked) {
           s.acked = hdr.ackno;
-          s.unacked.erase(s.unacked.begin(), s.unacked.lower_bound(hdr.ackno));
+          s.unacked.PopBelow(hdr.ackno);
         }
         return;
       }
@@ -130,15 +121,10 @@ void Pt2ptLayer::OnTimer(VTime now, EventSink& sink) {
       continue;
     }
     s.last_resend = now;
-    for (auto& [seqno, saved] : s.unacked) {
-      Event re;
-      re.type = EventType::kSend;
-      re.dest = dest;
-      re.payload = saved.payload;
-      re.hdrs = saved.hdrs;
-      re.hdrs.Push(LayerId::kPt2pt, Pt2ptHeader{kPt2ptData, static_cast<uint32_t>(seqno), 0});
-      sink.PassDn(std::move(re));
-    }
+    s.unacked.ForEach([&, dest = dest](Seqno seqno, const SavedMsg& saved) {
+      sink.PassDn(saved.Retransmission(
+          dest, LayerId::kPt2pt, Pt2ptHeader{kPt2ptData, static_cast<uint32_t>(seqno), 0}));
+    });
   }
 }
 

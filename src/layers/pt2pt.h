@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 
+#include "src/event/saved_msg.h"
 #include "src/stack/layer.h"
 #include "src/util/seqwin.h"
 #include "src/util/vtime.h"
@@ -52,7 +53,10 @@ class Pt2ptLayer : public Layer {
     auto& f = From(origin);
     return f.backlog.empty() && f.window.high() == f.window.low();
   }
-  void FastSend(Rank dest, const Event& ev);
+  // Send bookkeeping (normal path and compiled routes): takes the next
+  // seqno to `dest` and returns the slot that saves the message for
+  // retransmission, which the caller fills.
+  SavedMsg& SaveNext(Rank dest);
   void FastReceive(Rank origin, Seqno seqno);
   size_t UnackedCount(Rank dest) { return To(dest).unacked.size(); }
 
@@ -60,7 +64,7 @@ class Pt2ptLayer : public Layer {
   struct SendSide {
     Seqno next_seqno = 0;
     Seqno acked = 0;                  // All below this are acknowledged.
-    std::map<Seqno, Event> unacked;   // Saved for retransmission.
+    SeqRing<SavedMsg> unacked;        // Saved for retransmission.
     VTime last_resend = 0;
   };
   struct RecvSide {

@@ -429,12 +429,15 @@ size_t UdpNetwork::DrainOneBatched(Endpoint& state, EndpointId ep) {
   // recycles it); untouched chunks are reused for the next syscall.
   size_t events = 0;
   size_t vlen = std::max<size_t>(1, cfg_.batch);
-  if (recv_bufs_.size() < vlen) {
+  if (recv_msgs_.size() < vlen) {
     recv_bufs_.resize(vlen);
+    recv_addrs_.resize(vlen);
+    recv_iov_.resize(vlen);
+    recv_msgs_.resize(vlen);
   }
-  std::vector<sockaddr_in> addrs(vlen);
-  std::vector<iovec> iov(vlen);
-  std::vector<mmsghdr> msgs(vlen);
+  std::vector<sockaddr_in>& addrs = recv_addrs_;
+  std::vector<iovec>& iov = recv_iov_;
+  std::vector<mmsghdr>& msgs = recv_msgs_;
   while (true) {
     for (size_t i = 0; i < vlen; i++) {
       if (recv_bufs_[i].empty()) {

@@ -44,6 +44,10 @@
 #ifndef ENSEMBLE_SRC_NET_UDP_H_
 #define ENSEMBLE_SRC_NET_UDP_H_
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -249,7 +253,12 @@ class UdpNetwork : public Network {
   TimerHeap timers_;
   std::atomic<int> pressure_{0};   // Overload backpressure level.
   BufferPool recv_pool_{65536};  // One chunk holds any datagram.
-  std::vector<Bytes> recv_bufs_;  // Reusable recvmmsg targets.
+  // Reusable recvmmsg targets and the syscall's arrays, sized once to the
+  // batch.
+  std::vector<Bytes> recv_bufs_;
+  std::vector<sockaddr_in> recv_addrs_;
+  std::vector<iovec> recv_iov_;
+  std::vector<mmsghdr> recv_msgs_;
   Waker waker_;
   NetworkStats stats_;
 };

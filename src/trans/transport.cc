@@ -100,20 +100,29 @@ void Transport::FlushQueue(Staging* q, const PackDest& dest) {
     pack_stats_.single_flushes++;
     emit_(dest, q->wires[0]);
   } else {
-    Iovec packed;
-    Bytes header = Bytes::Allocate(kPackHeader);
-    header.MutableData()[0] = kWirePacked;
-    header.MutableData()[1] = static_cast<uint8_t>(q->wires.size());
-    packed.Append(std::move(header));
-    for (const Iovec& wire : q->wires) {
-      Bytes len = Bytes::Allocate(kPackLenPrefix);
-      uint32_t n = static_cast<uint32_t>(wire.size());
-      std::memcpy(len.MutableData(), &n, kPackLenPrefix);
-      packed.Append(std::move(len));
-      packed.Append(wire);  // Refcounted aliases: no payload copy.
+    // The framing is one slab write; the tag and count ride with the first
+    // length prefix, and each later prefix is its own slice.
+    size_t n = q->wires.size();
+    uint8_t framing[kPackHeader + kPackMaxCount * kPackLenPrefix];
+    framing[0] = kWirePacked;
+    framing[1] = static_cast<uint8_t>(n);
+    for (size_t i = 0; i < n; i++) {
+      uint32_t len = static_cast<uint32_t>(q->wires[i].size());
+      std::memcpy(framing + kPackHeader + i * kPackLenPrefix, &len, kPackLenPrefix);
+    }
+    Bytes block = slab_.Copy(framing, kPackHeader + n * kPackLenPrefix);
+    // Taken out while in use: an emit that re-enters a flush builds its own.
+    Iovec packed = std::move(packed_);
+    packed.Append(block.Slice(0, kPackHeader + kPackLenPrefix));
+    packed.Append(q->wires[0]);  // Refcounted aliases: no payload copy.
+    for (size_t i = 1; i < n; i++) {
+      packed.Append(block.Slice(kPackHeader + i * kPackLenPrefix, kPackLenPrefix));
+      packed.Append(q->wires[i]);
     }
     pack_stats_.packed_datagrams++;
     emit_(dest, packed);
+    packed.Clear();
+    packed_ = std::move(packed);
   }
   q->wires.clear();
   q->bytes = 0;

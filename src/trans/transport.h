@@ -13,9 +13,11 @@
 // paper's copy-avoidance work): when enabled, complete wire datagrams headed
 // for the same destination are staged per destination and coalesced into one
 // packed datagram — [kWirePacked u8][count u8] then count × ([u32 len] body)
-// — built by scatter-gather (length prefixes are tiny fresh Bytes; the
-// sub-message parts are refcounted aliases, so packing copies no payload
-// bytes).  Sub-messages keep their own first-byte tag, so a packed datagram
+// — built by scatter-gather (the framing — tag, count and every length
+// prefix — is written once into the transport's HeaderSlab and goes out as
+// slices of it; the sub-message parts are refcounted aliases, so packing
+// copies no payload bytes and allocates nothing in steady state).
+// Sub-messages keep their own first-byte tag, so a packed datagram
 // may mix generic and compressed (bypass/CCP) traffic; the receive side
 // splits it with zero-copy slices and feeds each sub-message through the
 // normal first-byte dispatch.
@@ -127,6 +129,8 @@ class Transport {
   void FlushQueue(Staging* q, const PackDest& dest);
 
   ConnTable* conns_;
+  HeaderSlab slab_;  // Pack framing.
+  Iovec packed_;     // Spare part array for the next packed datagram.
   EmitFn emit_;
   size_t max_msgs_ = 16;
   size_t max_bytes_ = 60000;

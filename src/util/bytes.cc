@@ -80,13 +80,29 @@ Bytes Bytes::Slice(size_t pos, size_t n) const {
   return b;
 }
 
+void Iovec::Grow(size_t want) {
+  size_t cap = cap_;
+  while (cap < want) {
+    cap *= 2;
+  }
+  auto* grown = static_cast<Bytes*>(::operator new(cap * sizeof(Bytes)));
+  for (uint32_t i = 0; i < count_; i++) {
+    new (grown + i) Bytes(std::move(parts_[i]));
+    parts_[i].~Bytes();
+  }
+  FreeHeap();
+  parts_ = grown;
+  cap_ = static_cast<uint32_t>(cap);
+}
+
 Bytes Iovec::Flatten() const {
-  if (parts_.size() == 1) {
+  if (count_ == 1) {
     return parts_[0];
   }
   Bytes out = Bytes::Allocate(total_);
   size_t pos = 0;
-  for (const auto& p : parts_) {
+  for (uint32_t i = 0; i < count_; i++) {
+    const Bytes& p = parts_[i];
     std::memcpy(out.MutableData() + pos, p.data(), p.size());
     pos += p.size();
   }
@@ -98,7 +114,8 @@ Iovec Iovec::SubRange(size_t pos, size_t n) const {
   Iovec out;
   size_t skip = pos;
   size_t want = n;
-  for (const auto& p : parts_) {
+  for (uint32_t i = 0; i < count_; i++) {
+    const Bytes& p = parts_[i];
     if (want == 0) {
       break;
     }
@@ -144,6 +161,31 @@ bool Iovec::ContentEquals(const Iovec& other) const {
     }
   }
   return true;
+}
+
+Bytes HeaderSlab::Copy(const void* data, size_t len) {
+  if (len > kChunkBytes) {
+    return Bytes::Copy(data, len);
+  }
+  if (chunks_.empty() || used_ + len > kChunkBytes) {
+    NextChunk();
+  }
+  std::memcpy(chunks_[cur_].MutableData() + used_, data, len);
+  Bytes slice = chunks_[cur_].Slice(used_, len);
+  used_ += len;
+  return slice;
+}
+
+void HeaderSlab::NextChunk() {
+  used_ = 0;
+  for (size_t i = 0; i < chunks_.size(); i++) {
+    if (chunks_[i].Unique()) {
+      cur_ = i;
+      return;
+    }
+  }
+  chunks_.push_back(Bytes::Allocate(kChunkBytes));
+  cur_ = chunks_.size() - 1;
 }
 
 }  // namespace ensemble

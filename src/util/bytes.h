@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -84,6 +85,10 @@ class Bytes {
   uint8_t* MutableData() { return chunk_ ? chunk_->data() + off_ : nullptr; }
   size_t size() const { return len_; }
   bool empty() const { return len_ == 0; }
+  // True when this is the only reference to its chunk.
+  bool Unique() const {
+    return chunk_ != nullptr && chunk_->refs.load(std::memory_order_acquire) == 1;
+  }
   uint8_t operator[](size_t i) const { return data()[i]; }
 
   // Sub-slice [pos, pos+n); clamps to the slice bounds.  O(1), no copy.
@@ -113,35 +118,80 @@ class Bytes {
 
 // A scatter-gather vector: an ordered list of Bytes slices that logically
 // concatenate into one payload.  Mirrors the iovec arrays Ensemble hands to
-// the UNIX scatter-gather socket interface.
+// the UNIX scatter-gather socket interface.  Up to kInlineParts parts live in
+// the object itself — a payload, or a compressed header plus its payload —
+// so the common message copies and moves without touching the allocator;
+// longer lists (packed datagrams, reassembled fragments) move to one heap
+// array that Clear() keeps for reuse.  Only live parts are constructed, so
+// an empty or moved-from Iovec costs nothing to destroy.
 class Iovec {
  public:
+  static constexpr uint32_t kInlineParts = 2;
+
   Iovec() = default;
   explicit Iovec(Bytes one) { Append(std::move(one)); }
+  Iovec(const Iovec& other) { Append(other); }
+  Iovec(Iovec&& other) noexcept { StealFrom(other); }
+  Iovec& operator=(const Iovec& other) {
+    if (this != &other) {
+      Clear();
+      Append(other);
+    }
+    return *this;
+  }
+  Iovec& operator=(Iovec&& other) noexcept {
+    if (this != &other) {
+      Clear();
+      FreeHeap();
+      StealFrom(other);
+    }
+    return *this;
+  }
+  ~Iovec() {
+    Clear();
+    FreeHeap();
+  }
 
   void Append(Bytes b) {
     if (!b.empty()) {
+      if (count_ == cap_) {
+        Grow(count_ + 1);
+      }
       total_ += b.size();
-      parts_.push_back(std::move(b));
+      new (parts_ + count_) Bytes(std::move(b));
+      count_++;
     }
   }
   void Append(const Iovec& other) {
-    for (const auto& p : other.parts_) {
-      Append(p);
+    Reserve(count_ + other.count_);
+    for (uint32_t i = 0; i < other.count_; i++) {
+      Append(other.parts_[i]);
     }
   }
   void Prepend(Bytes b) {
     if (!b.empty()) {
+      if (count_ == cap_) {
+        Grow(count_ + 1);
+      }
+      for (uint32_t i = count_; i > 0; i--) {
+        new (parts_ + i) Bytes(std::move(parts_[i - 1]));
+        parts_[i - 1].~Bytes();
+      }
       total_ += b.size();
-      parts_.insert(parts_.begin(), std::move(b));
+      new (parts_) Bytes(std::move(b));
+      count_++;
     }
   }
   // Pre-sizes the part list so a known Append sequence mallocs at most once.
-  void Reserve(size_t parts) { parts_.reserve(parts); }
+  void Reserve(size_t parts) {
+    if (parts > cap_) {
+      Grow(parts);
+    }
+  }
 
   size_t size() const { return total_; }
   bool empty() const { return total_ == 0; }
-  size_t part_count() const { return parts_.size(); }
+  size_t part_count() const { return count_; }
   const Bytes& part(size_t i) const { return parts_[i]; }
 
   // Flattens into one contiguous Bytes.  The slow path; the fast paths keep
@@ -153,14 +203,83 @@ class Iovec {
 
   bool ContentEquals(const Iovec& other) const;
 
+  // Drops every part; a heap part array stays allocated for reuse.
   void Clear() {
-    parts_.clear();
+    for (uint32_t i = 0; i < count_; i++) {
+      parts_[i].~Bytes();
+    }
+    count_ = 0;
     total_ = 0;
   }
 
  private:
-  std::vector<Bytes> parts_;
+  Bytes* inline_parts() { return reinterpret_cast<Bytes*>(inline_); }
+  void Grow(size_t want);
+  // Takes other's parts: its heap array as is, or its inline parts moved
+  // here; `other` is left empty and inline.  Requires this Iovec empty and
+  // inline.
+  void StealFrom(Iovec& other) {
+    if (other.parts_ != other.inline_parts()) {
+      parts_ = other.parts_;
+      cap_ = other.cap_;
+      other.parts_ = other.inline_parts();
+      other.cap_ = kInlineParts;
+    } else {
+      for (uint32_t i = 0; i < other.count_; i++) {
+        new (parts_ + i) Bytes(std::move(other.parts_[i]));
+        other.parts_[i].~Bytes();
+      }
+    }
+    count_ = other.count_;
+    total_ = other.total_;
+    other.count_ = 0;
+    other.total_ = 0;
+  }
+  // Returns a heap part array (which must hold no live parts) and goes back
+  // to inline storage.
+  void FreeHeap() {
+    if (parts_ != inline_parts()) {
+      ::operator delete(parts_);
+      parts_ = inline_parts();
+      cap_ = kInlineParts;
+    }
+  }
+
+  alignas(Bytes) unsigned char inline_[kInlineParts * sizeof(Bytes)];
+  Bytes* parts_ = inline_parts();  // Live parts: [0, count_).
+  uint32_t count_ = 0;
+  uint32_t cap_ = kInlineParts;
   size_t total_ = 0;
+};
+
+// Small immutable byte strings — compressed headers, pack framing — written
+// into shared chunks and handed out as refcounted slices, so emitting one
+// costs a memcpy and a refcount instead of an allocation.  A chunk is
+// rewritten only once every slice of it has been released (the slab then
+// holds the only reference); until then the slab moves on to another chunk,
+// allocating one when all are in use, so in steady state the chunk set is
+// the in-flight working set.  Not thread-safe (one per route or transport);
+// the slices may be released on any thread.
+class HeaderSlab {
+ public:
+  static constexpr size_t kChunkBytes = 2048;
+
+  HeaderSlab() = default;
+  HeaderSlab(const HeaderSlab&) = delete;
+  HeaderSlab& operator=(const HeaderSlab&) = delete;
+
+  // Copies `len` bytes into the slab and returns the slice holding them.
+  // Longer than a chunk: a plain heap copy.
+  Bytes Copy(const void* data, size_t len);
+
+  size_t chunk_count() const { return chunks_.size(); }
+
+ private:
+  void NextChunk();
+
+  std::vector<Bytes> chunks_;  // Each spans a whole chunk: the slab's reference.
+  size_t cur_ = 0;
+  size_t used_ = 0;
 };
 
 }  // namespace ensemble

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 
+#include "src/app/harness.h"
 #include "src/bypass/compiler.h"
 #include "src/bypass/conn_table.h"
 #include "src/bypass/hand.h"
@@ -261,6 +264,179 @@ TEST(RoundTripTest, BypassRetransmissionsCarryUpperHeaders) {
   EXPECT_EQ(f.rx_deliveries[0].payload.Flatten().view(), "keep-me");
 }
 
+// ---------------------------------------------------------------------------
+// Retransmissions of bypassed messages: the saved message keeps the route's
+// vars, and the header stack it builds on a retransmission must give the
+// same generic wire as the FUNC stack's retransmission of the same message.
+// ---------------------------------------------------------------------------
+
+// The generic wires `stack` emits while `fn` runs.
+std::vector<std::string> EmittedWires(ProtocolStack* stack, const std::function<void()>& fn) {
+  std::vector<std::string> wires;
+  stack->set_dn_out(
+      [&](Event ev) { wires.push_back(GenericMarshal(ev, 0).Flatten().ToString()); });
+  fn();
+  stack->set_dn_out([](Event) {});
+  return wires;
+}
+
+// A NAK for my casts [0, hi) from rank 1, as it reaches the bottom layer.
+Event NakFromPeer(uint32_t hi) {
+  Event nak = Event::DeliverSend(1, Iovec());
+  nak.hdrs.Push(LayerId::kMnak, MnakHeader{kMnakNak, 0, 0, hi});
+  nak.hdrs.Push(LayerId::kBottom, BottomHeader{0, 1});
+  return nak;
+}
+
+// Sends three casts (or sends to rank 1) down `bypassed` through `down`
+// and down `func`'s normal stack, then runs `trigger` on both: the
+// retransmissions must be byte-identical.
+void ExpectSameRetransmissions(bool cast, BypassFixture& bypassed, BypassFixture& func,
+                               const std::function<bool(Event&)>& down,
+                               const std::function<void(ProtocolStack*)>& trigger) {
+  for (int i = 0; i < 3; i++) {
+    Iovec payload(Bytes::CopyString("saved-" + std::to_string(i)));
+    Event ev = cast ? Event::Cast(payload) : Event::Send(1, payload);
+    ASSERT_TRUE(down(ev)) << i;
+    func.tx->Down(cast ? Event::Cast(payload) : Event::Send(1, payload));
+  }
+  auto want = EmittedWires(func.tx.get(), [&] { trigger(func.tx.get()); });
+  auto got = EmittedWires(bypassed.tx.get(), [&] { trigger(bypassed.tx.get()); });
+  ASSERT_GE(want.size(), 3u);
+  EXPECT_EQ(got, want);
+}
+
+// First tick arms pt2pt's timeout; a tick past it retransmits.
+void TimeoutTicks(ProtocolStack* stack) {
+  stack->Down(Event::Timer(Millis(1)));
+  stack->Down(Event::Timer(Millis(1) + BypassFixture::Quiet().retrans_timeout + 1));
+}
+
+TEST(RetransmissionTest, NakedBypassedCastMatchesFuncRetransmission) {
+  BypassFixture bypassed(TenLayerStack());
+  BypassFixture func(TenLayerStack());
+  ExpectSameRetransmissions(
+      /*cast=*/true, bypassed, func,
+      [&](Event& ev) {
+        Iovec wire;
+        return bypassed.tx_route->TryDown(ev, &wire, nullptr);
+      },
+      [](ProtocolStack* stack) { stack->Up(NakFromPeer(3)); });
+}
+
+TEST(RetransmissionTest, TimedOutBypassedSendMatchesFuncRetransmission) {
+  BypassFixture bypassed(TenLayerStack());
+  BypassFixture func(TenLayerStack());
+  std::string error;
+  auto send_route = CompileRoutePair(bypassed.tx.get(), /*cast=*/false, &error);
+  ASSERT_NE(send_route, nullptr) << error;
+  ExpectSameRetransmissions(
+      /*cast=*/false, bypassed, func,
+      [&](Event& ev) {
+        Iovec wire;
+        return send_route->TryDown(ev, &wire, nullptr);
+      },
+      TimeoutTicks);
+}
+
+TEST(RetransmissionTest, HandBypassSavesLikeTheCompiledRoutes) {
+  for (bool cast : {true, false}) {
+    BypassFixture bypassed(FourLayerStack());
+    BypassFixture func(FourLayerStack());
+    std::string error;
+    auto hand = Hand4Bypass::Create(bypassed.tx.get(), &error);
+    ASSERT_NE(hand, nullptr) << error;
+    ExpectSameRetransmissions(
+        cast, bypassed, func,
+        [&](Event& ev) {
+          Iovec wire;
+          return cast ? hand->TryDownCast(ev, &wire) : hand->TryDownSend(ev, &wire);
+        },
+        [cast](ProtocolStack* stack) {
+          if (cast) {
+            stack->Up(NakFromPeer(3));
+          } else {
+            TimeoutTicks(stack);
+          }
+        });
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire bytes: the compressed layout and the pack framing are a wire
+// format; these bytes must not move.
+// ---------------------------------------------------------------------------
+
+std::string Hex(const Bytes& b) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (size_t i = 0; i < b.size(); i++) {
+    out += kDigits[b[i] >> 4];
+    out += kDigits[b[i] & 15];
+  }
+  return out;
+}
+
+TEST(GoldenWireTest, CompressedCastSendAndPackBytesAreFixed) {
+  BypassFixture f(TenLayerStack());
+  std::string error;
+  auto send_route = CompileRoutePair(f.tx.get(), /*cast=*/false, &error);
+  ASSERT_NE(send_route, nullptr) << error;
+
+  Event cast = Event::Cast(Iovec(Bytes::CopyString("golden")));
+  Iovec cast_wire;
+  ASSERT_TRUE(f.tx_route->TryDown(cast, &cast_wire, nullptr));
+  // [tag 0x43][conn u32][origin u8][total gseq u32][mnak seqno u32] "golden".
+  EXPECT_EQ(Hex(cast_wire.Flatten()), "437bfe6b6700" "00000000" "00000000" "676f6c64656e");
+
+  Event send = Event::Send(1, Iovec(Bytes::CopyString("golden")));
+  Iovec send_wire;
+  ASSERT_TRUE(send_route->TryDown(send, &send_wire, nullptr));
+  // [tag 0x43][conn u32][origin u8][pt2pt seqno u32] "golden".
+  EXPECT_EQ(Hex(send_wire.Flatten()), "437479146700" "00000000" "676f6c64656e");
+
+  Transport packer;
+  std::vector<std::string> emitted;
+  packer.EnablePacking([&](const Transport::PackDest&, const Iovec& wire) {
+    emitted.push_back(Hex(wire.Flatten()));
+  });
+  for (int i = 0; i < 3; i++) {
+    Event ev = Event::Cast(Iovec(Bytes::CopyString("p" + std::to_string(i))));
+    Iovec wire;
+    ASSERT_TRUE(f.tx_route->TryDown(ev, &wire, nullptr));
+    packer.PackCast(wire);
+  }
+  packer.FlushPacked();
+  ASSERT_EQ(emitted.size(), 1u);
+  // [tag 0x50][count 3], then [u32 len] + sub-message three times.
+  EXPECT_EQ(emitted[0],
+            "5003"
+            "10000000437bfe6b67000100000001000000" "7030"
+            "10000000437bfe6b67000200000002000000" "7031"
+            "10000000437bfe6b67000300000003000000" "7032");
+}
+
+TEST(SplitRouteTest, NoSinkStillRunsTheSelfDeliveryArm) {
+  // A split route called without a sink still runs the self-delivery arm's
+  // updates: total's expected_gseq keeps pace with next_gseq, so the next
+  // cast hits the CCP instead of missing it for the rest of the view.
+  HarnessConfig config;
+  config.n = 3;
+  config.ep.mode = StackMode::kMachine;
+  config.ep.layers = TenLayerStack();
+  ASSERT_TRUE(config.ep.params.local_loopback);
+  GroupHarness g(config);
+  g.StartAll();
+  RoutePair* route = g.member(0).cast_route();
+  for (int i = 0; i < 2; i++) {
+    Event ev = Event::Cast(Iovec(Bytes::CopyString("no-sink")));
+    Iovec wire;
+    EXPECT_TRUE(route->TryDown(ev, &wire, nullptr)) << "cast " << i;
+  }
+  auto* total = static_cast<TotalLayer*>(g.member(0).stack()->FindLayer(LayerId::kTotal));
+  EXPECT_EQ(total->fast().expected_gseq, 2u);
+}
+
 TEST(SplitRouteTest, SelfDeliveryThroughUpperUpRules) {
   LayerParams params = BypassFixture::Quiet();
   params.local_loopback = true;
@@ -271,12 +447,11 @@ TEST(SplitRouteTest, SelfDeliveryThroughUpperUpRules) {
 
   Event ev = Event::Cast(Iovec(Bytes::CopyString("to-self")));
   Iovec wire;
-  std::vector<Event> selfs;
-  ASSERT_TRUE(route->TryDown(ev, &wire, &selfs));
-  ASSERT_EQ(selfs.size(), 1u);
-  EXPECT_EQ(selfs[0].type, EventType::kDeliverCast);
-  EXPECT_EQ(selfs[0].origin, 0);
-  EXPECT_EQ(selfs[0].payload.Flatten().view(), "to-self");
+  Event self;
+  ASSERT_TRUE(route->TryDown(ev, &wire, &self));
+  EXPECT_EQ(self.type, EventType::kDeliverCast);
+  EXPECT_EQ(self.origin, 0);
+  EXPECT_EQ(self.payload.Flatten().view(), "to-self");
   // total's expected_gseq advanced through the self-delivery arm.
   auto* total = static_cast<TotalLayer*>(f.tx->FindLayer(LayerId::kTotal));
   EXPECT_EQ(total->fast().expected_gseq, 1u);

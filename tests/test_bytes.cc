@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/util/bytes.h"
 #include "src/util/pool.h"
 #include "src/util/rng.h"
@@ -120,6 +123,59 @@ TEST(IovecTest, ContentEqualsIgnoresPartition) {
   Iovec c(Bytes::CopyString("abcdXf"));
   EXPECT_TRUE(a.ContentEquals(b));
   EXPECT_FALSE(a.ContentEquals(c));
+}
+
+TEST(IovecTest, InlinePartsSpillAndCopyMoveKeepContent) {
+  // Two parts stay inline; a third spills every part to the heap array,
+  // which copies, moves and Clear must all carry correctly.
+  Iovec v(Bytes::CopyString("ab"));
+  v.Append(Bytes::CopyString("cd"));
+  Iovec inline_copy = v;
+  v.Append(Bytes::CopyString("ef"));
+  v.Prepend(Bytes::CopyString("zz"));
+  EXPECT_EQ(v.part_count(), 4u);
+  Iovec copy = v;
+  Iovec moved = std::move(v);
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.part_count(), 0u);
+  EXPECT_EQ(copy.Flatten().view(), "zzabcdef");
+  EXPECT_EQ(moved.Flatten().view(), "zzabcdef");
+  EXPECT_EQ(inline_copy.Flatten().view(), "abcd");
+  inline_copy = moved;
+  EXPECT_EQ(inline_copy.Flatten().view(), "zzabcdef");
+  moved.Clear();
+  moved.Append(Bytes::CopyString("again"));
+  EXPECT_EQ(moved.Flatten().view(), "again");
+  v = std::move(copy);
+  EXPECT_EQ(v.size(), 8u);
+}
+
+TEST(HeaderSlabTest, SlicesStayIntactAndChunksAreReusedOnceReleased) {
+  HeaderSlab slab;
+  std::vector<Bytes> held;
+  // Fill well past one chunk while holding every slice: each must keep its
+  // bytes, so the slab has to move on to fresh chunks.
+  for (int i = 0; i < 600; i++) {
+    std::string s = "hdr-" + std::to_string(i);
+    held.push_back(slab.Copy(s.data(), s.size()));
+  }
+  for (int i = 0; i < 600; i++) {
+    EXPECT_EQ(held[static_cast<size_t>(i)].view(), "hdr-" + std::to_string(i));
+  }
+  size_t chunks = slab.chunk_count();
+  EXPECT_GT(chunks, 1u);
+  // Released slices free their chunks for rewriting: the same traffic again
+  // needs no new chunk.
+  held.clear();
+  for (int i = 0; i < 600; i++) {
+    std::string s = "again-" + std::to_string(i);
+    Bytes b = slab.Copy(s.data(), s.size());
+    EXPECT_EQ(b.view(), s);
+  }
+  EXPECT_EQ(slab.chunk_count(), chunks);
+  // Longer than a chunk: a plain copy.
+  std::string big(HeaderSlab::kChunkBytes + 1, 'x');
+  EXPECT_EQ(slab.Copy(big.data(), big.size()).view(), big);
 }
 
 TEST(PoolTest, RecyclesChunks) {

@@ -223,7 +223,7 @@ TEST_P(FuzzSeedTest, MutatedPackedFramingDispatchesAllOrNothing) {
   for (int i = 0; i < 3; i++) {
     Event ev = Event::Cast(Iovec(Bytes::CopyString("packed" + std::to_string(i))));
     Iovec wire;
-    std::vector<Event> self;  // The loopback split's self-delivery.
+    Event self;  // The loopback split's self-delivery.
     ASSERT_TRUE(g.member(0).cast_route()->TryDown(ev, &wire, &self));
     packer.PackCast(wire);
     prefix_at.push_back(pos);

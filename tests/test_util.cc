@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 #include <vector>
 
@@ -146,6 +147,165 @@ TEST(SeqWindowTest, InterleavedMarkSlideStress) {
   EXPECT_EQ(w.Slide(), 100u);
   EXPECT_EQ(w.low(), 100u);
   EXPECT_FALSE(w.HasHoles());
+}
+
+// The window's reference semantics: a low-water mark plus one flag per
+// seqno in [low, high), as a plain deque.
+struct RefWindow {
+  Seqno low = 0;
+  std::deque<bool> seen;
+
+  bool Mark(Seqno s) {
+    if (s < low) {
+      return false;
+    }
+    size_t idx = static_cast<size_t>(s - low);
+    if (idx >= seen.size()) {
+      seen.resize(idx + 1, false);
+    }
+    if (seen[idx]) {
+      return false;
+    }
+    seen[idx] = true;
+    return true;
+  }
+  bool SlideOne() {
+    if (seen.empty() || !seen.front()) {
+      return false;
+    }
+    seen.pop_front();
+    low++;
+    return true;
+  }
+  void ExtendTo(Seqno bound) {
+    if (bound > low + seen.size()) {
+      seen.resize(static_cast<size_t>(bound - low), false);
+    }
+  }
+  std::vector<Seqno> Holes() const {
+    std::vector<Seqno> holes;
+    for (size_t i = 0; i < seen.size(); i++) {
+      if (!seen[i]) {
+        holes.push_back(low + i);
+      }
+    }
+    return holes;
+  }
+};
+
+void ExpectSameWindow(const SeqWindow& w, const RefWindow& ref, int step) {
+  ASSERT_EQ(w.low(), ref.low) << "step " << step;
+  ASSERT_EQ(w.high(), ref.low + ref.seen.size()) << "step " << step;
+  ASSERT_EQ(w.Holes(), ref.Holes()) << "step " << step;
+  ASSERT_EQ(w.HasHoles(), !ref.Holes().empty()) << "step " << step;
+}
+
+TEST(SeqWindowTest, RandomOperationsMatchReferenceModel) {
+  // Marks land up to `reach` ahead of low; reach changes over the run, so
+  // the ring wraps many times and grows while its live bits straddle the
+  // wrap point.
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    Rng rng(seed);
+    Seqno start = rng.Below(1000);
+    SeqWindow w(start);
+    RefWindow ref;
+    ref.low = start;
+    for (int step = 0; step < 20000; step++) {
+      uint64_t reach = step % 5000 < 2500 ? 40 : 300;
+      switch (rng.Below(6)) {
+        case 0:
+        case 1: {
+          Seqno s = ref.low + rng.Below(reach) - (rng.Chance(0.05) ? ref.low / 2 : 0);
+          ASSERT_EQ(w.Mark(s), ref.Mark(s)) << "seed " << seed << " step " << step;
+          break;
+        }
+        case 2:
+          ASSERT_EQ(w.SlideOne(), ref.SlideOne()) << "seed " << seed << " step " << step;
+          break;
+        case 3: {
+          size_t n = 0;
+          while (ref.SlideOne()) {
+            n++;
+          }
+          ASSERT_EQ(w.Slide(), n) << "seed " << seed << " step " << step;
+          break;
+        }
+        case 4: {
+          Seqno bound = ref.low + rng.Below(reach);
+          w.ExtendTo(bound);
+          ref.ExtendTo(bound);
+          break;
+        }
+        default: {
+          Seqno s = ref.low + rng.Below(reach) - rng.Below(3);
+          bool ref_seen = s < ref.low ||
+                          (s - ref.low < ref.seen.size() && ref.seen[s - ref.low]);
+          ASSERT_EQ(w.Seen(s), ref_seen) << "seed " << seed << " step " << step;
+          break;
+        }
+      }
+      if (step % 64 == 0) {
+        ExpectSameWindow(w, ref, step);
+      }
+    }
+    ExpectSameWindow(w, ref, -1);
+  }
+}
+
+TEST(SeqWindowTest, GrowsWhileWrappedKeepingEveryMark) {
+  // Start mid-ring (100 mod 64), fill the 64-bit ring past its wrap point,
+  // then mark far ahead to force growth with the live bits straddling it.
+  SeqWindow w(100);
+  for (Seqno s = 100; s < 164; s += 3) {
+    EXPECT_TRUE(w.Mark(s));
+  }
+  EXPECT_TRUE(w.Mark(400));
+  for (Seqno s = 100; s < 164; s++) {
+    EXPECT_EQ(w.Seen(s), (s - 100) % 3 == 0) << s;
+  }
+  EXPECT_TRUE(w.Seen(400));
+  EXPECT_FALSE(w.Seen(399));
+  EXPECT_EQ(w.high(), 401u);
+  EXPECT_EQ(w.Holes().size(), 301u - 23u);
+}
+
+struct Slot {
+  int value = -1;
+  void Reset() { value = -1; }
+};
+
+TEST(SeqRingTest, PushFindPopAcrossGrowthAndWrap) {
+  SeqRing<Slot> ring;
+  Seqno next = 1000;
+  Seqno front = 1000;
+  Rng rng(7);
+  for (int step = 0; step < 5000; step++) {
+    if (rng.Chance(0.6) || ring.empty()) {
+      ring.Push(next).value = static_cast<int>(next);
+      next++;
+    } else {
+      Seqno bound = front + rng.Below(next - front + 1);
+      EXPECT_EQ(ring.PopBelow(bound), bound - front);
+      front = bound;
+    }
+    ASSERT_EQ(ring.size(), next - front);
+    if (!ring.empty()) {
+      ASSERT_EQ(ring.begin(), front);
+      ASSERT_EQ(ring.end(), next);
+    }
+    EXPECT_EQ(ring.Find(front - 1), nullptr);
+    EXPECT_EQ(ring.Find(next), nullptr);
+    for (Seqno s = front; s < next; s += 7) {
+      ASSERT_NE(ring.Find(s), nullptr);
+      ASSERT_EQ(ring.Find(s)->value, static_cast<int>(s));
+    }
+  }
+  Seqno expect = front;
+  ring.ForEach([&](Seqno s, Slot& slot) {
+    EXPECT_EQ(s, expect++);
+    EXPECT_EQ(slot.value, static_cast<int>(s));
+  });
+  EXPECT_EQ(expect, next);
 }
 
 TEST(HashTest, FnvMatchesKnownVector) {
