@@ -31,8 +31,11 @@
 #               any memory error or undefined behaviour fails the run
 #
 # "Full suite" is every ctest entry: ensemble_tests and ensemble_alloc_tests
-# (steady-state operator new counts of the compiled routes; it skips itself
-# under a sanitizer, so it counts in the default, notrace and nouring legs).
+# (steady-state operator new counts of the compiled routes and of
+# UdpNetwork's Send + Flush on each backend — eager, mmsg and uring, where
+# the nouring leg's uring case checks the fallback to mmsg and counts that;
+# it skips itself under a sanitizer, so it counts in the default, notrace
+# and nouring legs).
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -92,14 +92,14 @@ void MnakLayer::Up(Event ev, EventSink& sink) {
     case EventType::kDeliverCast: {
       MnakHeader hdr = ev.hdrs.Pop<MnakHeader>(LayerId::kMnak);
       if (hdr.kind == kMnakHi) {
-        Peer(ev.origin).window.ExtendTo(hdr.seqno);
+        Peer(ev.origin).window.ExtendTo(hdr.seqno);  // Ignored when out of reach.
         return;
       }
       ENS_CHECK(hdr.kind == kMnakData);
       Rank origin = ev.origin;
       PeerState& p = Peer(origin);
       if (!p.window.Mark(hdr.seqno)) {
-        return;  // Duplicate.
+        return;  // Duplicate, or out of reach (SeqWindow::kMaxSpan).
       }
       ev.seq_hint = hdr.seqno;  // Stability accounting rides with the event.
       p.backlog.emplace(hdr.seqno, std::move(ev));
@@ -120,7 +120,7 @@ void MnakLayer::Up(Event ev, EventSink& sink) {
           Rank origin = ev.origin;
           PeerState& p = Peer(origin);
           if (!p.window.Mark(hdr.seqno)) {
-            return;  // Already have it.
+            return;  // Already have it, or out of reach.
           }
           Event cast = std::move(ev);
           cast.type = EventType::kDeliverCast;

@@ -66,7 +66,9 @@ void Pt2ptLayer::Up(Event ev, EventSink& sink) {
       Rank origin = ev.origin;
       RecvSide& r = From(origin);
       if (!r.window.Mark(hdr.seqno)) {
-        r.ack_due = true;  // Duplicate: re-ack so the sender stops resending.
+        // Duplicate, or out of reach (SeqWindow::kMaxSpan): re-ack so the
+        // sender stops resending.
+        r.ack_due = true;
         return;
       }
       r.backlog.emplace(hdr.seqno, std::move(ev));

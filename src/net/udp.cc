@@ -60,15 +60,26 @@ int OpenUdpSocket() {
 }
 }  // namespace
 
-UdpNetwork::UdpNetwork() = default;
+void BuildSendMsg(uint16_t port, const Iovec& gather, sockaddr_in* addr, iovec* iov,
+                  msghdr* msg) {
+  *addr = LoopbackAddr(port);
+  for (size_t i = 0; i < gather.part_count(); i++) {
+    iov[i] = iovec{const_cast<uint8_t*>(gather.part(i).data()), gather.part(i).size()};
+  }
+  std::memset(msg, 0, sizeof(*msg));
+  msg->msg_name = addr;
+  msg->msg_namelen = sizeof(*addr);
+  msg->msg_iov = iov;
+  msg->msg_iovlen = gather.part_count();
+}
+
+UdpNetwork::UdpNetwork() { RebuildPollFds(); }
 
 UdpNetwork::~UdpNetwork() {
   Flush();
   engine_.reset();  // Ring teardown before the fds it references close.
   for (auto& [ep, state] : endpoints_) {
-    if (state.fd >= 0) {
-      close(state.fd);
-    }
+    close(state.fd);
   }
 }
 
@@ -89,22 +100,14 @@ void UdpNetwork::ResolveBackend() {
   }
   if (want == NetBackend::kUring && !engine_) {
     auto engine = std::make_unique<UringEngine>(&recv_pool_, &stats_);
-    bool up = engine->Init(
-        [this](uint64_t cookie, uint16_t src_port, Bytes payload) {
-          auto it = endpoints_.find(EndpointId{cookie});
-          if (it == endpoints_.end()) {
-            stats_.dropped++;  // Raced a detach; nowhere to deliver.
-            return;
-          }
-          Packet packet;
-          auto src = by_port_.find(src_port);
-          packet.src = src != by_port_.end() ? src->second : EndpointId{0};
-          packet.dst = EndpointId{cookie};
-          packet.datagram = std::move(payload);
-          if (it->second.deliver) {
-            it->second.deliver(packet);
-          }
-        });
+    bool up = engine->Init([this](uint64_t cookie, uint16_t src_port, Bytes payload) {
+      auto it = endpoints_.find(EndpointId{cookie});
+      if (it == endpoints_.end()) {
+        stats_.dropped++;  // Raced a detach; nowhere to deliver.
+        return;
+      }
+      DeliverDatagram(it->first, it->second.deliver, src_port, std::move(payload));
+    });
     if (up) {
       engine_ = std::move(engine);
       engine_->SetWakerFd(waker_.fd());
@@ -140,13 +143,6 @@ void UdpNetwork::ShutdownUring(NetBackend to) {
   }
 }
 
-void UdpNetwork::UringQuiesce(int fd) {
-  engine_->RemoveSocket(fd);
-  // Deliver datagrams the ring had already pulled off this (or any) socket —
-  // the endpoint is still attached, so its deliver callback still resolves.
-  engine_->DeliverPending();
-}
-
 void UdpNetwork::Attach(EndpointId ep, DeliverFn deliver) {
   Endpoint state;
   state.fd = OpenUdpSocket();
@@ -162,18 +158,19 @@ void UdpNetwork::Attach(EndpointId ep, DeliverFn deliver) {
   }
   socklen_t len = sizeof(addr);
   getsockname(state.fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  state.port = ntohs(addr.sin_port);
+  uint16_t port = ntohs(addr.sin_port);
   state.deliver = std::move(deliver);
-  by_port_[state.port] = ep;
+  ports_[ep] = port;
+  by_port_[port] = ep;
   int fd = state.fd;
   endpoints_[ep] = std::move(state);
+  RebuildPollFds();
   if (engine_) {
     engine_->AddSocket(fd, ep.id);
   }
 }
 
 void UdpNetwork::Detach(EndpointId ep) {
-  drain_hooks_.erase(ep);
   auto it = endpoints_.find(ep);
   if (it == endpoints_.end()) {
     return;
@@ -187,21 +184,25 @@ void UdpNetwork::Detach(EndpointId ep) {
     // (the kernel would have dropped its socket queue at close anyway);
     // other endpoints' packets stay queued for the next Poll.  The migration
     // path (Release) still quiesces WITH delivery: there the endpoint lives
-    // on elsewhere and the runtime is fully alive.
+    // on elsewhere and the runtime is fully alive.  RemoveSocket submits
+    // the sends just queued and waits for them.
     engine_->RemoveSocket(it->second.fd);
   }
-  by_port_.erase(it->second.port);
-  if (it->second.fd >= 0) {
-    close(it->second.fd);
+  // The socket closes, so its port stops naming this endpoint.
+  if (auto port = ports_.find(ep); port != ports_.end()) {
+    by_port_.erase(port->second);
+    ports_.erase(port);
   }
+  close(it->second.fd);
   endpoints_.erase(it);
+  RebuildPollFds();
 }
 
 void UdpNetwork::AddPeer(EndpointId ep, uint16_t port) {
   if (port == 0 || endpoints_.count(ep) > 0) {
     return;  // Local endpoints already resolve; port 0 means "not bound".
   }
-  peers_[ep] = port;
+  ports_[ep] = port;
   by_port_[port] = ep;
 }
 
@@ -213,23 +214,20 @@ UdpNetwork::ReleasedEndpoint UdpNetwork::Release(EndpointId ep) {
   }
   FlushEndpoint(it->second);  // Staged sends go out before ownership moves.
   if (engine_) {
-    UringQuiesce(it->second.fd);
+    // Deliver what the ring already pulled off this socket while the
+    // endpoint is still attached here.
+    engine_->RemoveSocket(it->second.fd);
+    engine_->DeliverPending();
     // The next owner may not run GRO-aware receives; hand over a socket that
     // delivers plain datagrams (its Adopt re-enables GRO if it runs uring).
     int zero = 0;
     setsockopt(it->second.fd, SOL_UDP, UDP_GRO, &zero, sizeof(zero));
   }
   out.fd = it->second.fd;
-  out.port = it->second.port;
   out.deliver = std::move(it->second.deliver);
-  if (auto hook = drain_hooks_.find(ep); hook != drain_hooks_.end()) {
-    out.drain_hook = std::move(hook->second);
-    drain_hooks_.erase(hook);
-  }
+  out.drain_hook = std::move(it->second.drain_hook);
   endpoints_.erase(it);
-  // The endpoint keeps its port on the thief's shard; by_port_ stays for
-  // source attribution and the peer entry keeps local senders reaching it.
-  peers_[ep] = out.port;
+  RebuildPollFds();
   return out;
 }
 
@@ -237,50 +235,51 @@ void UdpNetwork::Adopt(EndpointId ep, ReleasedEndpoint state) {
   if (state.fd < 0) {
     return;
   }
-  peers_.erase(ep);
-  Endpoint local;
+  Endpoint& local = endpoints_[ep];
   local.fd = state.fd;
-  local.port = state.port;
   local.deliver = std::move(state.deliver);
-  by_port_[local.port] = ep;
-  if (state.drain_hook) {
-    drain_hooks_[ep] = std::move(state.drain_hook);
-  }
-  int fd = local.fd;
-  endpoints_[ep] = std::move(local);  // Next PollWait rebuilds the fd set.
+  local.drain_hook = std::move(state.drain_hook);
+  RebuildPollFds();
   if (engine_) {
-    engine_->AddSocket(fd, ep.id);
+    engine_->AddSocket(state.fd, ep.id);
   }
 }
 
 void UdpNetwork::SetDrainHook(EndpointId ep, std::function<void()> hook) {
-  if (hook) {
-    drain_hooks_[ep] = std::move(hook);
-  } else {
-    drain_hooks_.erase(ep);
+  if (auto it = endpoints_.find(ep); it != endpoints_.end()) {
+    it->second.drain_hook = std::move(hook);
   }
 }
 
 uint16_t UdpNetwork::PortOf(EndpointId ep) const {
-  auto it = endpoints_.find(ep);
-  return it == endpoints_.end() ? 0 : it->second.port;
+  auto it = ports_.find(ep);
+  return it == ports_.end() ? 0 : it->second;
+}
+
+void UdpNetwork::Send(EndpointId src, EndpointId dst, const Iovec& gather) {
+  auto from = endpoints_.find(src);
+  auto to = ports_.find(dst);
+  if (from == endpoints_.end() || to == ports_.end()) {
+    stats_.dropped++;
+    return;
+  }
+  CountIfPacked(&stats_, gather);
+  if (active_ == NetBackend::kEager) {
+    SendEager(from->second.fd, to->second, gather);
+  } else {
+    Stage(from->second, to->second, gather);
+  }
 }
 
 void UdpNetwork::SendEager(int fd, uint16_t port, const Iovec& gather) {
   // The real scatter-gather send — one iovec entry per part, no flatten, one
   // syscall per datagram.
-  std::vector<iovec> iov(gather.part_count());
-  for (size_t i = 0; i < gather.part_count(); i++) {
-    iov[i].iov_base = const_cast<uint8_t*>(gather.part(i).data());
-    iov[i].iov_len = gather.part(i).size();
+  if (send_iov_.size() < gather.part_count()) {
+    send_iov_.resize(gather.part_count());
   }
-  sockaddr_in addr = LoopbackAddr(port);
+  sockaddr_in addr;
   msghdr msg;
-  std::memset(&msg, 0, sizeof(msg));
-  msg.msg_name = &addr;
-  msg.msg_namelen = sizeof(addr);
-  msg.msg_iov = iov.data();
-  msg.msg_iovlen = iov.size();
+  BuildSendMsg(port, gather, &addr, send_iov_.data(), &msg);
   stats_.send_syscalls++;
   if (sendmsg(fd, &msg, 0) >= 0) {
     stats_.sent++;
@@ -290,101 +289,90 @@ void UdpNetwork::SendEager(int fd, uint16_t port, const Iovec& gather) {
   }
 }
 
-void UdpNetwork::Send(EndpointId src, EndpointId dst, const Iovec& gather) {
-  auto from = endpoints_.find(src);
-  if (from == endpoints_.end()) {
-    stats_.dropped++;
-    return;
+void UdpNetwork::Stage(Endpoint& from, uint16_t port, const Iovec& gather) {
+  if (from.staged == from.stage.size()) {
+    from.stage.emplace_back();
   }
-  // Destination resolution: a locally attached endpoint, else a published
-  // peer (an endpoint on another shard's UdpNetwork).
-  uint16_t port = 0;
-  if (auto to = endpoints_.find(dst); to != endpoints_.end()) {
-    port = to->second.port;
-  } else if (auto peer = peers_.find(dst); peer != peers_.end()) {
-    port = peer->second;
-  } else {
-    stats_.dropped++;
-    return;
-  }
-  CountIfPacked(&stats_, gather);
+  StagedSend& slot = from.stage[from.staged++];
+  slot.port = port;
+  slot.gather = gather;  // Refcounts only; the slot's part array is reused.
+  staged_total_++;
+  stats_.batched_datagrams++;
   if (active_ == NetBackend::kUring) {
-    engine_->StageSend(from->second.fd, port, gather);
-    if (engine_->staged_sends() >= EffectiveSendBatch()) {
+    if (staged_total_ >= EffectiveSendBatch()) {
+      FlushStages();
       engine_->SubmitSends();  // Submit, don't wait: Flush() is the barrier.
     }
-    return;
-  }
-  if (active_ == NetBackend::kMmsg) {
-    Enqueue(from->second, port, gather);
-    return;
-  }
-  SendEager(from->second.fd, port, gather);
-}
-
-void UdpNetwork::Enqueue(Endpoint& from, uint16_t port, const Iovec& gather) {
-  from.ring.push_back(Staged{port, gather});
-  stats_.batched_datagrams++;
-  if (from.ring.size() >= EffectiveSendBatch()) {
+  } else if (from.staged >= EffectiveSendBatch()) {
     FlushEndpoint(from);
   }
 }
 
 void UdpNetwork::FlushEndpoint(Endpoint& ep) {
-  if (ep.ring.empty()) {
+  size_t n = ep.staged;
+  if (n == 0) {
     return;
   }
-  size_t n = ep.ring.size();
   stats_.max_send_batch = std::max<uint64_t>(stats_.max_send_batch, n);
   if (n > 1) {
     stats_.send_batches++;
   }
-  // Per-message iovec arrays live in one flat vector; `starts` indexes it.
-  std::vector<iovec> iov;
-  std::vector<size_t> starts(n);
-  std::vector<sockaddr_in> addrs(n);
-  for (size_t i = 0; i < n; i++) {
-    starts[i] = iov.size();
-    const Iovec& gather = ep.ring[i].gather;
-    for (size_t p = 0; p < gather.part_count(); p++) {
-      iov.push_back(iovec{const_cast<uint8_t*>(gather.part(p).data()),
-                          gather.part(p).size()});
-    }
-    addrs[i] = LoopbackAddr(ep.ring[i].port);
+  if (active_ == NetBackend::kUring) {
+    engine_->QueueSends(ep.fd, ep.stage.data(), n);
+  } else {
+    SendBatch(ep.fd, ep.stage.data(), n);
   }
-  std::vector<mmsghdr> msgs(n);
   for (size_t i = 0; i < n; i++) {
-    std::memset(&msgs[i], 0, sizeof(msgs[i]));
-    msgs[i].msg_hdr.msg_name = &addrs[i];
-    msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
-    msgs[i].msg_hdr.msg_iov = iov.data() + starts[i];
-    msgs[i].msg_hdr.msg_iovlen =
-        (i + 1 < n ? starts[i + 1] : iov.size()) - starts[i];
+    ep.stage[i].gather.Clear();  // Drop the refs, keep the part array.
+  }
+  ep.staged = 0;
+  staged_total_ -= n;
+}
+
+void UdpNetwork::FlushStages() {
+  for (auto& [ep, state] : endpoints_) {
+    FlushEndpoint(state);
+  }
+}
+
+void UdpNetwork::SendBatch(int fd, const StagedSend* stage, size_t n) {
+  size_t parts = 0;
+  for (size_t i = 0; i < n; i++) {
+    parts += stage[i].gather.part_count();
+  }
+  if (send_iov_.size() < parts) {
+    send_iov_.resize(parts);
+  }
+  if (send_msgs_.size() < n) {
+    send_msgs_.resize(n);
+    send_addrs_.resize(n);
+  }
+  iovec* iov = send_iov_.data();
+  for (size_t i = 0; i < n; i++) {
+    BuildSendMsg(stage[i].port, stage[i].gather, &send_addrs_[i], iov,
+                 &send_msgs_[i].msg_hdr);
+    iov += stage[i].gather.part_count();
   }
   // sendmmsg may transmit a prefix; keep going until everything was handed to
   // the kernel or a real error stops us.
   size_t done = 0;
   while (done < n) {
     stats_.send_syscalls++;
-    int sent = sendmmsg(ep.fd, msgs.data() + done,
-                        static_cast<unsigned>(n - done), 0);
+    int sent = sendmmsg(fd, send_msgs_.data() + done, static_cast<unsigned>(n - done), 0);
     if (sent <= 0) {
       stats_.dropped += n - done;
       break;
     }
     for (size_t i = done; i < done + static_cast<size_t>(sent); i++) {
       stats_.sent++;
-      stats_.bytes_sent += ep.ring[i].gather.size();
+      stats_.bytes_sent += stage[i].gather.size();
     }
     done += static_cast<size_t>(sent);
   }
-  ep.ring.clear();
 }
 
 void UdpNetwork::Flush() {
-  for (auto& [ep, state] : endpoints_) {
-    FlushEndpoint(state);
-  }
+  FlushStages();
   if (engine_) {
     // Wait for the send CQEs: on return the wire (and the sent/bytes
     // counters) are caught up, matching the synchronous backends.
@@ -394,6 +382,19 @@ void UdpNetwork::Flush() {
 
 void UdpNetwork::ScheduleTimer(VTime delay, TimerFn fn) {
   timers_.Schedule(NowNanos() + delay, std::move(fn));
+}
+
+void UdpNetwork::DeliverDatagram(EndpointId dst, const DeliverFn& deliver, uint16_t src_port,
+                                 Bytes datagram) {
+  Packet packet;
+  auto src = by_port_.find(src_port);
+  packet.src = src != by_port_.end() ? src->second : EndpointId{0};
+  packet.dst = dst;
+  packet.datagram = std::move(datagram);
+  stats_.delivered++;
+  if (deliver) {
+    deliver(packet);
+  }
 }
 
 size_t UdpNetwork::DrainOneEager(Endpoint& state, EndpointId ep) {
@@ -408,15 +409,8 @@ size_t UdpNetwork::DrainOneEager(Endpoint& state, EndpointId ep) {
     if (n < 0) {
       break;  // EWOULDBLOCK: drained.
     }
-    Packet packet;
-    auto src = by_port_.find(ntohs(from.sin_port));
-    packet.src = src != by_port_.end() ? src->second : EndpointId{0};
-    packet.dst = ep;
-    packet.datagram = Bytes::Copy(buf, static_cast<size_t>(n));
-    stats_.delivered++;
-    if (state.deliver) {
-      state.deliver(packet);
-    }
+    DeliverDatagram(ep, state.deliver, ntohs(from.sin_port),
+                    Bytes::Copy(buf, static_cast<size_t>(n)));
     events++;
   }
   return events;
@@ -435,41 +429,29 @@ size_t UdpNetwork::DrainOneBatched(Endpoint& state, EndpointId ep) {
     recv_iov_.resize(vlen);
     recv_msgs_.resize(vlen);
   }
-  std::vector<sockaddr_in>& addrs = recv_addrs_;
-  std::vector<iovec>& iov = recv_iov_;
   std::vector<mmsghdr>& msgs = recv_msgs_;
   while (true) {
     for (size_t i = 0; i < vlen; i++) {
       if (recv_bufs_[i].empty()) {
         recv_bufs_[i] = recv_pool_.Allocate(kMaxDatagram);
       }
-      iov[i] = iovec{recv_bufs_[i].MutableData(), kMaxDatagram};
-    }
-    for (size_t i = 0; i < vlen; i++) {
+      recv_iov_[i] = iovec{recv_bufs_[i].MutableData(), kMaxDatagram};
       std::memset(&msgs[i], 0, sizeof(msgs[i]));
-      msgs[i].msg_hdr.msg_name = &addrs[i];
-      msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
-      msgs[i].msg_hdr.msg_iov = &iov[i];
+      msgs[i].msg_hdr.msg_name = &recv_addrs_[i];
+      msgs[i].msg_hdr.msg_namelen = sizeof(recv_addrs_[i]);
+      msgs[i].msg_hdr.msg_iov = &recv_iov_[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
     }
     stats_.recv_syscalls++;
-    int n = recvmmsg(state.fd, msgs.data(), static_cast<unsigned>(vlen), 0,
-                     nullptr);
+    int n = recvmmsg(state.fd, msgs.data(), static_cast<unsigned>(vlen), 0, nullptr);
     if (n <= 0) {
       break;
     }
     size_t got = static_cast<size_t>(n);
     for (size_t i = 0; i < got; i++) {
-      Packet packet;
-      auto src = by_port_.find(ntohs(addrs[i].sin_port));
-      packet.src = src != by_port_.end() ? src->second : EndpointId{0};
-      packet.dst = ep;
-      packet.datagram = recv_bufs_[i].Slice(0, msgs[i].msg_len);
+      Bytes datagram = recv_bufs_[i].Slice(0, msgs[i].msg_len);
       recv_bufs_[i] = Bytes();  // Chunk now owned by the delivered slice.
-      stats_.delivered++;
-      if (state.deliver) {
-        state.deliver(packet);
-      }
+      DeliverDatagram(ep, state.deliver, ntohs(recv_addrs_[i].sin_port), std::move(datagram));
       events++;
     }
     if (got < vlen) {
@@ -504,8 +486,10 @@ size_t UdpNetwork::Poll() {
     // End-of-drain boundary: endpoints flush response traffic their deliver
     // callbacks staged (packed messages with no later timer tick would
     // otherwise never leave).  Hooks may stage into our send rings.
-    for (auto& [ep, hook] : drain_hooks_) {
-      hook();
+    for (auto& [ep, state] : endpoints_) {
+      if (state.drain_hook) {
+        state.drain_hook();
+      }
     }
   }
   size_t timers = timers_.RunDue(NowNanos());
@@ -529,18 +513,21 @@ void UdpNetwork::IdleWait(VTime max_wait) {
     waker_.Drain();
     return;
   }
-  std::vector<pollfd> fds;
-  for (const auto& [ep, state] : endpoints_) {
-    fds.push_back(pollfd{state.fd, POLLIN, 0});
-  }
-  if (waker_.fd() >= 0) {
-    fds.push_back(pollfd{waker_.fd(), POLLIN, 0});
-  }
   int timeout_ms = static_cast<int>((wait + 999'999) / 1'000'000);
-  if (!fds.empty()) {
-    ::poll(fds.data(), fds.size(), timeout_ms);
+  if (!poll_fds_.empty()) {
+    ::poll(poll_fds_.data(), poll_fds_.size(), timeout_ms);
   }
   waker_.Drain();
+}
+
+void UdpNetwork::RebuildPollFds() {
+  poll_fds_.clear();
+  for (const auto& [ep, state] : endpoints_) {
+    poll_fds_.push_back(pollfd{state.fd, POLLIN, 0});
+  }
+  if (waker_.fd() >= 0) {
+    poll_fds_.push_back(pollfd{waker_.fd(), POLLIN, 0});
+  }
 }
 
 size_t UdpNetwork::PollWait(VTime max_wait) {

@@ -10,25 +10,30 @@
 // Datapath backends (NetBackendConfig::backend):
 //   kEager — one sendmsg/recvfrom syscall per datagram (the latency benches
 //     measure this path; it reproduces the seed behaviour exactly).
-//   kMmsg — outgoing datagrams stage in a per-socket ring flushed with one
-//     sendmmsg(2) when the ring fills or Flush() is called; sockets drain
-//     with recvmmsg(2) straight into refcounted pool-backed buffers, so a
-//     received payload is never copied after the kernel wrote it (the slices
-//     handed to DeliverFn alias the pool chunk).
-//   kUring — an io_uring submission/completion ring pair (UringEngine,
-//     udp_uring.h) replaces the per-burst syscalls entirely: multishot
-//     receives into registered pool chunks, batched send submission with UDP
-//     GSO coalescing, GRO splitting on receive.  Unavailable kernels (or
-//     seccomp, or the ENSEMBLE_URING=OFF build) fall back to kMmsg with one
-//     LogUnsupportedOnce line.
+//   kMmsg — outgoing datagrams stage in the sending endpoint's ring, flushed
+//     with one sendmmsg(2) when the ring fills or Flush() is called; sockets
+//     drain with recvmmsg(2) straight into refcounted pool-backed buffers, so
+//     a received payload is never copied after the kernel wrote it (the
+//     slices handed to DeliverFn alias the pool chunk).
+//   kUring — the same per-endpoint rings, submitted to an io_uring
+//     submission/completion ring pair (UringEngine, udp_uring.h) instead of
+//     per-burst syscalls: multishot receives into registered pool chunks,
+//     batched send submission with UDP GSO coalescing, GRO splitting on
+//     receive.  Unavailable kernels (or seccomp, or the ENSEMBLE_URING=OFF
+//     build) fall back to kMmsg with one LogUnsupportedOnce line.
+// Below Send every backend shares one address table, one send stage (the
+// endpoint's ring, whose slots and part arrays are reused in place), one
+// msghdr builder (BuildSendMsg) and one receive-delivery step; a warm send
+// path allocates nothing.
 //
-// Endpoint identity ↔ address: every attached endpoint gets its own UDP
-// socket bound to 127.0.0.1 with an ephemeral port, so the receiving socket
-// names the destination endpoint and the registry maps source ports back to
-// endpoint ids.  Endpoints owned by *another* UdpNetwork instance (another
-// shard's, in the sharded runtime) are reachable after AddPeer() publishes
-// their port here — the kernel is the cross-shard data plane, and a datagram
-// always lands on the socket of the shard that owns its destination.
+// Endpoint identity <-> address: every attached endpoint gets its own UDP
+// socket bound to 127.0.0.1 with an ephemeral port.  One table maps each
+// endpoint this network can reach to its port — its own endpoints and the
+// ones AddPeer() published (another shard's, in the sharded runtime) alike —
+// and its inverse attributes received datagrams to their source.  The
+// kernel is the cross-shard data plane: a datagram always lands on the
+// socket of whichever network owns its destination now, and an endpoint's
+// port never changes when its socket moves between networks.
 // Cross-process use would only need the same port exchange out of band.
 //
 // Threading: a UdpNetwork belongs to one thread (its shard's worker).  The
@@ -45,6 +50,7 @@
 #define ENSEMBLE_SRC_NET_UDP_H_
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 
@@ -63,6 +69,13 @@
 namespace ensemble {
 
 class UringEngine;
+
+// One datagram waiting in an endpoint's send stage: destination port plus
+// the scatter-gather parts (refcounted Bytes — staging copies no payload).
+struct StagedSend {
+  uint16_t port = 0;
+  Iovec gather;
+};
 
 // Which kernel datapath carries the datagrams (see the file comment).
 enum class NetBackend { kEager, kMmsg, kUring };
@@ -120,16 +133,17 @@ class UdpNetwork : public Network {
   // Ownership handoff between shards (owning thread of each side only; the
   // sharded runtime sequences the two halves through its rings, which is the
   // happens-before edge).  Release() detaches `ep` WITHOUT closing its
-  // socket: staged sends are flushed, the socket plus the registered deliver
-  // callback and drain hook are returned, and the endpoint is re-registered
-  // as a peer here (same port, so local endpoints keep reaching it — the
-  // kernel keeps being the data plane).  Datagrams queued in the socket's
+  // socket: staged sends are flushed, and the socket plus the registered
+  // deliver callback and drain hook are returned.  Adopt() installs them on
+  // the thief's network.  Neither edits the address table: the port goes
+  // with the socket, so every network that had it published keeps reaching
+  // the endpoint (the kernel stays the data plane) and keeps attributing its
+  // datagrams.  A network adopting an endpoint it never had published
+  // receives for it but cannot address it.  Datagrams queued in the socket's
   // receive buffer travel with the fd: nothing in flight is lost or
-  // reordered.  Adopt() installs a released endpoint on the thief's network
-  // and drops any peer entry for it.
+  // reordered.
   struct ReleasedEndpoint {
     int fd = -1;
-    uint16_t port = 0;
     DeliverFn deliver;
     std::function<void()> drain_hook;
     bool ok() const { return fd >= 0; }
@@ -141,9 +155,9 @@ class UdpNetwork : public Network {
   void Flush() override;
 
   // Overload backpressure (thread-safe, see Network::SetPressure).  Level ≥ 1
-  // tightens the staging auto-flush threshold to one datagram, so every
-  // backend (mmsg ring, uring staged sends; eager is already per-datagram)
-  // stops holding traffic while the system is shedding.  Level 2 has no
+  // tightens the staging auto-flush threshold to one datagram, so the staged
+  // backends (mmsg, uring; eager is already per-datagram) stop holding
+  // traffic while the system is shedding.  Level 2 has no
   // extra kernel-side effect here — the kernel socket buffers already drop
   // on overflow, which IS the drop-oldest policy for wire traffic.
   void SetPressure(int level) override {
@@ -199,43 +213,50 @@ class UdpNetwork : public Network {
   NetBackend active_backend() const { return active_; }
 
   bool ok() const { return ok_; }
+  // The port of a local or published endpoint; 0 when unknown.
   uint16_t PortOf(EndpointId ep) const;
   const NetworkStats& stats() const { return stats_; }
   const PoolStats& recv_pool_stats() const { return recv_pool_.stats(); }
   const BufferPool& recv_pool() const { return recv_pool_; }
 
  private:
-  // One staged outgoing datagram: destination port plus the scatter-gather
-  // parts (refcounted Bytes — staging copies no payload bytes).
-  struct Staged {
-    uint16_t port;
-    Iovec gather;
-  };
   struct Endpoint {
     int fd = -1;
-    uint16_t port = 0;
     DeliverFn deliver;
-    std::vector<Staged> ring;  // Outgoing staging ring (batch_sends).
+    std::function<void()> drain_hook;  // See SetDrainHook.
+    // The send stage (mmsg and uring): slots [0, staged) wait for a flush.
+    // Slots stay constructed and keep their part arrays across flushes.
+    std::vector<StagedSend> stage;
+    size_t staged = 0;
   };
 
-  // Staging auto-flush threshold after backpressure: 1 under pressure.
+  // Staging auto-flush threshold after backpressure: 1 under pressure.  The
+  // mmsg backend applies it to each endpoint's stage, uring to all of them.
   size_t EffectiveSendBatch() const {
     return pressure_.load(std::memory_order_relaxed) > 0 ? 1 : cfg_.batch;
   }
 
-  void Enqueue(Endpoint& from, uint16_t port, const Iovec& gather);
+  void Stage(Endpoint& from, uint16_t port, const Iovec& gather);
+  // Hands `ep`'s stage to the kernel (one sendmmsg loop) or to the engine
+  // (queued ring sends, submitted by the caller) and empties it.
   void FlushEndpoint(Endpoint& ep);
+  void FlushStages();
   // One scatter-gather sendmsg(2) on `fd` (the kEager datapath).
   void SendEager(int fd, uint16_t port, const Iovec& gather);
+  // sendmmsg(2) of `n` staged datagrams on `fd`, resubmitting short counts.
+  void SendBatch(int fd, const StagedSend* stage, size_t n);
+  // The one receive-delivery step: attributes the source port, builds the
+  // Packet and hands it to the destination's deliver callback.
+  void DeliverDatagram(EndpointId dst, const DeliverFn& deliver, uint16_t src_port,
+                       Bytes datagram);
   size_t DrainSockets();
   size_t DrainOneEager(Endpoint& state, EndpointId ep);
   size_t DrainOneBatched(Endpoint& state, EndpointId ep);
+  // Re-lists the local sockets and the wakeup fd for IdleWait's poll(2).
+  void RebuildPollFds();
   // Resolves cfg_.backend (uring setup, fallback) into
   // active_, creating or tearing down the engine as needed.
   void ResolveBackend();
-  // Quiesces `fd` on the engine and delivers anything it had already pulled
-  // off the wire (Detach/Release path; endpoint must still be attached).
-  void UringQuiesce(int fd);
   // Full engine teardown: cancels every armed recv, delivers everything the
   // ring already pulled in, resets the engine, and strips GRO so the
   // mmsg/eager drains see plain datagrams again.  `to` is the backend taking
@@ -246,10 +267,10 @@ class UdpNetwork : public Network {
   NetBackendConfig cfg_;
   NetBackend active_ = NetBackend::kEager;
   std::unique_ptr<UringEngine> engine_;  // Live iff active_ == kUring.
-  std::map<EndpointId, Endpoint> endpoints_;
-  std::map<EndpointId, uint16_t> peers_;  // Remote endpoints (other shards).
-  std::map<uint16_t, EndpointId> by_port_;
-  std::map<EndpointId, std::function<void()>> drain_hooks_;
+  std::map<EndpointId, Endpoint> endpoints_;     // Local sockets.
+  std::map<EndpointId, uint16_t> ports_;         // Local and published.
+  std::map<uint16_t, EndpointId> by_port_;       // Inverse of ports_.
+  size_t staged_total_ = 0;  // Datagrams waiting across every stage.
   TimerHeap timers_;
   std::atomic<int> pressure_{0};   // Overload backpressure level.
   BufferPool recv_pool_{65536};  // One chunk holds any datagram.
@@ -259,6 +280,11 @@ class UdpNetwork : public Network {
   std::vector<sockaddr_in> recv_addrs_;
   std::vector<iovec> recv_iov_;
   std::vector<mmsghdr> recv_msgs_;
+  // The eager and mmsg send paths' msghdr storage; grows, never shrinks.
+  std::vector<sockaddr_in> send_addrs_;
+  std::vector<iovec> send_iov_;
+  std::vector<mmsghdr> send_msgs_;
+  std::vector<pollfd> poll_fds_;  // IdleWait's set; see RebuildPollFds.
   Waker waker_;
   NetworkStats stats_;
 };

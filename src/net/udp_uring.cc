@@ -85,42 +85,24 @@ constexpr size_t kCmsgSpace = 64;
 
 std::atomic<int> g_forced_available{-1};
 
-sockaddr_in UringLoopbackAddr(uint16_t port) {
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  return addr;
-}
-
 }  // namespace
 
 // ---- Nested types ----------------------------------------------------------
 
-// One staged outgoing datagram (refcounted parts; flattened only if it joins
-// a GSO run).
-struct UringEngine::Staged {
-  int fd;
-  uint16_t port;
-  uint32_t bytes;
-  Iovec gather;
-};
-
 // In-flight send state: everything the kernel may still read (msghdr, iovecs,
-// address, cmsg, GSO copy buffer) plus the refs keeping zero-copy parts
-// alive.  Retired by the send CQE.
+// address, cmsg) plus the refs keeping the parts alive — the staged parts
+// themselves, or a slice of the slot's GSO buffer.  Retired by the send CQE;
+// every member keeps its storage for the slot's next send.
 struct UringEngine::SendSlot {
   int fd = -1;
   msghdr hdr;
   sockaddr_in addr;
   alignas(8) char cmsg[kCmsgSpace];
-  std::vector<iovec> iov;       // Capacity persists across reuse.
-  Iovec refs;                   // Zero-copy path: pins the gathered parts.
-  std::vector<uint8_t> gso_buf; // GSO path: flattened coalesced payload.
+  std::vector<iovec> iov;
+  Iovec refs;
+  Bytes gso_buf;                // GSO path: the flattened run, kMaxGsoBytes.
   uint32_t datagrams = 0;       // Wire datagrams this slot carries.
   uint32_t bytes = 0;           // Payload bytes across them.
-  bool in_use = false;
 };
 
 struct UringEngine::SocketRec {
@@ -470,18 +452,6 @@ void UringEngine::RearmPending() {
 
 // ---- Send path -------------------------------------------------------------
 
-size_t UringEngine::staged_sends() const { return staged_.size(); }
-
-void UringEngine::StageSend(int fd, uint16_t dst_port, const Iovec& gather) {
-  Staged s;
-  s.fd = fd;
-  s.port = dst_port;
-  s.bytes = static_cast<uint32_t>(gather.size());
-  s.gather = gather;
-  staged_.push_back(std::move(s));
-  stats_->batched_datagrams++;
-}
-
 uint32_t UringEngine::AcquireSlot() {
   while (free_slots_.empty()) {
     // All send slots in flight: submit and wait for completions (receives
@@ -494,49 +464,43 @@ uint32_t UringEngine::AcquireSlot() {
   return index;
 }
 
-void UringEngine::BuildPlainSlot(SendSlot& slot, const Staged& s) {
-  // Zero-copy scatter-gather: iovecs alias the refcounted parts, which the
-  // slot pins until the CQE retires it.
-  slot.fd = s.fd;
-  slot.refs = s.gather;
-  slot.iov.clear();
-  for (size_t p = 0; p < s.gather.part_count(); p++) {
-    slot.iov.push_back(iovec{const_cast<uint8_t*>(s.gather.part(p).data()),
-                             s.gather.part(p).size()});
+void UringEngine::BuildPlainSlot(SendSlot& slot, int fd, StagedSend& s) {
+  // Zero-copy scatter-gather: the slot takes the staged parts (pinning them
+  // until the CQE retires it) and its iovecs alias them.
+  slot.fd = fd;
+  std::swap(slot.refs, s.gather);
+  if (slot.iov.size() < slot.refs.part_count()) {
+    slot.iov.resize(slot.refs.part_count());
   }
-  slot.addr = UringLoopbackAddr(s.port);
-  std::memset(&slot.hdr, 0, sizeof(slot.hdr));
-  slot.hdr.msg_name = &slot.addr;
-  slot.hdr.msg_namelen = sizeof(slot.addr);
-  slot.hdr.msg_iov = slot.iov.data();
-  slot.hdr.msg_iovlen = slot.iov.size();
+  BuildSendMsg(s.port, slot.refs, &slot.addr, slot.iov.data(), &slot.hdr);
   slot.datagrams = 1;
-  slot.bytes = s.bytes;
+  slot.bytes = static_cast<uint32_t>(slot.refs.size());
 }
 
-void UringEngine::BuildGsoSlot(SendSlot& slot, const Staged* run, size_t count) {
+void UringEngine::BuildGsoSlot(SendSlot& slot, int fd, const StagedSend* run, size_t count) {
   // Coalesce the run into one contiguous buffer the kernel re-segments at
   // seg_size (UDP_SEGMENT cmsg): one SQE, one traversal, `count` datagrams.
-  uint16_t seg_size = static_cast<uint16_t>(run[0].bytes);
-  slot.fd = run[0].fd;
-  slot.gso_buf.clear();
+  // The buffer is the slot's own; its last send's slice was dropped when
+  // that send retired.
+  uint16_t seg_size = static_cast<uint16_t>(run[0].gather.size());
+  if (slot.gso_buf.empty()) {
+    slot.gso_buf = Bytes::Allocate(kMaxGsoBytes);
+  }
   uint32_t total = 0;
   for (size_t i = 0; i < count; i++) {
-    for (size_t p = 0; p < run[i].gather.part_count(); p++) {
-      const Bytes& part = run[i].gather.part(p);
-      slot.gso_buf.insert(slot.gso_buf.end(), part.data(), part.data() + part.size());
+    const Iovec& gather = run[i].gather;
+    for (size_t p = 0; p < gather.part_count(); p++) {
+      std::memcpy(slot.gso_buf.MutableData() + total, gather.part(p).data(),
+                  gather.part(p).size());
+      total += static_cast<uint32_t>(gather.part(p).size());
     }
-    total += run[i].bytes;
   }
-  slot.refs = Iovec();
-  slot.iov.clear();
-  slot.iov.push_back(iovec{slot.gso_buf.data(), slot.gso_buf.size()});
-  slot.addr = UringLoopbackAddr(run[0].port);
-  std::memset(&slot.hdr, 0, sizeof(slot.hdr));
-  slot.hdr.msg_name = &slot.addr;
-  slot.hdr.msg_namelen = sizeof(slot.addr);
-  slot.hdr.msg_iov = slot.iov.data();
-  slot.hdr.msg_iovlen = 1;
+  slot.fd = fd;
+  slot.refs.Append(slot.gso_buf.Slice(0, total));
+  if (slot.iov.empty()) {
+    slot.iov.resize(1);
+  }
+  BuildSendMsg(run[0].port, slot.refs, &slot.addr, slot.iov.data(), &slot.hdr);
   slot.hdr.msg_control = slot.cmsg;
   slot.hdr.msg_controllen = CMSG_SPACE(sizeof(uint16_t));
   std::memset(slot.cmsg, 0, sizeof(slot.cmsg));
@@ -558,53 +522,47 @@ void UringEngine::PushSendSqe(uint32_t slot_index) {
   sqe->fd = slot.fd;
   sqe->addr = reinterpret_cast<uint64_t>(&slot.hdr);
   sqe->user_data = MakeUd(kUdSend, slot_index);
-  slot.in_use = true;
   inflight_sends_++;
 }
 
-void UringEngine::SubmitSends() {
-  if (staged_.empty()) {
-    SubmitQueued();  // Still push any re-arm SQEs.
-    return;
-  }
-  size_t n = staged_.size();
-  stats_->max_send_batch = std::max<uint64_t>(stats_->max_send_batch, n);
-  if (n > 1) {
-    stats_->send_batches++;
-  }
+void UringEngine::QueueSends(int fd, StagedSend* stage, size_t n) {
   size_t i = 0;
   while (i < n) {
-    // Find the longest GSO-able run: same fd + port, equal sizes (the run may
+    // Find the longest GSO-able run: same port, equal sizes (the run may
     // close with one smaller datagram — the kernel allows a short tail).
     size_t run = 1;
-    if (staged_[i].bytes > 0) {
-      uint32_t seg = staged_[i].bytes;
+    size_t seg = stage[i].gather.size();
+    if (seg > 0) {
       size_t total = seg;
-      while (i + run < n && run < kMaxGsoSegs &&
-             staged_[i + run].fd == staged_[i].fd &&
-             staged_[i + run].port == staged_[i].port &&
-             staged_[i + run].bytes > 0 && staged_[i + run].bytes <= seg &&
-             total + staged_[i + run].bytes <= kMaxGsoBytes) {
-        bool tail = staged_[i + run].bytes < seg;
-        total += staged_[i + run].bytes;
+      while (i + run < n && run < kMaxGsoSegs) {
+        size_t next = stage[i + run].gather.size();
+        if (stage[i + run].port != stage[i].port || next == 0 || next > seg ||
+            total + next > kMaxGsoBytes) {
+          break;
+        }
+        total += next;
         run++;
-        if (tail) {
+        if (next < seg) {
           break;  // A short datagram must close the super-packet.
         }
       }
     }
     uint32_t slot_index = AcquireSlot();
     if (run > 1) {
-      BuildGsoSlot(slots_[slot_index], &staged_[i], run);
+      BuildGsoSlot(slots_[slot_index], fd, &stage[i], run);
     } else {
-      BuildPlainSlot(slots_[slot_index], staged_[i]);
+      BuildPlainSlot(slots_[slot_index], fd, stage[i]);
     }
     PushSendSqe(slot_index);
     i += run;
   }
-  staged_.clear();
+}
+
+void UringEngine::SubmitSends() {
   SubmitQueued();
-  ProcessCompletions();  // Retire what already finished (loopback: most of it).
+  if (inflight_sends_ > 0) {
+    ProcessCompletions();  // Retire what already finished (loopback: most of it).
+  }
 }
 
 void UringEngine::DrainSends() {
@@ -752,8 +710,7 @@ size_t UringEngine::ReapCqes() {
           } else {
             stats_->dropped += slot.datagrams;
           }
-          slot.refs = Iovec();  // Drop the pinned parts.
-          slot.in_use = false;
+          slot.refs.Clear();  // Drop the pinned parts, keep the array.
           free_slots_.push_back(slot_index);
           inflight_sends_--;
           break;
@@ -797,7 +754,6 @@ size_t UringEngine::DeliverPending() {
   while (pending_head_ < limit) {
     PendingRecv pr = std::move(pending_[pending_head_]);
     pending_head_++;
-    stats_->delivered++;
     delivered++;
     if (deliver_) {
       deliver_(pr.cookie, pr.src_port, std::move(pr.payload));
@@ -893,7 +849,6 @@ void UringEngine::RemoveSocket(int fd) {
 
 namespace ensemble {
 
-struct UringEngine::Staged {};
 struct UringEngine::SendSlot {};
 struct UringEngine::SocketRec {};
 struct UringEngine::PendingRecv {};
@@ -905,8 +860,7 @@ bool UringEngine::Init(RecvFn) { return false; }
 bool UringEngine::AddSocket(int, uint64_t) { return false; }
 void UringEngine::RemoveSocket(int) {}
 void UringEngine::SetWakerFd(int) {}
-void UringEngine::StageSend(int, uint16_t, const Iovec&) {}
-size_t UringEngine::staged_sends() const { return 0; }
+void UringEngine::QueueSends(int, StagedSend*, size_t) {}
 void UringEngine::SubmitSends() {}
 void UringEngine::DrainSends() {}
 size_t UringEngine::ReapAndDeliver() { return 0; }

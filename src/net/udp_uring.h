@@ -16,12 +16,14 @@
 //     re-provision SQEs ride existing submissions, so the classic group
 //     costs no extra syscalls.)
 //
-//   - Sends are staged and submitted in batches: one io_uring_enter carries
-//     a whole flush.  Runs of same-destination, same-size datagrams collapse
-//     further via UDP GSO (UDP_SEGMENT cmsg): one SQE, one kernel traversal,
-//     N wire datagrams.  Single datagrams go out as zero-copy scatter-gather
-//     SENDMSG SQEs whose iovecs alias the refcounted parts (held in the send
-//     slot until the CQE retires them).
+//   - Sends wait in UdpNetwork's per-endpoint stages (the one send stage the
+//     staged backends share) and are queued here at a flush, endpoint by
+//     endpoint; one io_uring_enter carries the whole flush.  Runs of
+//     same-destination, same-size datagrams collapse further via UDP GSO
+//     (UDP_SEGMENT cmsg): one SQE, one kernel traversal, N wire datagrams.
+//     Single datagrams go out as zero-copy scatter-gather SENDMSG SQEs whose
+//     iovecs alias the refcounted parts (held in the send slot until the CQE
+//     retires them).
 //
 //   - UDP GRO (socket option, set per added socket) coalesces bursts of
 //     equal-size datagrams into one CQE whose payload the engine re-splits at
@@ -53,10 +55,19 @@
 #include <vector>
 
 #include "src/net/network.h"
+#include "src/net/udp.h"
 #include "src/util/bytes.h"
 #include "src/util/pool.h"
 
 namespace ensemble {
+
+// The one builder of an outgoing msghdr, for every backend (defined in
+// udp.cc): points `msg` at 127.0.0.1:`port` (written to `*addr`) and at
+// `gather`'s parts (written to `iov`, which must hold gather.part_count()
+// entries).  All three are the caller's storage, reused across sends; no
+// part is copied and no control data is set (GSO adds its cmsg on top).
+void BuildSendMsg(uint16_t port, const Iovec& gather, sockaddr_in* addr, iovec* iov,
+                  msghdr* msg);
 
 class UringEngine {
  public:
@@ -95,7 +106,7 @@ class UringEngine {
   // Arms a multishot receive for `fd`; `cookie` tags its deliveries (the
   // attach-time endpoint id).  Sets UDP_GRO on the socket.
   bool AddSocket(int fd, uint64_t cookie);
-  // Quiesces `fd`: submits staged sends, waits for their completions, cancels
+  // Quiesces `fd`: submits queued sends, waits for their completions, cancels
   // the multishot receive and waits for it to terminate.  Datagrams the ring
   // already pulled out of the socket are queued for DeliverPending() — call
   // it before detaching the endpoint so nothing in flight is dropped.
@@ -104,18 +115,17 @@ class UringEngine {
   // wakeups break WaitCompletions().
   void SetWakerFd(int fd);
 
-  // Stages one outgoing datagram (refcounted parts; no copy unless the entry
-  // later joins a GSO run).  Does not submit.
-  void StageSend(int fd, uint16_t dst_port, const Iovec& gather);
-  size_t staged_sends() const;  // Out of line: Staged is incomplete here.
-  // Submits everything staged in one io_uring_enter (GSO-coalescing runs) and
-  // opportunistically retires available completions WITHOUT delivering:
-  // receives complete into the pending queue.  Safe mid-Send.
+  // Turns `n` staged datagrams of socket `fd` into send SQEs (GSO-coalescing
+  // runs) without submitting them.  Takes the parts: each entry is left
+  // empty, its part array kept.
+  void QueueSends(int fd, StagedSend* stage, size_t n);
+  // Submits every queued SQE in one io_uring_enter and opportunistically
+  // retires available completions WITHOUT delivering: receives complete into
+  // the pending queue.  Safe mid-Send.
   void SubmitSends();
   // SubmitSends + wait until every in-flight send CQE has retired: on return
   // the wire is caught up (receives again only queue).  The Flush() boundary.
   void DrainSends();
-  size_t inflight_sends() const { return inflight_sends_; }
 
   // Delivers queued receives, then reaps the completion ring, delivering new
   // receives as they are consumed.  Returns logical datagrams delivered.
@@ -131,7 +141,6 @@ class UringEngine {
  private:
   struct SendSlot;
   struct SocketRec;
-  struct Staged;
   struct PendingRecv;
 
   bool SetupRing();
@@ -154,8 +163,8 @@ class UringEngine {
 
   void PushSendSqe(uint32_t slot_index);
   uint32_t AcquireSlot();              // Blocks on completions if exhausted.
-  void BuildPlainSlot(SendSlot& slot, const Staged& s);
-  void BuildGsoSlot(SendSlot& slot, const Staged* run, size_t count);
+  void BuildPlainSlot(SendSlot& slot, int fd, StagedSend& s);
+  void BuildGsoSlot(SendSlot& slot, int fd, const StagedSend* run, size_t count);
 
   BufferPool* pool_;
   NetworkStats* stats_;
@@ -197,7 +206,6 @@ class UringEngine {
   std::vector<uint32_t> free_slots_;
   size_t inflight_sends_ = 0;
 
-  std::vector<Staged> staged_;
   // FIFO of received-but-undelivered datagrams (vector + head index: vector
   // tolerates the incomplete element type, deque does not).
   std::vector<PendingRecv> pending_;

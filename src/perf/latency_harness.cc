@@ -1,9 +1,11 @@
 #include "src/perf/latency_harness.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
 #include "src/bypass/hand.h"
+#include "src/layers/mnak.h"
 #include "src/marshal/generic_codec.h"
 #include "src/perf/timer.h"
 #include "src/util/logging.h"
@@ -31,6 +33,7 @@ struct StackPair {
   std::unique_ptr<RoutePair> rx_route;
   std::unique_ptr<Hand4Bypass> tx_hand;
   std::unique_ptr<Hand4Bypass> rx_hand;
+  MnakLayer* tx_mnak = nullptr;  // Pruned as the live stack prunes it.
   // Captured boundary events.
   std::vector<Event> tx_out;
   size_t delivered = 0;
@@ -58,6 +61,7 @@ struct StackPair {
     view->members = {EndpointId{1}, EndpointId{2}};
     p->tx->Init(view);
     p->rx->Init(view);
+    p->tx_mnak = static_cast<MnakLayer*>(p->tx->FindLayer(LayerId::kMnak));
 
     std::string error;
     if (mode == StackMode::kMachine) {
@@ -73,12 +77,38 @@ struct StackPair {
     }
     return pair;
   }
+
+  // What a stability vector from the live stack's collect layer does: my
+  // casts below `casts` are delivered everywhere, so mnak drops them.
+  void PruneSent(uint64_t casts) {
+    if (tx_mnak != nullptr) {
+      tx_mnak->PruneStable({casts, 0});
+    }
+  }
 };
+
+// Times `cast(i)` for every i below `reps` on `timer`, pruning the sender's
+// retransmission buffer outside the timed region every `interval` casts —
+// the live stack's stability gossip rate (stable_interval) — so the buffer
+// stays as short as it does live instead of growing over all `reps`.
+template <typename Cast>
+void TimedCasts(StackPair& pair, size_t reps, size_t interval, PhaseTimer* timer, Cast&& cast) {
+  for (size_t begin = 0; begin < reps; begin += interval) {
+    size_t end = std::min(reps, begin + interval);
+    timer->Start();
+    for (size_t i = begin; i < end; i++) {
+      cast(i);
+    }
+    timer->Stop();
+    pair.PruneSent(end);
+  }
+}
 
 }  // namespace
 
 PhaseLatency MeasureCodeLatency(const LatencyConfig& config) {
   const size_t reps = static_cast<size_t>(config.reps);
+  const size_t prune_interval = std::max<size_t>(1, config.params.stable_interval);
   LayerParams params = QuietParams(config.params);
   auto pair_ptr = StackPair::Make(config.mode, config.layers, params);
   StackPair& pair = *pair_ptr;
@@ -93,11 +123,8 @@ PhaseLatency MeasureCodeLatency(const LatencyConfig& config) {
     pair.tx_out.reserve(reps + 16);
 
     // Phase 1: Down Stack.
-    t_dn_stack.Start();
-    for (size_t i = 0; i < reps; i++) {
-      pair.tx->Down(Event::Cast(payload));
-    }
-    t_dn_stack.Stop();
+    TimedCasts(pair, reps, prune_interval, &t_dn_stack,
+               [&](size_t) { pair.tx->Down(Event::Cast(payload)); });
     ENS_CHECK(pair.tx_out.size() == reps);
 
     // Phase 2: Down Transport (generic marshal; the scatter-gather parts go
@@ -132,13 +159,11 @@ PhaseLatency MeasureCodeLatency(const LatencyConfig& config) {
   } else if (config.mode == StackMode::kMachine) {
     std::vector<std::array<uint64_t, RoutePair::kMaxWireVars>> vars(reps);
 
-    t_dn_stack.Start();
-    for (size_t i = 0; i < reps; i++) {
+    TimedCasts(pair, reps, prune_interval, &t_dn_stack, [&](size_t i) {
       Event ev = Event::Cast(payload);
       bool ok = pair.tx_route->DownUpdates(ev, vars[i].data(), nullptr);
       ENS_CHECK(ok);
-    }
-    t_dn_stack.Stop();
+    });
 
     Event proto = Event::Cast(payload);  // Payload template for BuildWire.
     std::vector<Iovec> wires(reps);
@@ -177,13 +202,11 @@ PhaseLatency MeasureCodeLatency(const LatencyConfig& config) {
   } else {  // HAND
     std::vector<uint32_t> seqnos(reps);
 
-    t_dn_stack.Start();
-    for (size_t i = 0; i < reps; i++) {
+    TimedCasts(pair, reps, prune_interval, &t_dn_stack, [&](size_t i) {
       Event ev = Event::Cast(payload);
       seqnos[i] = pair.tx_hand->DownCastUpdates(ev);
       ENS_CHECK(seqnos[i] != UINT32_MAX);
-    }
-    t_dn_stack.Stop();
+    });
 
     std::vector<Iovec> wires(reps);
     t_dn_trans.Start();
@@ -253,7 +276,11 @@ size_t RunSendRecvRounds(StackMode mode, const std::vector<LayerId>& layers, int
   std::memset(payload_bytes.MutableData(), 0x5A, msg_size);
   Iovec payload(payload_bytes);
 
+  const int prune_interval = static_cast<int>(LayerParams{}.stable_interval);
   for (int i = 0; i < rounds; i++) {
+    if (i > 0 && i % prune_interval == 0) {
+      pair.PruneSent(static_cast<uint64_t>(i));
+    }
     if (mode == StackMode::kMachine) {
       Event ev = Event::Cast(payload);
       Iovec wire;

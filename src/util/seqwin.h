@@ -21,6 +21,13 @@ using Seqno = uint64_t;
 
 class SeqWindow {
  public:
+  // How far past low() the window reaches.  A received header names a
+  // seqno, and a seqno this far ahead of the first one still missing is out
+  // of any sender's reach: it is corrupt or hostile, and Mark/ExtendTo
+  // refuse it, so one datagram cannot make the window allocate more than
+  // kMaxSpan bits (128 KiB).
+  static constexpr uint64_t kMaxSpan = uint64_t{1} << 20;
+
   // `low` is the next expected in-order sequence number.
   explicit SeqWindow(Seqno low = 0) : low_(low) {}
 
@@ -37,10 +44,13 @@ class SeqWindow {
     return s - low_ < size_ && Bit(s);
   }
 
+  // Ring capacity in seqnos (0 until the window first widens).
+  uint64_t capacity() const { return cap_bits_; }
+
   // Marks `s` as received.  Returns false when `s` is a duplicate (already
-  // seen or below the window).
+  // seen or below the window) or at least kMaxSpan past low().
   bool Mark(Seqno s) {
-    if (s < low_) {
+    if (s < low_ || s - low_ >= kMaxSpan) {
       return false;
     }
     if (s - low_ >= size_) {
@@ -79,9 +89,10 @@ class SeqWindow {
 
   // Widens the window so that high() >= bound without marking anything:
   // the new entries become holes.  Used when a sender advertises its send
-  // watermark — unreceived suffixes turn into NAKable holes.
+  // watermark — unreceived suffixes turn into NAKable holes.  A bound more
+  // than kMaxSpan past low() is ignored.
   void ExtendTo(Seqno bound) {
-    if (bound > high()) {
+    if (bound > high() && bound - low_ <= kMaxSpan) {
       Extend(bound - low_);
     }
   }

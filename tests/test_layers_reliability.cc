@@ -138,6 +138,25 @@ TEST(MnakTest, WatermarkAdvertisementCreatesHoles) {
   EXPECT_EQ(hdr.hi, 4u);
 }
 
+// Data, retransmission and watermark headers kMaxSpan past the window are
+// dropped: nothing buffered, no holes, so the next timer NAKs nothing.
+TEST(MnakTest, DropsHeadersBeyondTheWindowSpan) {
+  LayerTester t(LayerId::kMnak, 2, 0);
+  uint32_t far = static_cast<uint32_t>(SeqWindow::kMaxSpan);
+  EXPECT_TRUE(t.Up(MnakData(1, far, "far")).up.empty());
+  Event re = Event::DeliverSend(1, LayerTester::Payload("far"));
+  re.hdrs.Push(LayerId::kMnak, MnakHeader{kMnakRetrans, far, 0, 0});
+  EXPECT_TRUE(t.Up(std::move(re)).up.empty());
+  Event hi = Event::DeliverCast(1, Iovec());
+  hi.hdrs.Push(LayerId::kMnak, MnakHeader{kMnakHi, far + 1, 0, 0});
+  EXPECT_TRUE(t.Up(std::move(hi)).up.empty());
+  EXPECT_TRUE(t.As<MnakLayer>().NoBacklog(1));
+  for (Event& ev : t.Dn(Event::Timer(Millis(1))).dn) {
+    EXPECT_NE(ev.type, EventType::kSend);
+  }
+  EXPECT_EQ(t.Up(MnakData(1, 0, "a")).up.size(), 1u);  // In reach: delivered.
+}
+
 TEST(MnakTest, AdvertisesWatermarkAfterSending) {
   LayerTester t(LayerId::kMnak, 2, 0);
   t.Dn(Event::Cast(LayerTester::Payload("m")));
@@ -211,6 +230,13 @@ TEST(Pt2ptTest, OutOfOrderBufferedThenFlushed) {
   ASSERT_EQ(out.up.size(), 2u);
   EXPECT_EQ(out.up[0].payload.Flatten().view(), "a");
   EXPECT_EQ(out.up[1].payload.Flatten().view(), "b");
+}
+
+TEST(Pt2ptTest, DropsHeadersBeyondTheWindowSpan) {
+  LayerTester t(LayerId::kPt2pt, 2, 0);
+  EXPECT_TRUE(t.Up(Pt2ptData(1, static_cast<uint32_t>(SeqWindow::kMaxSpan), "far")).up.empty());
+  EXPECT_TRUE(t.As<Pt2ptLayer>().NoBacklog(1));
+  EXPECT_EQ(t.Up(Pt2ptData(1, 0, "a")).up.size(), 1u);  // In reach: delivered.
 }
 
 TEST(Pt2ptTest, TimerSendsCumulativeAck) {

@@ -335,6 +335,75 @@ TEST(UdpGroupTest, Pt2ptSendsOverRealSockets) {
   EXPECT_EQ(got, "direct");
 }
 
+// ---- Ownership handoff on every backend ------------------------------------
+
+// Two networks publish each other's endpoints, then endpoint 2 moves from
+// net_a to net_b and back.  After each move, datagrams in both directions —
+// across the networks and within one — must arrive with Packet::src naming
+// the true sender, and every network must still report each endpoint's
+// original port.
+class UdpHandoffTest : public ::testing::TestWithParam<NetBackendConfig> {};
+
+TEST_P(UdpHandoffTest, SourceAndPortSurviveReleaseAdopt) {
+  if (!UdpAvailable()) {
+    GTEST_SKIP() << "no UDP sockets in this environment";
+  }
+  UdpNetwork net_a;
+  UdpNetwork net_b;
+  net_a.set_backend_config(GetParam());
+  net_b.set_backend_config(GetParam());
+  std::vector<std::pair<uint64_t, uint64_t>> got;  // (dst, src) per arrival.
+  auto deliver_to = [&](uint64_t dst) {
+    return [&got, dst](const Packet& p) { got.push_back({dst, p.src.id}); };
+  };
+  net_a.Attach(EndpointId{1}, deliver_to(1));
+  net_a.Attach(EndpointId{2}, deliver_to(2));
+  net_b.Attach(EndpointId{3}, deliver_to(3));
+  ASSERT_TRUE(net_a.ok() && net_b.ok());
+  std::vector<uint16_t> ports = {0, net_a.PortOf(EndpointId{1}), net_a.PortOf(EndpointId{2}),
+                                 net_b.PortOf(EndpointId{3})};
+  net_a.AddPeer(EndpointId{3}, ports[3]);
+  net_b.AddPeer(EndpointId{1}, ports[1]);
+  net_b.AddPeer(EndpointId{2}, ports[2]);
+
+  UdpNetwork* owner_of_2 = &net_a;
+  // Sends src → dst from whichever network owns src and waits for it.
+  auto exchange = [&](uint64_t src, uint64_t dst) {
+    UdpNetwork* from = src == 2 ? owner_of_2 : src == 1 ? &net_a : &net_b;
+    got.clear();
+    from->Send(EndpointId{src}, EndpointId{dst}, Iovec(Bytes::CopyString("x")));
+    from->Flush();
+    for (int spins = 0; spins < 100000 && got.empty(); spins++) {
+      net_a.Poll();
+      net_b.Poll();
+    }
+    ASSERT_EQ(got.size(), 1u) << src << " -> " << dst;
+    EXPECT_EQ(got[0], std::make_pair(dst, src)) << src << " -> " << dst;
+  };
+  for (int move = 0; move < 2; move++) {
+    UdpNetwork* thief = owner_of_2 == &net_a ? &net_b : &net_a;
+    auto released = owner_of_2->Release(EndpointId{2});
+    ASSERT_TRUE(released.ok());
+    thief->Adopt(EndpointId{2}, std::move(released));
+    owner_of_2 = thief;
+    for (auto [src, dst] : {std::pair{1, 2}, {2, 1}, {3, 2}, {2, 3}, {1, 3}}) {
+      exchange(static_cast<uint64_t>(src), static_cast<uint64_t>(dst));
+    }
+    for (uint64_t ep = 1; ep <= 3; ep++) {
+      EXPECT_EQ(net_a.PortOf(EndpointId{ep}), ports[ep]) << "net_a, endpoint " << ep;
+      EXPECT_EQ(net_b.PortOf(EndpointId{ep}), ports[ep]) << "net_b, endpoint " << ep;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, UdpHandoffTest,
+                         ::testing::Values(NetBackendConfig::Eager(),
+                                           NetBackendConfig::Batched(16),
+                                           NetBackendConfig::Uring(16)),
+                         [](const ::testing::TestParamInfo<NetBackendConfig>& info) {
+                           return std::string(NetBackendName(info.param.backend));
+                         });
+
 // ---- io_uring backend ------------------------------------------------------
 
 TEST(UdpUringTest, RoundTripWithScatterGather) {

@@ -135,6 +135,24 @@ TEST(SeqWindowTest, ExtendToCreatesNakableHoles) {
   EXPECT_EQ(w.high(), 4u);
 }
 
+// A header's seqno kMaxSpan or more past low() is refused without widening
+// the window.  (Kept at kMaxSpan, not 2^31: were the bound lost, this test
+// would allocate 128 KiB, not 256 MiB.)
+TEST(SeqWindowTest, RefusesSeqnosBeyondMaxSpan) {
+  constexpr Seqno kLow = 100;
+  SeqWindow w(kLow);
+  EXPECT_FALSE(w.Mark(kLow + SeqWindow::kMaxSpan));
+  w.ExtendTo(kLow + SeqWindow::kMaxSpan + 1);
+  EXPECT_EQ(w.high(), kLow);
+  EXPECT_EQ(w.capacity(), 0u);
+  EXPECT_FALSE(w.HasHoles());
+  // The last seqno in reach is taken, at a capacity of kMaxSpan bits.
+  EXPECT_TRUE(w.Mark(kLow + SeqWindow::kMaxSpan - 1));
+  EXPECT_EQ(w.capacity(), SeqWindow::kMaxSpan);
+  EXPECT_TRUE(w.Mark(kLow));
+  EXPECT_EQ(w.Slide(), 1u);
+}
+
 TEST(SeqWindowTest, InterleavedMarkSlideStress) {
   SeqWindow w;
   // Mark evens then odds; window must deliver all 100 in order.
