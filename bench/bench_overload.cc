@@ -18,7 +18,9 @@
 //   - every ladder rung fires at least once, visible both as an
 //     overload.action.* counter and as a span in TRACE_overload.json.
 //
-// Emits BENCH_overload.json; the ON run also exports TRACE_overload.json.
+// Emits BENCH_overload.json, which also records the dispatch signal's
+// per-poll distribution for every row (the manager reads it each poll); the
+// ON run also exports TRACE_overload.json.
 // `--smoke` shrinks the measurement windows for CI; the checks still apply.
 
 #include <algorithm>
@@ -58,6 +60,10 @@ constexpr const char* kTracePath = "TRACE_overload.json";
 // through.  The ladder itself is driven by dispatch backlog (deliveries
 // lagging behind admission), so the byte ceiling keeps honest headroom.
 constexpr uint64_t kBytesHigh = 4u << 20;
+// The ladder trigger: dispatch depth past 64 means deliveries are lagging
+// admission badly (two full 24 KiB windows fan out to ~144 entries, while
+// paced baseline waves stay under ~48 even when two waves bunch).
+constexpr uint64_t kDispatchHigh = 64;
 
 struct Row {
   std::string name;
@@ -78,6 +84,10 @@ struct Row {
   // Rung engages by the signal that set the pressure (overload::Signal).
   uint64_t engaged_by[overload::kSignalCount] = {0};
   uint64_t polls = 0;
+  // The dispatch signal's reading per manager poll (log2 histogram) and
+  // the largest reading.
+  obs::Sample dispatch;
+  uint64_t dispatch_max = 0;
 };
 
 Bytes StampedPayload() {
@@ -130,10 +140,7 @@ Row RunConfig(const std::string& name, bool manager_on, int load_x,
   config.overload.enabled = manager_on;
   config.overload.poll_interval = Micros(200);
   config.overload.bytes_high = kBytesHigh;
-  // The ladder trigger: dispatch depth past 64 means deliveries are lagging
-  // admission badly (two full 24 KiB windows fan out to ~144 entries, while
-  // paced baseline waves stay under ~48 even when two waves bunch).
-  config.overload.dispatch_high = 64;
+  config.overload.dispatch_high = kDispatchHigh;
   config.overload.window_bytes = 24u << 10;
   config.overload.window_min_bytes = 4u << 10;
   // Kill-shed stays a memory backstop, not a latency tool: channel casts are
@@ -236,6 +243,10 @@ Row RunConfig(const std::string& name, bool manager_on, int load_x,
                       overload::SignalName(static_cast<overload::Signal>(s));
     row.engaged_by[s] = snap.Value(key);
   }
+  if (const obs::Sample* dispatch = snap.Find("overload.signal.dispatch")) {
+    row.dispatch = *dispatch;
+  }
+  row.dispatch_max = snap.Value("overload.signal_peak.dispatch");
 
   std::vector<uint64_t> merged;
   for (const auto& s : samples) {
@@ -281,6 +292,19 @@ void WriteJson(const std::vector<Row>& rows, const std::vector<std::string>& che
     w.KV("dispatch_sheds", r.dispatch_sheds);
     w.KV("tasks_posted", r.tasks_posted).KV("tasks_run", r.tasks_run);
     w.KV("overload_polls", r.polls);
+    // p50/p99 are log2 bucket upper bounds; mean and max are exact.
+    w.Key("dispatch_signal").BeginObject();
+    w.KV("polls", r.dispatch.count).KV("mean", r.dispatch.Mean());
+    w.KV("p50_le", r.dispatch.Percentile(0.50)).KV("p99_le", r.dispatch.Percentile(0.99));
+    w.KV("max", r.dispatch_max);
+    w.Key("polls_by_bucket_le").BeginObject();
+    for (size_t i = 0; i < r.dispatch.buckets.size(); i++) {
+      if (r.dispatch.buckets[i] > 0) {
+        w.KV(std::to_string(obs::LatencyHistogram::BucketCeil(i)), r.dispatch.buckets[i]);
+      }
+    }
+    w.EndObject();
+    w.EndObject();
     w.Key("actions").BeginObject();
     for (int a = 0; a < overload::kActionCount; a++) {
       w.KV(overload::ActionName(static_cast<overload::Action>(a)), r.actions[a]);
@@ -338,6 +362,14 @@ int main(int argc, char** argv) {
   for (const Row& r : rows) {
     PrintRow(r);
   }
+  const obs::Sample& signal = rows[0].dispatch;
+  std::printf("\nbaseline dispatch signal over %llu polls (dispatch_high %llu): mean %.1f, "
+              "p50 <= %llu, p99 <= %llu, max %llu\n",
+              static_cast<unsigned long long>(signal.count),
+              static_cast<unsigned long long>(kDispatchHigh), signal.Mean(),
+              static_cast<unsigned long long>(signal.Percentile(0.50)),
+              static_cast<unsigned long long>(signal.Percentile(0.99)),
+              static_cast<unsigned long long>(rows[0].dispatch_max));
   const Row& base = rows[0];
   const Row& on = rows[1];
   const Row& off = rows[2];

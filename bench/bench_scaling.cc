@@ -14,6 +14,10 @@
 // core count — on a single-core host every worker multiplexes one CPU and
 // speedups sit near (or below) 1x; the >=2.5x-at-4-workers expectation
 // applies to hosts with >=4 physical cores.
+//
+// `--smoke` runs only 1 and 2 workers over 8 endpoints with sub-second
+// windows: CI checks that the runtime still moves traffic and that the
+// artifact stays parseable, not the figures.
 
 #include <algorithm>
 #include <atomic>
@@ -34,7 +38,7 @@ namespace {
 
 constexpr size_t kMsgSize = 64;       // 8-byte timestamp + padding.
 constexpr int kWindow = 64;           // In-flight messages per pair.
-constexpr double kMeasureSecs = 3.0;  // Measurement window per config.
+constexpr int kWarmupMs = 200;        // Before each measurement window.
 constexpr size_t kMaxSamples = 100000;  // Latency samples kept per member.
 
 struct Row {
@@ -46,7 +50,7 @@ struct Row {
   double p50_us = 0;
   double p99_us = 0;
   double speedup = 1.0;
-  obs::MetricsSnapshot net;  // net.* via the registry exporters.
+  obs::MetricsSnapshot net;  // The registry's net.* samples.
 };
 
 Bytes StampedPayload() {
@@ -65,7 +69,7 @@ double Percentile(std::vector<uint64_t>& sorted, double p) {
   return static_cast<double>(sorted[idx]) / 1e3;  // ns -> us.
 }
 
-Row RunConfig(int workers, int pairs) {
+Row RunConfig(int workers, int pairs, int measure_ms) {
   Row row;
   row.workers = workers;
   row.endpoints = 2 * pairs;
@@ -131,11 +135,10 @@ Row RunConfig(int workers, int pairs) {
   }
 
   // Warm up, then measure a fixed wall-clock window via the delivery counters.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::this_thread::sleep_for(std::chrono::milliseconds(kWarmupMs));
   uint64_t delivered0 = rt.total_delivered();
   uint64_t t0 = NowNanos();
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(static_cast<int>(kMeasureSecs * 1000)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(measure_ms));
   uint64_t delivered1 = rt.total_delivered();
   uint64_t t1 = NowNanos();
   rt.Stop();
@@ -143,8 +146,12 @@ Row RunConfig(int workers, int pairs) {
   row.secs = static_cast<double>(t1 - t0) / 1e9;
   row.delivered = delivered1 - delivered0;
   row.msgs_per_sec = static_cast<double>(row.delivered) / row.secs;
-  NetworkStats net = rt.AggregateNetStats();
-  row.net = SnapshotNetworkStats(net);
+  obs::MetricsSnapshot all = rt.SnapshotMetrics();
+  for (obs::Sample& sample : all.samples) {
+    if (sample.name.compare(0, 4, "net.") == 0) {
+      row.net.samples.push_back(std::move(sample));
+    }
+  }
 
   std::vector<uint64_t> merged;
   for (const auto& s : samples) {
@@ -185,19 +192,22 @@ void WriteJson(const std::vector<Row>& rows) {
 }  // namespace
 }  // namespace ensemble
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ensemble;
 
+  bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
   unsigned host_cores = std::thread::hardware_concurrency();
   std::printf("Sharded-runtime scaling over kernel UDP loopback "
-              "(%zu-byte msgs, window %d/pair, host cores: %u)\n",
-              kMsgSize, kWindow, host_cores);
+              "(%zu-byte msgs, window %d/pair, host cores: %u%s)\n",
+              kMsgSize, kWindow, host_cores, smoke ? ", smoke" : "");
   if (!UdpAvailable()) {
     return 0;
   }
 
-  const int worker_counts[] = {1, 2, 4, 8};
-  const int pair_counts[] = {4, 16};
+  const int measure_ms = smoke ? 300 : 3000;
+  const std::vector<int> worker_counts =
+      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
+  const std::vector<int> pair_counts = smoke ? std::vector<int>{4} : std::vector<int>{4, 16};
 
   std::vector<Row> rows;
   std::printf("\n%8s %10s %12s %10s %10s %10s\n", "workers", "endpoints",
@@ -205,7 +215,7 @@ int main() {
   for (int pairs : pair_counts) {
     double base = 0;
     for (int workers : worker_counts) {
-      Row row = RunConfig(workers, pairs);
+      Row row = RunConfig(workers, pairs, measure_ms);
       if (row.delivered == 0) {
         continue;
       }
@@ -221,6 +231,11 @@ int main() {
   }
   if (!rows.empty()) {
     WriteJson(rows);
+  }
+  if (rows.size() != worker_counts.size() * pair_counts.size()) {
+    std::printf("FAIL: %zu of %zu configurations delivered traffic\n", rows.size(),
+                worker_counts.size() * pair_counts.size());
+    return 1;
   }
   return 0;
 }

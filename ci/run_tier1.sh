@@ -7,14 +7,18 @@
 # the per-leg knobs (build dir, cmake flags, environment, test selection,
 # post-suite smoke benches), so adding a leg is one case arm.
 #
-#   (none)      full suite + skew scheduler smoke + the perfbench package
-#               built with warnings as errors, perfbench_defects run, and
-#               every perfbench workload run end to end for a second
+#   (none)      full suite + skew scheduler smoke + scaling smoke (1 and 2
+#               workers over UDP, BENCH_scaling.json checked) + the
+#               perfbench package built with warnings as errors,
+#               perfbench_defects run, and every perfbench workload run end
+#               to end for a second
 #   --tsan      separate tree, -DENSEMBLE_TSAN=ON: concurrency suite (worker
-#               task queue + channel mailboxes + sharded runtime +
-#               observability + overload control on the runtime, whose
-#               kill-shed drops from mailboxes that other shards push into)
-#               under ThreadSanitizer
+#               task queue + every suite on the ShardNetwork base: its
+#               contract on both networks, channel mailboxes, every UdpNetwork
+#               suite incl. handoff and pressure, the sharded runtime and the
+#               scenario classes that migrate on it + observability +
+#               overload control on the runtime, whose kill-shed drops from
+#               mailboxes that other shards push into) under ThreadSanitizer
 #   --notrace   separate tree, -DENSEMBLE_TRACE=OFF (ENS_TRACE compiled out)
 #   --nouring   separate tree, -DENSEMBLE_URING=OFF (io_uring stubbed): the
 #               mmsg fallback must carry every uring-tagged configuration
@@ -51,12 +55,12 @@ CTEST_ARGS="-j $JOBS"
 SMOKES=""
 
 case "$LEG" in
-  default)  SMOKES="skew perfbench" ;;
+  default)  SMOKES="skew scaling perfbench" ;;
   tsan)     BUILD_DIR=build-tsan; CMAKE_FLAGS="-DENSEMBLE_TSAN=ON"
             BUILD_TARGET="--target ensemble_tests"
             # Any reported race fails the run even if the tests pass.
             export TSAN_OPTIONS="halt_on_error=0 exitcode=66"
-            CTEST_ARGS="-R TaskQueue|ChannelNetwork|ShardRuntime|Obs|OverloadRuntime" ;;
+            CTEST_ARGS="-R TaskQueue|ShardNetwork|ChannelNetwork|Udp|ShardRuntime|ScenarioTest.(ShardSkew|SmallSoak)|Obs|OverloadRuntime" ;;
   notrace)  BUILD_DIR=build-notrace; CMAKE_FLAGS="-DENSEMBLE_TRACE=OFF" ;;
   nouring)  BUILD_DIR=build-nouring; CMAKE_FLAGS="-DENSEMBLE_URING=OFF" ;;
   overload) CTEST_ARGS="-R Overload|Watermark|SendWindow|LiveCounter|BufferPool"
@@ -118,6 +122,18 @@ run_smoke() {
       if ! grep -q "unavailable" skew_smoke.out; then
         json_check BENCH_skew.json
         json_check TRACE_skew.json
+      fi
+      ;;
+    scaling)
+      # One 1-worker and one 2-worker configuration with sub-second windows:
+      # bench_scaling exits nonzero when a configuration moves no traffic,
+      # and its result file must stay loadable.
+      rm -f BENCH_scaling.json
+      ./bench/bench_scaling --smoke > scaling_smoke.out 2>&1 \
+        || { cat scaling_smoke.out; exit 1; }
+      cat scaling_smoke.out
+      if ! grep -q "unavailable" scaling_smoke.out; then
+        json_check BENCH_scaling.json
       fi
       ;;
     perfbench)

@@ -36,8 +36,8 @@ struct Packet {
 };
 
 // Counters are relaxed atomics (RelaxedCounter): each network instance is
-// still written single-threaded (its owning shard), but the sharded runtime
-// aggregates per-shard stats from other threads, and benches snapshot them
+// still written single-threaded (its owning shard), but the metrics registry
+// merges per-shard instances from other threads, and benches snapshot them
 // while workers run.
 struct NetworkStats {
   RelaxedCounter sent = 0;
@@ -75,41 +75,6 @@ struct NetworkStats {
   // adapters export it as the net.backend_active gauge so BENCH/TRACE
   // artifacts record the configuration that ran, not the one requested.
   RelaxedCounter backend_active = 0;  // NetBackend: 0 eager, 1 mmsg, 2 uring.
-
-  // Accumulates another instance's counters into this one (max for the max
-  // field).  The sharded runtime and the benches sum per-shard stats with it.
-  void Add(const NetworkStats& o) {
-    sent += o.sent;
-    delivered += o.delivered;
-    dropped += o.dropped;
-    duplicated += o.duplicated;
-    delayed_extra += o.delayed_extra;
-    bytes_sent += o.bytes_sent;
-    send_syscalls += o.send_syscalls;
-    recv_syscalls += o.recv_syscalls;
-    send_batches += o.send_batches;
-    batched_datagrams += o.batched_datagrams;
-    if (o.max_send_batch.value() > max_send_batch.value()) {
-      max_send_batch = o.max_send_batch.value();
-    }
-    packed_datagrams += o.packed_datagrams;
-    packed_submsgs += o.packed_submsgs;
-    uring_enters += o.uring_enters;
-    uring_sqes += o.uring_sqes;
-    uring_sqe_batches += o.uring_sqe_batches;
-    uring_cqes += o.uring_cqes;
-    uring_cqe_batches += o.uring_cqe_batches;
-    gso_sends += o.gso_sends;
-    gso_segments += o.gso_segments;
-    gro_recvs += o.gro_recvs;
-    gro_segments += o.gro_segments;
-    bufring_refills += o.bufring_refills;
-    // The mode field takes max: "uring" dominates an aggregate row when any
-    // contributing shard ran it.
-    if (o.backend_active.value() > backend_active.value()) {
-      backend_active = o.backend_active.value();
-    }
-  }
 };
 
 // Classifies an outgoing datagram for the packing counters.  The packed
@@ -125,7 +90,9 @@ inline void CountIfPacked(NetworkStats* stats, const Iovec& gather) {
 
 // Abstract datagram network + timer facility: what a protocol endpoint needs
 // from its environment.  Implemented by SimNetwork (deterministic discrete-
-// event simulation) and UdpNetwork (real localhost sockets, src/net/udp.h).
+// event simulation) and, under the sharded runtime's ShardNetwork contract
+// (src/net/shard_network.h), UdpNetwork (real localhost sockets) and
+// ChannelNetwork (in-process mailboxes).
 class Network {
  public:
   using DeliverFn = std::function<void(const Packet&)>;

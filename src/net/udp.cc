@@ -11,7 +11,7 @@
 #include <cstring>
 
 #include "src/net/udp_uring.h"
-#include "src/obs/trace.h"
+#include "src/obs/stats_adapters.h"
 #include "src/util/logging.h"
 
 #ifndef SOL_UDP
@@ -224,6 +224,7 @@ UdpNetwork::ReleasedEndpoint UdpNetwork::Release(EndpointId ep) {
     setsockopt(it->second.fd, SOL_UDP, UDP_GRO, &zero, sizeof(zero));
   }
   out.fd = it->second.fd;
+  out.valid = true;
   out.deliver = std::move(it->second.deliver);
   out.drain_hook = std::move(it->second.drain_hook);
   endpoints_.erase(it);
@@ -232,7 +233,7 @@ UdpNetwork::ReleasedEndpoint UdpNetwork::Release(EndpointId ep) {
 }
 
 void UdpNetwork::Adopt(EndpointId ep, ReleasedEndpoint state) {
-  if (state.fd < 0) {
+  if (!state.valid) {
     return;
   }
   Endpoint& local = endpoints_[ep];
@@ -380,10 +381,6 @@ void UdpNetwork::Flush() {
   }
 }
 
-void UdpNetwork::ScheduleTimer(VTime delay, TimerFn fn) {
-  timers_.Schedule(NowNanos() + delay, std::move(fn));
-}
-
 void UdpNetwork::DeliverDatagram(EndpointId dst, const DeliverFn& deliver, uint16_t src_port,
                                  Bytes datagram) {
   Packet packet;
@@ -492,10 +489,7 @@ size_t UdpNetwork::Poll() {
       }
     }
   }
-  size_t timers = timers_.RunDue(NowNanos());
-  if (timers > 0) {
-    ENS_TRACE(kTimerFire, -1, timers, 0);
-  }
+  size_t timers = RunDueTimers();
   // The wire is caught up on Poll() exit: everything staged by deliveries,
   // drain hooks, or timer callbacks goes out before we return.
   Flush();
@@ -503,9 +497,9 @@ size_t UdpNetwork::Poll() {
 }
 
 void UdpNetwork::IdleWait(VTime max_wait) {
-  // Block until traffic arrives, another thread calls Wakeup(), the next
+  // Block until traffic arrives, another thread pokes the waker, the next
   // timer is due, or `max_wait` passes — whichever is first.
-  VTime wait = std::min(max_wait, timers_.NanosUntilNext(NowNanos()));
+  VTime wait = IdleBudget(max_wait);
   if (active_ == NetBackend::kUring) {
     // The multishot recvs and the ring-registered waker poll make every wake
     // source a CQE; the sleep is one io_uring_enter with an EXT_ARG timeout.
@@ -518,6 +512,11 @@ void UdpNetwork::IdleWait(VTime max_wait) {
     ::poll(poll_fds_.data(), poll_fds_.size(), timeout_ms);
   }
   waker_.Drain();
+}
+
+void UdpNetwork::RegisterMetrics(obs::MetricsRegistry& reg, const std::string& tag) {
+  ShardNetwork::RegisterMetrics(reg, tag);
+  obs::RegisterPoolStats(reg, &recv_pool_);
 }
 
 void UdpNetwork::RebuildPollFds() {

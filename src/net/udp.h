@@ -36,11 +36,11 @@
 // port never changes when its socket moves between networks.
 // Cross-process use would only need the same port exchange out of band.
 //
-// Threading: a UdpNetwork belongs to one thread (its shard's worker).  The
-// only cross-thread entry point is Wakeup(), which pokes an eventfd so
-// an owner blocked in PollWait()/PollFor() returns immediately — that is how
-// the sharded runtime's rings get drained promptly while idle workers sleep
-// in poll(2) instead of spinning.
+// Timers, the idle budget, the waker, the stats and the handoff contract come
+// from ShardNetwork (src/net/shard_network.h), shared with the runtime's
+// in-process ChannelNetwork.  Threading: a UdpNetwork belongs to one thread
+// (its shard's worker); other threads only poke waker(), whose eventfd sits
+// in IdleWait's poll set, so an idle owner wakes as soon as work is posted.
 //
 // Platform: Linux only (the build refuses other systems), so sendmmsg,
 // recvmmsg and eventfd are used directly.  Only io_uring keeps a runtime
@@ -60,11 +60,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/net/network.h"
-#include "src/perf/timer.h"
+#include "src/net/shard_network.h"
 #include "src/util/pool.h"
-#include "src/util/timer_heap.h"
-#include "src/util/waker.h"
 
 namespace ensemble {
 
@@ -112,7 +109,7 @@ struct NetBackendConfig {
   }
 };
 
-class UdpNetwork : public Network {
+class UdpNetwork final : public ShardNetwork {
  public:
   UdpNetwork();  // Out of line: UringEngine is incomplete here.
   ~UdpNetwork() override;
@@ -130,26 +127,18 @@ class UdpNetwork : public Network {
   // only: call before the owning threads start polling.
   void AddPeer(EndpointId ep, uint16_t port);
 
-  // Ownership handoff between shards (owning thread of each side only; the
-  // sharded runtime sequences the two halves through its rings, which is the
-  // happens-before edge).  Release() detaches `ep` WITHOUT closing its
-  // socket: staged sends are flushed, and the socket plus the registered
-  // deliver callback and drain hook are returned.  Adopt() installs them on
-  // the thief's network.  Neither edits the address table: the port goes
-  // with the socket, so every network that had it published keeps reaching
-  // the endpoint (the kernel stays the data plane) and keeps attributing its
-  // datagrams.  A network adopting an endpoint it never had published
+  // Ownership handoff (see ShardNetwork).  Release() detaches `ep` WITHOUT
+  // closing its socket: staged sends are flushed, and the socket plus the
+  // registered deliver callback and drain hook are returned.  Adopt()
+  // installs them on the thief's network.  Neither edits the address table:
+  // the port goes with the socket, so every network that had it published
+  // keeps reaching the endpoint (the kernel stays the data plane) and keeps
+  // attributing its datagrams.  A network adopting an endpoint it never had published
   // receives for it but cannot address it.  Datagrams queued in the socket's
   // receive buffer travel with the fd: nothing in flight is lost or
   // reordered.
-  struct ReleasedEndpoint {
-    int fd = -1;
-    DeliverFn deliver;
-    std::function<void()> drain_hook;
-    bool ok() const { return fd >= 0; }
-  };
-  ReleasedEndpoint Release(EndpointId ep);
-  void Adopt(EndpointId ep, ReleasedEndpoint state);
+  ReleasedEndpoint Release(EndpointId ep) override;
+  void Adopt(EndpointId ep, ReleasedEndpoint state) override;
 
   // Pushes every staged datagram to the wire (no-op when nothing is staged).
   void Flush() override;
@@ -165,22 +154,14 @@ class UdpNetwork : public Network {
   }
   int pressure() const { return pressure_.load(std::memory_order_relaxed); }
 
-  // Timer-heap depth, maintained as a relaxed atomic so the overload
-  // manager's gauge can read it from any thread.
-  uint64_t timer_depth() const { return timers_.depth(); }
-
   // See Network::SetDrainHook: hooks run after the last delivery of every
   // receive drain, before Poll() flushes the staging rings and returns.
   void SetDrainHook(EndpointId ep, std::function<void()> hook) override;
 
-  // Timers fire from inside Poll()/PollFor().
-  void ScheduleTimer(VTime delay, TimerFn fn) override;
-  VTime Now() const override { return NowNanos(); }
-
   // Drains every socket once, runs drain hooks and due timers, and flushes
   // the staging rings; returns events processed.  Nothing staged during the
   // drain outlives the call — the wire is caught up when Poll() returns.
-  size_t Poll();
+  size_t Poll() override;
   // Polls repeatedly for up to `duration` wall-clock nanoseconds, sleeping in
   // poll(2) between batches.  Returns events processed.
   size_t PollFor(VTime duration);
@@ -190,17 +171,15 @@ class UdpNetwork : public Network {
   size_t PollWait(VTime max_wait);
 
   // The blocking half of PollWait alone: sleep in poll(2) on the sockets +
-  // wakeup fd, bounded by the next timer deadline and `max_wait`, consuming
-  // the wakeup.  Callers (the shard worker loop) Poll() themselves around it
-  // so they can account busy time separately from idle time.
-  void IdleWait(VTime max_wait);
+  // wakeup fd (io_uring_enter on the uring backend), bounded by the idle
+  // budget, consuming the wakeup.  Callers (the shard worker loop) Poll()
+  // themselves around it so they can account busy time separately.
+  void IdleWait(VTime max_wait) override;
 
-  // The ONLY thread-safe methods: break the owner out of a PollWait/PollFor
-  // sleep (e.g. after posting into the owner's task queue).  Wakeup
-  // coalesces: a burst of cross-shard posts between two owner drains costs
-  // one eventfd write.
-  void Wakeup() { waker_.NotifyCoalesced(); }
-  Waker& waker() { return waker_; }
+  // Adds the receive pool's pool.* counters to the shared registration.
+  void RegisterMetrics(obs::MetricsRegistry& reg, const std::string& tag) override;
+  // Receive-pool bytes in flight (chunks delivered and not yet released).
+  uint64_t buffered_bytes() const override { return recv_pool_.stats().bytes.live(); }
 
   // Safe to change at any time; staged sends are flushed (and, when leaving
   // the uring backend, in-flight completions are drained) first.  Resolves
@@ -215,7 +194,6 @@ class UdpNetwork : public Network {
   bool ok() const { return ok_; }
   // The port of a local or published endpoint; 0 when unknown.
   uint16_t PortOf(EndpointId ep) const;
-  const NetworkStats& stats() const { return stats_; }
   const PoolStats& recv_pool_stats() const { return recv_pool_.stats(); }
   const BufferPool& recv_pool() const { return recv_pool_; }
 
@@ -271,7 +249,6 @@ class UdpNetwork : public Network {
   std::map<EndpointId, uint16_t> ports_;         // Local and published.
   std::map<uint16_t, EndpointId> by_port_;       // Inverse of ports_.
   size_t staged_total_ = 0;  // Datagrams waiting across every stage.
-  TimerHeap timers_;
   std::atomic<int> pressure_{0};   // Overload backpressure level.
   BufferPool recv_pool_{65536};  // One chunk holds any datagram.
   // Reusable recvmmsg targets and the syscall's arrays, sized once to the
@@ -285,8 +262,6 @@ class UdpNetwork : public Network {
   std::vector<iovec> send_iov_;
   std::vector<mmsghdr> send_msgs_;
   std::vector<pollfd> poll_fds_;  // IdleWait's set; see RebuildPollFds.
-  Waker waker_;
-  NetworkStats stats_;
 };
 
 }  // namespace ensemble

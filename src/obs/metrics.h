@@ -1,15 +1,14 @@
 // Metrics registry: one named place for every counter in the system.
 //
 // The paper's whole method is cost accounting — Tables 1–2 and Fig. 6 exist
-// because every layer's time and every allocation was attributable.  The
-// runtime had grown one ad-hoc struct per subsystem (NetworkStats,
-// DispatchStats, ShardSchedStats, WakerStats, pool stats), each hand-printed
-// by individual benches.  This registry keeps those structs as the hot-path
-// representation (plain RelaxedCounter fields, no indirection where the work
-// happens) and makes them *reportable*: each shard registers its instances
-// under stable names, Snapshot() merges per-shard sources (sum, or max for
-// high-water fields), and the text/JSON exporters are the single rendering
-// path for benches and tests.
+// because every layer's time and every allocation was attributable.  Each
+// subsystem keeps its own stats struct (NetworkStats, DispatchStats,
+// TaskQueueStats, WakerStats, pool stats) as the hot-path representation
+// (plain RelaxedCounter fields, no indirection where the work happens); this
+// registry makes them *reportable*: each shard registers its instances under
+// stable names, and Snapshot() is the single aggregation path — it merges
+// per-shard sources (sum, or max for high-water fields), and its text/JSON
+// exporters are the single rendering path for benches and tests.
 //
 // Three metric kinds:
 //   counter   — monotonic uint64, read from a RelaxedCounter* or a callback.

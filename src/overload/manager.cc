@@ -159,15 +159,24 @@ void OverloadManager::Evaluate(uint64_t now_ns) {
   stats_.polls++;
 
   // Per-signal per-mille, in Signal order; the largest sets the pressure.
+  // Every reading is also recorded, so the distribution behind an engage
+  // (a standing backlog or a passing burst) can be read afterwards.
+  const std::function<uint64_t()>* read[kSignalCount] = {
+      &signals_.live_bytes, &signals_.dispatch_backlog, &signals_.timer_backlog};
+  const uint64_t high[kSignalCount] = {cfg_.bytes_high, cfg_.dispatch_high, cfg_.timer_high};
   uint64_t pm[kSignalCount] = {0, 0, 0};
-  if (cfg_.bytes_high > 0 && signals_.live_bytes) {
-    pm[0] = signals_.live_bytes() * 1000 / cfg_.bytes_high;
-  }
-  if (cfg_.dispatch_high > 0 && signals_.dispatch_backlog) {
-    pm[1] = signals_.dispatch_backlog() * 1000 / cfg_.dispatch_high;
-  }
-  if (cfg_.timer_high > 0 && signals_.timer_backlog) {
-    pm[2] = signals_.timer_backlog() * 1000 / cfg_.timer_high;
+  for (int s = 0; s < kSignalCount; s++) {
+    if (!*read[s]) {
+      continue;
+    }
+    uint64_t reading = (*read[s])();
+    stats_.signal[s].Observe(reading);
+    if (reading > stats_.signal_peak[s].value()) {
+      stats_.signal_peak[s] = reading;
+    }
+    if (high[s] > 0) {
+      pm[s] = reading * 1000 / high[s];
+    }
   }
   int source = 0;
   for (int s = 1; s < kSignalCount; s++) {
@@ -227,9 +236,10 @@ void OverloadManager::RegisterMetrics(obs::MetricsRegistry& reg) {
                 &stats_.actions[i]);
   }
   for (int s = 0; s < kSignalCount; s++) {
-    reg.Counter(std::string("overload.engaged_by.") +
-                    SignalName(static_cast<Signal>(s)),
-                &stats_.engaged_by[s]);
+    std::string signal = SignalName(static_cast<Signal>(s));
+    reg.Counter("overload.engaged_by." + signal, &stats_.engaged_by[s]);
+    reg.HistogramSource("overload.signal." + signal, &stats_.signal[s]);
+    reg.Counter("overload.signal_peak." + signal, &stats_.signal_peak[s], obs::Agg::kMax);
   }
   reg.Counter("overload.polls", &stats_.polls);
   reg.Counter("overload.window_decays", &stats_.window_decays);

@@ -28,16 +28,13 @@
 #include <memory>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/overload/send_window.h"
 #include "src/overload/watermark.h"
 #include "src/util/counters.h"
 #include "src/util/vtime.h"
 
 namespace ensemble {
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
-
 namespace overload {
 
 enum class Action : uint8_t {
@@ -145,12 +142,17 @@ class OverloadManager {
     RelaxedCounter engaged_by[kSignalCount];
     RelaxedCounter polls;
     RelaxedCounter window_decays;
+    // Every poll's raw reading of each signal, and the largest one seen.
+    obs::LatencyHistogram signal[kSignalCount];
+    RelaxedCounter signal_peak[kSignalCount];
   };
   const Stats& stats() const { return stats_; }
   uint64_t TotalWindowSheds() const;
   uint64_t TotalWindowShedBytes() const;
 
-  // Registers overload.* counters and the pressure gauge.
+  // Registers overload.* counters, the per-signal reading histograms
+  // (overload.signal.<signal>) and peaks (overload.signal_peak.<signal>),
+  // and the pressure gauge.
   void RegisterMetrics(obs::MetricsRegistry& reg);
 
   const OverloadConfig& config() const { return cfg_; }

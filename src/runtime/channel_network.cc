@@ -149,10 +149,6 @@ void ChannelNetwork::Send(EndpointId src, EndpointId dst, const Iovec& gather) {
   Push(box, src, gather.Flatten());
 }
 
-void ChannelNetwork::ScheduleTimer(VTime delay, TimerFn fn) {
-  timers_.Schedule(NowNanos() + delay, std::move(fn));
-}
-
 size_t ChannelNetwork::DrainQueues() {
   resident_.erase(std::remove_if(resident_.begin(), resident_.end(),
                                  [](const Resident& r) { return !r.attached; }),
@@ -192,15 +188,7 @@ size_t ChannelNetwork::DrainQueues() {
 
 size_t ChannelNetwork::Poll() {
   size_t n = DrainQueues();
-  size_t fired = timers_.RunDue(NowNanos());
-  if (fired > 0) {
-    ENS_TRACE(kTimerFire, -1, fired, 0);
-  }
-  return n + fired;
-}
-
-void ChannelNetwork::IdleWait(VTime max_wait) {
-  waker_.WaitFor(std::min(max_wait, timers_.NanosUntilNext(NowNanos())));
+  return n + RunDueTimers();
 }
 
 uint64_t ChannelNetwork::dispatch_depth() const {

@@ -19,9 +19,11 @@
 // adopter's owner store (its first Poll sees the packet) or follows it (the
 // push wakes the adopter).
 //
-// Timers are a wall-clock min-heap, as in UdpNetwork.  Lossless and FIFO per
-// sender, including across migrations; under overload (pressure level 2) a
-// push drops the mailbox's OLDEST packet once its depth exceeds the shed keep.
+// Timers, the idle sleep on the waker, the stats and the handoff contract are
+// ShardNetwork's (src/net/shard_network.h), shared with UdpNetwork; this file
+// adds only the mailbox datapath.  Lossless and FIFO per sender, including
+// across migrations; under overload (pressure level 2) a push drops the
+// mailbox's OLDEST packet once its depth exceeds the shed keep.
 
 #ifndef ENSEMBLE_SRC_RUNTIME_CHANNEL_NETWORK_H_
 #define ENSEMBLE_SRC_RUNTIME_CHANNEL_NETWORK_H_
@@ -34,12 +36,9 @@
 #include <mutex>
 #include <vector>
 
-#include "src/net/network.h"
-#include "src/perf/timer.h"
+#include "src/net/shard_network.h"
 #include "src/util/counters.h"
 #include "src/util/flat_map.h"
-#include "src/util/timer_heap.h"
-#include "src/util/waker.h"
 
 namespace ensemble {
 
@@ -77,16 +76,16 @@ class MailboxTable {
   FlatMap<Mailbox> by_id_;
 };
 
-class ChannelNetwork : public Network {
+class ChannelNetwork final : public ShardNetwork {
  public:
-  explicit ChannelNetwork(MailboxTable* table) : table_(table) {}
+  // `shed_keep`: the mailbox depth a push keeps under kill pressure.
+  explicit ChannelNetwork(MailboxTable* table, size_t shed_keep = 4096)
+      : table_(table), shed_keep_(shed_keep) {}
 
   void Attach(EndpointId ep, DeliverFn deliver) override;
   // Closes the mailbox: queued packets and later pushes count as dropped.
   void Detach(EndpointId ep) override;
   void Send(EndpointId src, EndpointId dst, const Iovec& gather) override;
-  void ScheduleTimer(VTime delay, TimerFn fn) override;
-  VTime Now() const override { return NowNanos(); }
   void SetDrainHook(EndpointId ep, std::function<void()> hook) override;
   // Overload backpressure: at level >= 2 (kill watermark) a push drops the
   // mailbox's OLDEST packet once its depth exceeds the shed keep — channel
@@ -95,37 +94,23 @@ class ChannelNetwork : public Network {
   void SetPressure(int level) override {
     pressure_.store(level, std::memory_order_relaxed);
   }
-  void set_shed_keep(size_t keep) { shed_keep_ = keep; }
 
-  // Ownership handoff (owning threads only, outside Poll).  The mailbox stays
-  // where it is; only the binding travels.
-  struct ReleasedEndpoint {
-    DeliverFn deliver;
-    std::function<void()> drain_hook;
-    bool valid = false;
-  };
-  ReleasedEndpoint Release(EndpointId ep);
-  void Adopt(EndpointId ep, ReleasedEndpoint state);
+  // Ownership handoff (see ShardNetwork).  The mailbox stays where it is;
+  // only the binding travels (ReleasedEndpoint::fd stays -1).
+  ReleasedEndpoint Release(EndpointId ep) override;
+  void Adopt(EndpointId ep, ReleasedEndpoint state) override;
 
-  // Owning thread: deliver what every resident mailbox holds now, run due
-  // timers, then run the drain hooks.
-  size_t Poll();
+  // Owning thread: deliver what every resident mailbox holds now, run the
+  // drain hooks, then run due timers.
+  size_t Poll() override;
   // The mailbox/hook half of Poll() without firing timers: the post-Stop
   // sweep uses it so periodic timers can't regenerate traffic forever.
   size_t DrainQueues();
-  // Owning thread: block until a push or another thread wakes us, the next
-  // timer is due, or `max_wait` passes — whichever is first.
-  void IdleWait(VTime max_wait);
-  // Thread-safe wakeup source for this shard (pushes and task posts).
-  Waker& waker() { return waker_; }
 
-  const NetworkStats& stats() const { return stats_; }
-  // Overload signals (read cross-thread by the manager's evaluating worker):
-  // packets waiting in this shard's resident mailboxes, timer-heap depth, and
-  // kill-shed drops by pushes from this shard.
-  uint64_t dispatch_depth() const;
-  uint64_t timer_depth() const { return timers_.depth(); }
-  uint64_t overload_sheds() const { return overload_sheds_.value(); }
+  // Packets waiting in this shard's resident mailboxes, and kill-shed drops
+  // by pushes from this shard.
+  uint64_t dispatch_depth() const override;
+  uint64_t overload_sheds() const override { return overload_sheds_.value(); }
 
  private:
   // An endpoint bound to this shard.  `batch` is Poll's half of a double
@@ -146,11 +131,8 @@ class ChannelNetwork : public Network {
   // Owning thread only.  Never resized during delivery: entries detached
   // mid-Poll are only marked, and reaped at the top of the next drain.
   std::vector<Resident> resident_;
-  TimerHeap timers_;
-  Waker waker_;
-  NetworkStats stats_;
   std::atomic<int> pressure_{0};
-  size_t shed_keep_ = 4096;
+  const size_t shed_keep_;
   RelaxedCounter overload_sheds_;
 };
 

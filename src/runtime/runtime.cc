@@ -40,14 +40,12 @@ ShardRuntime::ShardRuntime(ShardRuntimeConfig config) : config_(std::move(config
     worker->trace = std::make_unique<obs::TraceRing>(config_.trace_capacity,
                                                      static_cast<uint16_t>(s));
     if (config_.backend == ShardBackend::kUdp) {
-      worker->udp = std::make_unique<UdpNetwork>();
-      worker->udp->set_backend_config(config_.net);
-      worker->net = worker->udp.get();
-      worker->waker = &worker->udp->waker();
+      auto udp = std::make_unique<UdpNetwork>();
+      udp->set_backend_config(config_.net);
+      worker->net = std::move(udp);
     } else {
-      worker->chan = std::make_unique<ChannelNetwork>(&mailboxes_);
-      worker->net = worker->chan.get();
-      worker->waker = &worker->chan->waker();
+      worker->net = std::make_unique<ChannelNetwork>(&mailboxes_,
+                                                     config_.overload.kill_dispatch_keep);
     }
     workers_.push_back(std::move(worker));
   }
@@ -80,13 +78,10 @@ bool ShardRuntime::Build(int n, int group_size) {
       shard = std::clamp(config_.initial_shard[static_cast<size_t>(i)], 0, w - 1);
     }
     EndpointId id{static_cast<uint64_t>(i + 1)};
-    auto ep = std::make_unique<GroupEndpoint>(id, workers_[static_cast<size_t>(shard)]->net,
-                                              config_.ep);
-    delivered_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-    std::atomic<uint64_t>* counter = delivered_.back().get();
+    auto ep = std::make_unique<GroupEndpoint>(
+        id, workers_[static_cast<size_t>(shard)]->net.get(), config_.ep);
     int member = i;
-    ep->OnDeliver([this, counter, member](const Event& ev) {
-      counter->fetch_add(1, std::memory_order_relaxed);
+    ep->OnDeliver([this, member](const Event& ev) {
       // Delivery credits the sender's group window (application traffic is
       // intra-group, so the receiving member shares the sender's window).
       overload::SendWindow* win =
@@ -111,8 +106,11 @@ bool ShardRuntime::Build(int n, int group_size) {
   }
 
   if (config_.backend == ShardBackend::kUdp) {
-    for (auto& worker : workers_) {
-      if (!worker->udp->ok()) {
+    auto udp = [this](int s) -> UdpNetwork& {
+      return static_cast<UdpNetwork&>(*workers_[static_cast<size_t>(s)]->net);
+    };
+    for (int s = 0; s < w; s++) {
+      if (!udp(s).ok()) {
         return false;
       }
     }
@@ -120,10 +118,11 @@ bool ShardRuntime::Build(int n, int group_size) {
     // kernel becomes the cross-shard data plane.
     for (int i = 0; i < n; i++) {
       int owner = ShardOf(i);
-      uint16_t port = workers_[static_cast<size_t>(owner)]->udp->PortOf(all_ids_[static_cast<size_t>(i)]);
+      EndpointId id = all_ids_[static_cast<size_t>(i)];
+      uint16_t port = udp(owner).PortOf(id);
       for (int s = 0; s < w; s++) {
         if (s != owner) {
-          workers_[static_cast<size_t>(s)]->udp->AddPeer(all_ids_[static_cast<size_t>(i)], port);
+          udp(s).AddPeer(id, port);
         }
       }
     }
@@ -146,20 +145,13 @@ void ShardRuntime::SetupOverload() {
       members_[static_cast<size_t>(member)]->SetSendWindow(win);
     }
   }
-  for (auto& worker : workers_) {
-    if (worker->chan != nullptr) {
-      worker->chan->set_shed_keep(config_.overload.kill_dispatch_keep);
-    }
-  }
   overload::OverloadSignals sig;
   sig.live_bytes = [this]() {
     // Buffered bytes process-wide: heap chunks (channel backend payloads,
     // oversized buffers) plus every shard's receive-pool chunks in flight.
     uint64_t bytes = GlobalHeapBufferStats().bytes.live();
     for (const auto& worker : workers_) {
-      if (worker->udp != nullptr) {
-        bytes += worker->udp->recv_pool().stats().bytes.live();
-      }
+      bytes += worker->net->buffered_bytes();
     }
     return bytes;
   };
@@ -168,18 +160,14 @@ void ShardRuntime::SetupOverload() {
     // Queued tasks are offered load the send windows have not admitted yet.
     uint64_t depth = 0;
     for (const auto& worker : workers_) {
-      if (worker->chan != nullptr) {
-        depth = std::max(depth, worker->chan->dispatch_depth());
-      }
+      depth = std::max(depth, worker->net->dispatch_depth());
     }
     return depth;
   };
   sig.timer_backlog = [this]() {
     uint64_t depth = 0;
     for (const auto& worker : workers_) {
-      uint64_t d = worker->udp != nullptr ? worker->udp->timer_depth()
-                                          : worker->chan->timer_depth();
-      depth = std::max(depth, d);
+      depth = std::max(depth, worker->net->timer_depth());
     }
     return depth;
   };
@@ -215,13 +203,7 @@ void ShardRuntime::RegisterMetrics() {
   for (int s = 0; s < num_workers(); s++) {
     Worker& w = *workers_[static_cast<size_t>(s)];
     std::string shard_tag = "shard" + std::to_string(s);
-    if (w.udp != nullptr) {
-      RegisterNetworkStats(metrics_, &w.udp->stats(), shard_tag);
-      RegisterPoolStats(metrics_, &w.udp->recv_pool());
-    } else {
-      RegisterNetworkStats(metrics_, &w.chan->stats(), shard_tag);
-    }
-    RegisterWakerStats(metrics_, &w.waker->stats());
+    w.net->RegisterMetrics(metrics_, shard_tag);
     metrics_.Counter("task.pushed", &w.inbox.stats().pushed);
     metrics_.Counter("task.popped", &w.inbox.stats().popped);
     metrics_.Counter("sched.events", &w.stats.events);
@@ -247,15 +229,10 @@ void ShardRuntime::RegisterMetrics() {
   }
   if (overload_mgr_ != nullptr) {
     overload_mgr_->RegisterMetrics(metrics_);
-    metrics_.CounterFn("overload.dispatch_shed", [this]() {
-      uint64_t dropped = 0;
-      for (const auto& worker : workers_) {
-        if (worker->chan != nullptr) {
-          dropped += worker->chan->overload_sheds();
-        }
-      }
-      return dropped;
-    });
+    for (const auto& worker : workers_) {
+      ShardNetwork* net = worker->net.get();
+      metrics_.CounterFn("overload.dispatch_shed", [net]() { return net->overload_sheds(); });
+    }
   }
   RegisterGlobalStats(metrics_);
 }
@@ -311,11 +288,12 @@ void ShardRuntime::Stop() {
   for (int sweep = 0; sweep < 1000; sweep++) {
     size_t activity = 0;
     for (int s = 0; s < num_workers(); s++) {
-      Worker& w = *workers_[static_cast<size_t>(s)];
       activity += DrainInbox(s);
       activity += DrainDeferred(s);
-      if (w.chan != nullptr) {
-        activity += w.chan->DrainQueues();  // No timers: must converge.
+      if (config_.backend == ShardBackend::kChannel) {
+        // No timers: must converge.
+        activity += static_cast<ChannelNetwork&>(*workers_[static_cast<size_t>(s)]->net)
+                        .DrainQueues();
       }
     }
     if (activity == 0) {
@@ -326,7 +304,9 @@ void ShardRuntime::Stop() {
 
 // ---- Posting ---------------------------------------------------------------
 
-Waker& ShardRuntime::WakerOf(int shard) { return *workers_[static_cast<size_t>(shard)]->waker; }
+Waker& ShardRuntime::WakerOf(int shard) {
+  return workers_[static_cast<size_t>(shard)]->net->waker();
+}
 
 void ShardRuntime::WakeWorker(int shard) { WakerOf(shard).NotifyCoalesced(); }
 
@@ -446,11 +426,7 @@ void ShardRuntime::IdleBlock(int shard) {
   if (w.inbox.depth() != 0) {
     return;
   }
-  if (w.udp != nullptr) {
-    w.udp->IdleWait(config_.poll_slice);
-  } else {
-    w.chan->IdleWait(config_.poll_slice);
-  }
+  w.net->IdleWait(config_.poll_slice);
 }
 
 void ShardRuntime::WorkerLoop(int shard) {
@@ -463,7 +439,7 @@ void ShardRuntime::WorkerLoop(int shard) {
     uint64_t t0 = NowNanos();
     size_t events = DrainDeferred(shard);
     events += DrainInbox(shard);
-    events += w.udp != nullptr ? w.udp->Poll() : w.chan->Poll();
+    events += w.net->Poll();
     if (overload_mgr_ != nullptr) {
       // Deadline-elected: exactly one worker wins the CAS per poll interval,
       // so manager overhead does not scale with shard count.
@@ -484,11 +460,7 @@ void ShardRuntime::WorkerLoop(int shard) {
   // Stop() leaves deterministic, fully-flushed state behind.
   DrainDeferred(shard);
   DrainInbox(shard);
-  if (w.udp != nullptr) {
-    w.udp->Poll();
-  } else {
-    w.chan->Poll();
-  }
+  w.net->Poll();
   obs::InstallThreadTraceRing(nullptr);
   tls_rt = nullptr;
 }
@@ -631,33 +603,21 @@ void ShardRuntime::StartHandoff(int shard, int member, int thief, bool from_stea
   // UDP socket with its kernel receive queue, or the channel mailbox — keeps
   // everything in flight in order meanwhile, and UDP's Release keeps the port
   // as a peer here so our endpoints still reach it.
-  UdpNetwork::ReleasedEndpoint udp;
-  ChannelNetwork::ReleasedEndpoint chan;
-  if (w.udp != nullptr) {
-    udp = w.udp->Release(id);
-  } else {
-    chan = w.chan->Release(id);
-  }
+  ShardNetwork::ReleasedEndpoint released = w.net->Release(id);
   owner_of_[static_cast<size_t>(member)].store(thief, std::memory_order_release);
-  Post(thief, [this, thief, member, chan, udp, from_steal, start_ns] {
-    FinishAdopt(thief, member, chan, udp, from_steal, start_ns);
+  Post(thief, [this, thief, member, released, from_steal, start_ns] {
+    FinishAdopt(thief, member, released, from_steal, start_ns);
   });
 }
 
-void ShardRuntime::FinishAdopt(int shard, int member, ChannelNetwork::ReleasedEndpoint chan,
-                               UdpNetwork::ReleasedEndpoint udp, bool from_steal,
-                               uint64_t start_ns) {
+void ShardRuntime::FinishAdopt(int shard, int member, ShardNetwork::ReleasedEndpoint released,
+                               bool from_steal, uint64_t start_ns) {
   Worker& w = *workers_[static_cast<size_t>(shard)];
-  EndpointId id = all_ids_[static_cast<size_t>(member)];
-  if (w.udp != nullptr) {
-    w.udp->Adopt(id, std::move(udp));
-  } else {
-    w.chan->Adopt(id, std::move(chan));
-  }
+  w.net->Adopt(all_ids_[static_cast<size_t>(member)], std::move(released));
   // Queued packets are delivered by our next Poll, after this rebind, so a
   // delivery that re-enters Send (the application echoes) goes out through
   // OUR backend, never the victim's.
-  members_[static_cast<size_t>(member)]->FinishRebind(w.net);
+  members_[static_cast<size_t>(member)]->FinishRebind(w.net.get());
   w.resident[static_cast<size_t>(member)] = 1;
   w.resident_count.fetch_add(1, std::memory_order_relaxed);
   w.stats.steals_in++;
@@ -676,8 +636,8 @@ void ShardRuntime::FinishAdopt(int shard, int member, ChannelNetwork::ReleasedEn
 
 uint64_t ShardRuntime::total_delivered() const {
   uint64_t total = 0;
-  for (const auto& c : delivered_) {
-    total += c->load(std::memory_order_relaxed);
+  for (const auto& member : members_) {
+    total += member->stats().delivered.value();
   }
   return total;
 }
@@ -707,36 +667,6 @@ bool ShardRuntime::TraceComplete() const {
     }
   }
   return true;
-}
-
-NetworkStats ShardRuntime::AggregateNetStats() const {
-  NetworkStats total;
-  for (const auto& worker : workers_) {
-    total.Add(worker->udp != nullptr ? worker->udp->stats() : worker->chan->stats());
-  }
-  return total;
-}
-
-TaskQueueStats ShardRuntime::AggregateTaskStats() const {
-  TaskQueueStats total;
-  for (const auto& worker : workers_) {
-    const TaskQueueStats& s = worker->inbox.stats();
-    total.pushed += s.pushed;
-    total.popped += s.popped;
-  }
-  return total;
-}
-
-ShardSchedStats ShardRuntime::SchedStats() const {
-  ShardSchedStats out;
-  out.steals = steals_completed_.value();
-  out.steal_requests = steal_requests_.value();
-  for (const auto& worker : workers_) {
-    const WakerStats& ws = worker->waker->stats();
-    out.wakeup_writes += ws.notifies.value();
-    out.wakeups_coalesced += ws.coalesced.value();
-  }
-  return out;
 }
 
 ShardLoad ShardRuntime::LoadOf(int shard) const {

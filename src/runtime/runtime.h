@@ -3,9 +3,16 @@
 // The paper's Ensemble stacks ran one event loop per process; this runtime
 // scales the same machinery across cores without giving up the paper's
 // single-threaded-stack discipline: N worker threads, each owning a disjoint
-// set of GroupEndpoints plus its *own* network backend and timer heap, so
-// every protocol stack, bypass route, transport packer, and buffer pool is
-// touched by exactly one thread and the hot paths keep running lock-free.
+// set of GroupEndpoints plus its *own* network and timer heap, so every
+// protocol stack, bypass route, transport packer, and buffer pool is touched
+// by exactly one thread and the hot paths keep running lock-free.
+//
+// A worker drives its network through one contract, ShardNetwork
+// (src/net/shard_network.h): Poll, IdleWait, timers, the waker, Release and
+// Adopt, its own metrics and overload readings.  Two networks implement it,
+// UdpNetwork and the in-process ChannelNetwork; the runtime names the backend
+// only to construct it, to publish UDP ports across shards in Build(), and in
+// the channel-only post-Stop sweep.
 //
 // Cross-shard traffic is confined to two kinds of queue, both the same shape
 // (a mutex-guarded deque with a relaxed depth mirror; any thread pushes, the
@@ -21,10 +28,11 @@
 //     in-process channel backend a mailbox (channel_network.h) that any
 //     shard pushes into by endpoint id.
 //
-// Idle workers block in poll(2) (UDP: sockets + eventfd wakeup; channel:
-// eventfd only) instead of spinning; posting a task or pushing a packet
-// wakes the owner through a COALESCED waker: a burst of posts between two of
-// the owner's drain cycles costs one eventfd write.
+// Idle workers block in their network's IdleWait (UDP: sockets + eventfd
+// wakeup; channel: eventfd only) instead of spinning; posting a task or
+// pushing a packet wakes the owner through the network's COALESCED waker: a
+// burst of posts between two of the owner's drain cycles costs one eventfd
+// write.
 //
 // A worker never waits to post, so two workers flooding each other cannot
 // deadlock.  A thread outside the runtime (the harness, a bench's pacing
@@ -39,10 +47,11 @@
 // GroupEndpoint (flush staged traffic, invalidate its timers via a rebind
 // epoch) and hands ownership to the thief over the task queues — the
 // stack itself never sees a second thread.  Both backends hand off the same
-// way: release the endpoint's binding, publish the new owner, adopt on the
-// thief.  The endpoint's queue — the socket with its kernel receive queue, or
-// the mailbox — stays put and keeps everything in flight in order, so nothing
-// is lost or reordered across the migration.
+// way: release the endpoint's binding (one ShardNetwork::ReleasedEndpoint),
+// publish the new owner, adopt on the thief.  The endpoint's queue — the
+// socket with its kernel receive queue, or the mailbox — stays put and keeps
+// everything in flight in order, so nothing is lost or reordered across the
+// migration.
 //
 // Lifecycle: construct → Build(n) → Start() → Post*/run → Stop().  Build and
 // Start run on the caller's thread before any worker exists; after Start(),
@@ -67,7 +76,6 @@
 #include "src/obs/trace.h"
 #include "src/overload/manager.h"
 #include "src/runtime/channel_network.h"
-#include "src/util/timer_heap.h"
 #include "src/util/waker.h"
 
 namespace ensemble {
@@ -158,14 +166,6 @@ class TaskQueue {
   TaskQueueStats stats_;
 };
 
-// Scheduler-level observability (aggregated over shards).
-struct ShardSchedStats {
-  uint64_t steals = 0;            // Completed ownership handoffs.
-  uint64_t steal_requests = 0;    // Requests posted (incl. declined).
-  uint64_t wakeup_writes = 0;     // Real eventfd writes.
-  uint64_t wakeups_coalesced = 0; // Wakeups absorbed by the dirty flag.
-};
-
 // Per-shard load snapshot (relaxed reads; exact after Stop()).
 struct ShardLoad {
   uint64_t events = 0;   // Cumulative events processed.
@@ -228,20 +228,15 @@ class ShardRuntime {
   // same protocol the stealer uses — exposed for tests and benches.
   void MigrateMember(int member, int to);
 
-  // Relaxed counters, safe to read from any thread while workers run.
+  // Relaxed counters, safe to read from any thread while workers run:
+  // deliveries (each member's GroupEndpoint::Stats::delivered) and completed
+  // ownership handoffs.  Every other total is in SnapshotMetrics().
   uint64_t delivered(int member) const {
-    return delivered_[static_cast<size_t>(member)]->load(std::memory_order_relaxed);
+    return members_[static_cast<size_t>(member)]->stats().delivered.value();
   }
   uint64_t total_delivered() const;
   uint64_t steals() const { return steals_completed_.value(); }
 
-  // Per-shard NetworkStats summed with NetworkStats::Add.  Exact after
-  // Stop(); a live snapshot (relaxed reads) while running.
-  NetworkStats AggregateNetStats() const;
-  // Task queue totals over every worker (pushed / popped).
-  TaskQueueStats AggregateTaskStats() const;
-  // Scheduler counters (steals, wakeup coalescing).
-  ShardSchedStats SchedStats() const;
   // Per-shard load snapshot (the stealing signal, exposed for benches).
   ShardLoad LoadOf(int shard) const;
 
@@ -250,9 +245,10 @@ class ShardRuntime {
   // also ForcePoll through it.
   overload::OverloadManager* overload_manager() { return overload_mgr_.get(); }
 
-  // The unified metrics registry: every backend, task queue, waker, pool, endpoint
-  // and scheduler counter is registered here during Build().  Callers may add
-  // their own entries before Start().
+  // The unified metrics registry and the only aggregator of per-shard
+  // counters: every network, task queue, waker, pool, endpoint and scheduler
+  // counter is registered here during Build().  Callers may add their own
+  // entries before Start().
   obs::MetricsRegistry& metrics() { return metrics_; }
   // Merged snapshot across shards (live = approximate, post-Stop = exact).
   obs::MetricsSnapshot SnapshotMetrics() const { return metrics_.Snapshot(); }
@@ -284,10 +280,7 @@ class ShardRuntime {
   };
 
   struct Worker {
-    std::unique_ptr<UdpNetwork> udp;
-    std::unique_ptr<ChannelNetwork> chan;
-    Network* net = nullptr;
-    Waker* waker = nullptr;  // The network's own: posts and pushes wake it.
+    std::unique_ptr<ShardNetwork> net;  // Its waker wakes this worker.
     TaskQueue inbox;
     std::unique_ptr<obs::TraceRing> trace;  // This worker's event ring.
     std::thread thread;
@@ -318,8 +311,8 @@ class ShardRuntime {
   // Handoff steps; the first argument names the worker each runs on (passed
   // explicitly — the post-Stop sweep replays tasks on the main thread).
   void StartHandoff(int shard, int member, int thief, bool from_steal);
-  void FinishAdopt(int shard, int member, ChannelNetwork::ReleasedEndpoint chan,
-                   UdpNetwork::ReleasedEndpoint udp, bool from_steal, uint64_t start_ns);
+  void FinishAdopt(int shard, int member, ShardNetwork::ReleasedEndpoint released,
+                   bool from_steal, uint64_t start_ns);
 
   void WakeWorker(int shard);
   Waker& WakerOf(int shard);
@@ -335,7 +328,6 @@ class ShardRuntime {
   std::unique_ptr<std::atomic<int>[]> owner_of_;  // member index → owner shard.
   std::vector<EndpointId> all_ids_;     // member index → id.
   std::vector<std::vector<int>> groups_;  // group → member indices.
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> delivered_;
   std::unique_ptr<overload::OverloadManager> overload_mgr_;
 
   std::atomic<bool> steal_inflight_{false};  // One migration at a time.

@@ -523,11 +523,11 @@ void RunShardSkewComponent(const ScenarioConfig& cfg, uint64_t seed,
   // after tracing is disabled — an open span that is shutdown ordering, not
   // a scheduler bug.  Steal count stable for 200ms == quiesced; a genuinely
   // stuck handoff rides to the deadline and the span checker flags it.
-  uint64_t last_steals = rt.SchedStats().steals;
+  uint64_t last_steals = rt.steals();
   auto stable_since = std::chrono::steady_clock::now();
   while (std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    uint64_t s = rt.SchedStats().steals;
+    uint64_t s = rt.steals();
     auto now = std::chrono::steady_clock::now();
     if (s != last_steals) {
       last_steals = s;
@@ -537,7 +537,7 @@ void RunShardSkewComponent(const ScenarioConfig& cfg, uint64_t seed,
     }
   }
   rt.Stop();
-  r.migrations += rt.SchedStats().steals;
+  r.migrations += rt.steals();
   r.deliveries += rt.total_delivered();
 
   if (!complete) {

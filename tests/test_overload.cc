@@ -275,6 +275,38 @@ TEST(OverloadManagerTest, RegistersActionCountersAndPressureGauge) {
   EXPECT_EQ(snap.Value("overload.engaged_by.timer"), 0u);
 }
 
+// Every poll records each installed signal's raw reading: a histogram per
+// signal (overload.signal.<signal>) and its peak, whatever the pressure.
+TEST(OverloadManagerTest, RecordsEverySignalReadingPerPoll) {
+  OverloadConfig cfg;
+  cfg.enabled = true;
+  OverloadManager mgr(cfg, 1);
+  uint64_t dispatch = 0;
+  OverloadSignals sig;
+  sig.dispatch_backlog = [&]() { return dispatch; };
+  sig.live_bytes = []() { return uint64_t{0}; };
+  mgr.InstallSignals(std::move(sig));
+  obs::MetricsRegistry reg;
+  mgr.RegisterMetrics(reg);
+
+  uint64_t t = 1;
+  for (uint64_t reading : {3u, 40u, 5u, 2u}) {
+    dispatch = reading;
+    mgr.ForcePoll(t++);
+  }
+  obs::MetricsSnapshot snap = reg.Snapshot();
+  const obs::Sample* hist = snap.Find("overload.signal.dispatch");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count, 4u);
+  EXPECT_EQ(hist->sum, 50u);
+  EXPECT_EQ(hist->Percentile(0.5), 3u);    // Bucket [2, 3] holds the median.
+  EXPECT_EQ(hist->Percentile(1.0), 63u);  // 40 lands in [32, 63].
+  EXPECT_EQ(snap.Value("overload.signal_peak.dispatch"), 40u);
+  EXPECT_EQ(snap.Find("overload.signal.live_bytes")->count, 4u);
+  EXPECT_EQ(snap.Value("overload.signal_peak.live_bytes"), 0u);
+  EXPECT_EQ(snap.Find("overload.signal.timer")->count, 0u);  // Not installed.
+}
+
 // Integration: a 2-shard channel runtime with thresholds small enough that a
 // cast flood trips the ladder — windows shed at the source, actions count,
 // and the runtime keeps delivering (no deadlock, no ring full-fails).

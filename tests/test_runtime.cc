@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -59,13 +60,12 @@ bool WaitUntil(Pred pred, int ms) {
 // pressure, refused pushes once detached, and depth summed per owner.
 TEST(ChannelNetworkTest, MailboxShedsOldestAndRefusesAfterDetach) {
   MailboxTable table;
-  ChannelNetwork a(&table);
+  ChannelNetwork a(&table, /*shed_keep=*/3);
   ChannelNetwork b(&table);
   std::vector<uint8_t> got;
   b.Attach(EndpointId{2},
            [&got](const Packet& p) { got.push_back(p.datagram.data()[0]); });
   a.Attach(EndpointId{1}, [](const Packet&) {});
-  a.set_shed_keep(3);
   a.SetPressure(2);
   for (uint8_t i = 0; i < 5; i++) {
     Bytes one = Bytes::CopyString(std::string(1, static_cast<char>(i)));
@@ -85,6 +85,83 @@ TEST(ChannelNetworkTest, MailboxShedsOldestAndRefusesAfterDetach) {
   EXPECT_EQ(a.stats().dropped.value(), 2u + 2u);  // Two sheds, two refusals.
   EXPECT_EQ(got.size(), 3u);
 }
+
+// The ShardNetwork contract on both backends, driven through the base class
+// alone: timers fire from Poll in due order, an idle sleep ends at the next
+// timer or at a waker poke from another thread, and Release/Adopt moves an
+// endpoint's delivery to another network together with what is in flight.
+class ShardNetworkTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  bool udp() const { return std::string(GetParam()) == "udp"; }
+  std::unique_ptr<ShardNetwork> Make() {
+    if (!udp()) {
+      return std::make_unique<ChannelNetwork>(&table_);
+    }
+    return std::make_unique<UdpNetwork>();
+  }
+
+  MailboxTable table_;
+};
+
+TEST_P(ShardNetworkTest, TimersIdleWaitAndHandoffThroughTheBase) {
+  if (udp() && !UdpAvailable()) {
+    GTEST_SKIP() << "no UDP sockets in this environment";
+  }
+  std::unique_ptr<ShardNetwork> a = Make();
+  std::unique_ptr<ShardNetwork> b = Make();
+  std::vector<std::string> got;
+  a->Attach(EndpointId{1}, [](const Packet&) {});
+  a->Attach(EndpointId{2}, [&got](const Packet& p) { got.push_back(p.datagram.ToString()); });
+
+  std::vector<int> fired;
+  a->ScheduleTimer(Millis(2), [&fired] { fired.push_back(2); });
+  a->ScheduleTimer(0, [&fired] { fired.push_back(0); });
+  a->ScheduleTimer(Seconds(600), [&fired] { fired.push_back(600); });
+  EXPECT_EQ(a->timer_depth(), 3u);
+  EXPECT_EQ(a->Poll(), 1u);  // The due one only.
+  uint64_t t0 = NowNanos();
+  a->IdleWait(Seconds(30));  // Bounded by the 2 ms timer.
+  EXPECT_LT(NowNanos() - t0, Seconds(10));
+  for (int spins = 0; spins < 100000 && fired.size() < 2; spins++) {
+    a->Poll();
+  }
+  EXPECT_EQ(fired, (std::vector<int>{0, 2}));
+  EXPECT_EQ(a->timer_depth(), 1u);
+
+  // Only the 600 s timer is left: a poke from another thread ends the sleep.
+  std::thread poker([&a] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    a->waker().NotifyCoalesced();
+  });
+  t0 = NowNanos();
+  a->IdleWait(Seconds(30));
+  poker.join();
+  EXPECT_LT(NowNanos() - t0, Seconds(10));
+
+  a->Send(EndpointId{1}, EndpointId{2}, Iovec(Bytes::CopyString("in-flight")));
+  a->Flush();
+  ShardNetwork::ReleasedEndpoint released = a->Release(EndpointId{2});
+  ASSERT_TRUE(released.valid);
+  EXPECT_EQ(released.fd >= 0, udp());  // The socket travels.
+  EXPECT_FALSE(a->Release(EndpointId{2}).valid);  // No longer resident on `a`.
+  b->Adopt(EndpointId{2}, std::move(released));
+  a->Send(EndpointId{1}, EndpointId{2}, Iovec(Bytes::CopyString("after")));
+  a->Flush();
+  // The channel mailbox stays put and now counts toward its new owner.
+  EXPECT_EQ(b->dispatch_depth(), udp() ? 0u : 2u);
+  for (int spins = 0; spins < 100000 && got.size() < 2; spins++) {
+    a->Poll();
+    b->Poll();
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"in-flight", "after"}));
+  EXPECT_EQ(a->stats().delivered.value(), 0u);
+  EXPECT_EQ(b->stats().delivered.value(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ShardNetworkTest, ::testing::Values("channel", "udp"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 // A worker's task queue reports its length through a relaxed depth mirror
 // (the steal score and the outside-poster bound read it), and a take hands
@@ -193,9 +270,9 @@ TEST(ShardRuntimeTest, ChannelBackendCastCrossesShards) {
   }
   // Members live on both shards, yet the casts crossed through mailboxes:
   // the task queues carried exactly the 4 posted tasks.
-  TaskQueueStats tasks = rt.AggregateTaskStats();
-  EXPECT_EQ(tasks.pushed.value(), 4u);
-  EXPECT_EQ(tasks.pushed.value(), tasks.popped.value());  // Final drain ran.
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  EXPECT_EQ(snap.Value("task.pushed"), 4u);
+  EXPECT_EQ(snap.Value("task.pushed"), snap.Value("task.popped"));  // Final drain ran.
 }
 
 TEST(ShardRuntimeTest, GroupsStayShardLocal) {
@@ -223,9 +300,9 @@ TEST(ShardRuntimeTest, GroupsStayShardLocal) {
   rt.Stop();
   EXPECT_TRUE(done);
   // Packets never ride the task queues: they carried only the 8 posted tasks.
-  NetworkStats net = rt.AggregateNetStats();
-  EXPECT_EQ(net.dropped.value(), 0u);
-  EXPECT_EQ(rt.AggregateTaskStats().pushed.value(), 8u);
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  EXPECT_EQ(snap.Value("net.dropped"), 0u);
+  EXPECT_EQ(snap.Value("task.pushed"), 8u);
 }
 
 TEST(ShardRuntimeTest, OnDeliverTapRunsOnOwningWorker) {
@@ -276,15 +353,15 @@ TEST(ShardRuntimeStressTest, MultiWorkerSustainedTrafficIsRaceFree) {
     }
     // Live cross-thread reads while the workers churn (the point of TSan).
     (void)rt.total_delivered();
-    (void)rt.AggregateNetStats();
+    (void)rt.SnapshotMetrics();
   }
   const uint64_t want = static_cast<uint64_t>(kMembers) * (kMembers - 1) * kRounds;
   bool done = WaitUntil([&] { return rt.total_delivered() >= want; }, 20000);
   rt.Stop();
   EXPECT_TRUE(done) << "delivered " << rt.total_delivered() << " of " << want;
   EXPECT_EQ(rt.total_delivered(), want);
-  TaskQueueStats tasks = rt.AggregateTaskStats();
-  EXPECT_EQ(tasks.pushed.value(), tasks.popped.value());
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  EXPECT_EQ(snap.Value("task.pushed"), snap.Value("task.popped"));
 }
 
 TEST(ShardRuntimeTest, UdpBackendCastCrossesShards) {
@@ -307,9 +384,9 @@ TEST(ShardRuntimeTest, UdpBackendCastCrossesShards) {
   bool done = WaitUntil([&] { return rt.total_delivered() >= 4u * 3u; }, 5000);
   rt.Stop();
   EXPECT_TRUE(done) << "delivered " << rt.total_delivered();
-  NetworkStats net = rt.AggregateNetStats();
-  EXPECT_GT(net.sent.value(), 0u);
-  EXPECT_GT(net.delivered.value(), 0u);
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  EXPECT_GT(snap.Value("net.sent"), 0u);
+  EXPECT_GT(snap.Value("net.delivered"), 0u);
 }
 
 TEST(ShardRuntimeTest, UdpBackendWithBatchingAndPacking) {
@@ -373,11 +450,11 @@ TEST(ShardRuntimeTest, UdpBackendOverUringRings) {
   bool done = WaitUntil([&] { return rt.total_delivered() >= want; }, 10000);
   rt.Stop();
   EXPECT_TRUE(done) << "delivered " << rt.total_delivered() << " of " << want;
-  const NetworkStats& net = rt.AggregateNetStats();
-  EXPECT_GT(net.uring_enters.value(), 0u);
-  EXPECT_GT(net.uring_sqes.value(), 0u);
-  EXPECT_EQ(net.send_syscalls.value(), 0u);  // No sendmsg/sendmmsg ran.
-  EXPECT_EQ(net.dropped.value(), 0u);
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  EXPECT_GT(snap.Value("net.uring_enters"), 0u);
+  EXPECT_GT(snap.Value("net.uring_sqes"), 0u);
+  EXPECT_EQ(snap.Value("net.send_syscalls"), 0u);  // No sendmsg/sendmmsg ran.
+  EXPECT_EQ(snap.Value("net.dropped"), 0u);
 }
 
 // The scheduler histograms fill from the hot path: every ring task observes
@@ -409,7 +486,7 @@ TEST(ShardRuntimeTest, SchedHistogramsFillFromHotPath) {
   EXPECT_GT(latency->sum, 0u);
   const obs::Sample* steal = snap.Find("sched.steal_duration_ns");
   ASSERT_NE(steal, nullptr);
-  EXPECT_EQ(steal->count, rt.SchedStats().steals);
+  EXPECT_EQ(steal->count, rt.steals());
   EXPECT_GT(steal->sum, 0u);
 }
 
@@ -463,7 +540,7 @@ void WireSeqTap(ShardRuntimeConfig* config, SeqTap* tap,
 // counter instead of judging a truncated trace.
 void ExpectMigrationSpans(ShardRuntime& rt, size_t want_completed) {
   if (!obs::kTraceCompiledIn || !rt.TraceComplete()) {
-    EXPECT_EQ(rt.SchedStats().steals, want_completed);
+    EXPECT_EQ(rt.steals(), want_completed);
     return;
   }
   SpanCheckResult spans = CheckSpanShapes(rt.TraceEvents());
@@ -589,10 +666,10 @@ TEST_P(ShardRuntimeHandoffTest, MigrateKeepsFifoWithTrafficInFlight) {
   // Lossless: everything each member sent arrived at its partner.
   EXPECT_EQ(tap.next_rx[1].load(), tap.next_tx[0].load());
   EXPECT_EQ(tap.next_rx[0].load(), tap.next_tx[1].load());
-  EXPECT_EQ(rt.AggregateNetStats().dropped.value(), 0u);
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  EXPECT_EQ(snap.Value("net.dropped"), 0u);
   // Every shard's net.shard<N>.backend_active names the datapath that ran
   // (eager on the channel backend, mmsg where uring was refused).
-  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
   for (int s = 0; s < rt.num_workers(); s++) {
     std::string name = "net.shard" + std::to_string(s) + ".backend_active";
     const obs::Sample* active = snap.Find(name);
@@ -691,8 +768,9 @@ TEST(ShardRuntimeTest, StealingRebalancesSkewedPlacement) {
   tap.echo.store(false);
   rt.Stop();
   EXPECT_TRUE(rebalanced) << "steals=" << rt.steals();
-  EXPECT_GE(rt.SchedStats().steal_requests, 1u);
-  EXPECT_GT(rt.SchedStats().wakeup_writes, 0u);  // Posts woke sleeping workers.
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  EXPECT_GE(snap.Value("sched.steal_requests"), 1u);
+  EXPECT_GT(snap.Value("waker.notifies"), 0u);  // Posts woke sleeping workers.
   if (obs::kTraceCompiledIn && rt.TraceComplete()) {
     // Policy-driven steals: the count varies with timing and another may be
     // mid-flight at Stop(), but every completed span must be well shaped and
@@ -768,8 +846,8 @@ TEST_P(ShardRuntimeFloodTest, WorkerToWorkerFloodDrainsInOrder) {
   rt.Stop();
   EXPECT_TRUE(done) << "ran " << FloodTasksRun(tap);
   EXPECT_TRUE(tap.in_order.load());
-  TaskQueueStats tasks = rt.AggregateTaskStats();
-  EXPECT_EQ(tasks.pushed.value(), tasks.popped.value());
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  EXPECT_EQ(snap.Value("task.pushed"), snap.Value("task.popped"));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -812,9 +890,9 @@ TEST(ShardRuntimeTest, OutsideThreadFloodStaysWithinDepthBound) {
   rt.Stop();
   EXPECT_TRUE(done) << "ran " << ran.load() << " of " << kTasks;
   EXPECT_EQ(ran.load(), kTasks);
-  TaskQueueStats tasks = rt.AggregateTaskStats();
-  EXPECT_EQ(tasks.pushed.value(), kTasks);
-  EXPECT_EQ(tasks.popped.value(), kTasks);
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  EXPECT_EQ(snap.Value("task.pushed"), kTasks);
+  EXPECT_EQ(snap.Value("task.popped"), kTasks);
   if (obs::kTraceCompiledIn) {
     ASSERT_EQ(mine.dropped(), 0u);
     size_t pushes = 0;
@@ -859,7 +937,7 @@ TEST(ShardRuntimeStressTest, MigrationUnderSustainedTrafficIsRaceFree) {
     rt.MigrateMember(2 * pair + 1, to);
     // Live cross-thread reads while handoffs and traffic churn.
     (void)rt.total_delivered();
-    (void)rt.SchedStats();
+    (void)rt.SnapshotMetrics();
     (void)rt.LoadOf(pair);
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
   }
@@ -867,9 +945,9 @@ TEST(ShardRuntimeStressTest, MigrationUnderSustainedTrafficIsRaceFree) {
   tap.echo.store(false);
   rt.Stop();
   EXPECT_TRUE(tap.in_order.load()) << "loss or reorder across migrations";
-  EXPECT_GE(rt.SchedStats().steals, 1u);
-  TaskQueueStats tasks = rt.AggregateTaskStats();
-  EXPECT_EQ(tasks.pushed.value(), tasks.popped.value());
+  EXPECT_GE(rt.steals(), 1u);
+  obs::MetricsSnapshot snap = rt.SnapshotMetrics();
+  EXPECT_EQ(snap.Value("task.pushed"), snap.Value("task.popped"));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "src/app/endpoint.h"
 #include "src/app/harness.h"
 #include "src/net/udp.h"
@@ -383,7 +386,7 @@ TEST_P(UdpHandoffTest, SourceAndPortSurviveReleaseAdopt) {
   for (int move = 0; move < 2; move++) {
     UdpNetwork* thief = owner_of_2 == &net_a ? &net_b : &net_a;
     auto released = owner_of_2->Release(EndpointId{2});
-    ASSERT_TRUE(released.ok());
+    ASSERT_TRUE(released.valid);
     thief->Adopt(EndpointId{2}, std::move(released));
     owner_of_2 = thief;
     for (auto [src, dst] : {std::pair{1, 2}, {2, 1}, {3, 2}, {2, 3}, {1, 3}}) {
@@ -402,6 +405,84 @@ INSTANTIATE_TEST_SUITE_P(Backends, UdpHandoffTest,
                                            NetBackendConfig::Uring(16)),
                          [](const ::testing::TestParamInfo<NetBackendConfig>& info) {
                            return std::string(NetBackendName(info.param.backend));
+                         });
+
+// Overload backpressure on the staged backends.  At level 0 the send stage
+// holds datagrams until `batch` wait or Flush(); at level 1 and above every
+// Send reaches the kernel on its own, with no Flush: one sendmmsg on mmsg,
+// one submitted SQE on uring.
+struct StagedBackend {
+  const char* name;
+  NetBackendConfig config;
+};
+
+void PrintTo(const StagedBackend& backend, std::ostream* os) { *os << backend.name; }
+
+class UdpPressureTest : public ::testing::TestWithParam<StagedBackend> {};
+
+// Kernel submissions of the send path that `net` runs.
+uint64_t KernelSends(const UdpNetwork& net) {
+  return net.active_backend() == NetBackend::kUring ? net.stats().uring_sqes.value()
+                                                    : net.stats().send_syscalls.value();
+}
+
+TEST_P(UdpPressureTest, PressureSendsEachDatagramWithoutFlush) {
+  if (!UdpAvailable()) {
+    GTEST_SKIP() << "no UDP sockets in this environment";
+  }
+  const NetBackendConfig& config = GetParam().config;
+  if (config.backend == NetBackend::kUring && !UringEngine::Available()) {
+    GTEST_SKIP() << "io_uring unavailable (kernel/seccomp or compiled out)";
+  }
+  UdpNetwork net;
+  net.set_backend_config(config);
+  ASSERT_EQ(net.active_backend(), config.backend);
+  size_t got = 0;
+  net.Attach(EndpointId{1}, [](const Packet&) {});
+  net.Attach(EndpointId{2}, [&got](const Packet&) { got++; });
+  net.Flush();  // uring: the receive arms go in now, not with the first send.
+  auto send = [&net] { net.Send(EndpointId{1}, EndpointId{2}, Iovec(Bytes::CopyString("p"))); };
+
+  uint64_t before = KernelSends(net);
+  for (int i = 0; i < 3; i++) {
+    send();
+  }
+  EXPECT_EQ(KernelSends(net), before) << "level 0 holds a partial batch";
+  net.Flush();
+  EXPECT_GT(KernelSends(net), before);
+
+  for (int level : {1, 2}) {
+    net.SetPressure(level);
+    for (int i = 0; i < 4; i++) {
+      uint64_t prior = KernelSends(net);
+      send();
+      EXPECT_GT(KernelSends(net), prior) << "level " << level << ", datagram " << i;
+    }
+  }
+
+  net.SetPressure(0);
+  before = KernelSends(net);
+  for (size_t i = 0; i + 1 < config.batch; i++) {
+    send();
+  }
+  EXPECT_EQ(KernelSends(net), before) << "level 0 holds again";
+  send();  // The batch-th datagram flushes the stage.
+  EXPECT_GT(KernelSends(net), before);
+
+  const size_t want = 3 + 8 + config.batch;
+  net.Flush();
+  for (int spins = 0; spins < 100000 && got < want; spins++) {
+    net.Poll();
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(net.stats().dropped.value(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, UdpPressureTest,
+                         ::testing::Values(StagedBackend{"mmsg", NetBackendConfig::Batched(8)},
+                                           StagedBackend{"uring", NetBackendConfig::Uring(8)}),
+                         [](const ::testing::TestParamInfo<StagedBackend>& info) {
+                           return std::string(info.param.name);
                          });
 
 // ---- io_uring backend ------------------------------------------------------
@@ -582,7 +663,7 @@ TEST(UdpUringTest, ReleaseAdoptHandsRingsAcrossNetworks) {
   ASSERT_EQ(got.size(), 1u);
 
   auto released = net_a.Release(EndpointId{2});
-  ASSERT_TRUE(released.ok());
+  ASSERT_TRUE(released.valid);
   net_b.Adopt(EndpointId{2}, std::move(released));
   net_b.SetDrainHook(EndpointId{2}, nullptr);
 
@@ -617,7 +698,7 @@ TEST(UdpUringTest, ReleaseAdoptChurnReusesRingSlots) {
   for (int cycle = 0; cycle < 32; cycle++) {
     UdpNetwork* next = owner == &net_a ? &net_b : &net_a;
     auto released = owner->Release(EndpointId{2});
-    ASSERT_TRUE(released.ok()) << "cycle " << cycle;
+    ASSERT_TRUE(released.valid) << "cycle " << cycle;
     next->Adopt(EndpointId{2}, std::move(released));
     owner = next;
     net_a.Send(EndpointId{1}, EndpointId{2},
