@@ -18,8 +18,8 @@
 //   kUring — the same per-endpoint rings, submitted to an io_uring
 //     submission/completion ring pair (UringEngine, udp_uring.h) instead of
 //     per-burst syscalls: multishot receives into registered pool chunks,
-//     batched send submission with UDP GSO coalescing, GRO splitting on
-//     receive.  Unavailable kernels (or seccomp, or the ENSEMBLE_URING=OFF
+//     batched send submission with one UDP GSO train per destination of a
+//     stage, GRO splitting on receive.  Unavailable kernels (or seccomp, or the ENSEMBLE_URING=OFF
 //     build) fall back to kMmsg with one LogUnsupportedOnce line.
 // Below Send every backend shares one address table, one send stage (the
 // endpoint's ring, whose slots and part arrays are reused in place), one

@@ -1,22 +1,11 @@
 #include "src/net/udp_uring.h"
 
-#if !defined(ENSEMBLE_URING_OFF)
-
-#include <linux/io_uring.h>
+#include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/udp.h>
-#include <poll.h>
-#include <sys/mman.h>
 #include <sys/socket.h>
-#include <sys/syscall.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <cstring>
-
-#include "src/util/logging.h"
 
 #ifndef UDP_SEGMENT
 #define UDP_SEGMENT 103
@@ -30,6 +19,20 @@
 #ifndef CMSG_ALIGN
 #define CMSG_ALIGN(len) (((len) + sizeof(size_t) - 1) & ~(sizeof(size_t) - 1))
 #endif
+
+#if !defined(ENSEMBLE_URING_OFF)
+
+#include <linux/io_uring.h>
+#include <netinet/udp.h>
+#include <poll.h>
+#include <sys/mman.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
+
+#include "src/util/logging.h"
 
 namespace ensemble {
 
@@ -68,6 +71,11 @@ constexpr UdKind UdKindOf(uint64_t ud) {
 constexpr uint64_t UdPayload(uint64_t ud) {
   return ud & ((uint64_t{1} << kKindShift) - 1);
 }
+
+static_assert(sizeof(RecvmsgOut) == sizeof(io_uring_recvmsg_out) &&
+                  offsetof(RecvmsgOut, payloadlen) == offsetof(io_uring_recvmsg_out, payloadlen) &&
+                  offsetof(RecvmsgOut, flags) == offsetof(io_uring_recvmsg_out, flags),
+              "RecvmsgOut must mirror the kernel's io_uring_recvmsg_out");
 
 // Ring geometry: submission ring depth (also the number of send slots) and
 // provided receive-buffer slots, one pool chunk each.
@@ -477,18 +485,20 @@ void UringEngine::BuildPlainSlot(SendSlot& slot, int fd, StagedSend& s) {
   slot.bytes = static_cast<uint32_t>(slot.refs.size());
 }
 
-void UringEngine::BuildGsoSlot(SendSlot& slot, int fd, const StagedSend* run, size_t count) {
+void UringEngine::BuildGsoSlot(SendSlot& slot, int fd, const StagedSend* stage,
+                               const size_t* run, size_t count) {
   // Coalesce the run into one contiguous buffer the kernel re-segments at
   // seg_size (UDP_SEGMENT cmsg): one SQE, one traversal, `count` datagrams.
   // The buffer is the slot's own; its last send's slice was dropped when
   // that send retired.
-  uint16_t seg_size = static_cast<uint16_t>(run[0].gather.size());
+  const StagedSend& first = stage[run[0]];
+  uint16_t seg_size = static_cast<uint16_t>(first.gather.size());
   if (slot.gso_buf.empty()) {
     slot.gso_buf = Bytes::Allocate(kMaxGsoBytes);
   }
   uint32_t total = 0;
   for (size_t i = 0; i < count; i++) {
-    const Iovec& gather = run[i].gather;
+    const Iovec& gather = stage[run[i]].gather;
     for (size_t p = 0; p < gather.part_count(); p++) {
       std::memcpy(slot.gso_buf.MutableData() + total, gather.part(p).data(),
                   gather.part(p).size());
@@ -500,7 +510,7 @@ void UringEngine::BuildGsoSlot(SendSlot& slot, int fd, const StagedSend* run, si
   if (slot.iov.empty()) {
     slot.iov.resize(1);
   }
-  BuildSendMsg(run[0].port, slot.refs, &slot.addr, slot.iov.data(), &slot.hdr);
+  BuildSendMsg(first.port, slot.refs, &slot.addr, slot.iov.data(), &slot.hdr);
   slot.hdr.msg_control = slot.cmsg;
   slot.hdr.msg_controllen = CMSG_SPACE(sizeof(uint16_t));
   std::memset(slot.cmsg, 0, sizeof(slot.cmsg));
@@ -526,35 +536,46 @@ void UringEngine::PushSendSqe(uint32_t slot_index) {
 }
 
 void UringEngine::QueueSends(int fd, StagedSend* stage, size_t n) {
-  size_t i = 0;
-  while (i < n) {
-    // Find the longest GSO-able run: same port, equal sizes (the run may
-    // close with one smaller datagram — the kernel allows a short tail).
-    size_t run = 1;
+  size_t run[kMaxGsoSegs];
+  for (size_t i = 0; i < n; i++) {
+    uint16_t port = stage[i].port;
+    if (port == 0) {
+      continue;  // Already sent in an earlier entry's run.
+    }
+    // The run: stage[i] and the next entries for the same port, in stage
+    // order, while they fit one GSO super-datagram of stage[i]'s segment
+    // size (a shorter one may close it — the kernel allows a short tail).
+    // Other destinations' entries are skipped, never reordered past.
+    size_t count = 1;
+    run[0] = i;
     size_t seg = stage[i].gather.size();
     if (seg > 0) {
       size_t total = seg;
-      while (i + run < n && run < kMaxGsoSegs) {
-        size_t next = stage[i + run].gather.size();
-        if (stage[i + run].port != stage[i].port || next == 0 || next > seg ||
-            total + next > kMaxGsoBytes) {
+      for (size_t j = i + 1; j < n && count < kMaxGsoSegs; j++) {
+        if (stage[j].port != port) {
+          continue;
+        }
+        size_t next = stage[j].gather.size();
+        if (next == 0 || next > seg || total + next > kMaxGsoBytes) {
           break;
         }
+        run[count++] = j;
         total += next;
-        run++;
         if (next < seg) {
           break;  // A short datagram must close the super-packet.
         }
       }
     }
     uint32_t slot_index = AcquireSlot();
-    if (run > 1) {
-      BuildGsoSlot(slots_[slot_index], fd, &stage[i], run);
+    if (count > 1) {
+      BuildGsoSlot(slots_[slot_index], fd, stage, run, count);
     } else {
       BuildPlainSlot(slots_[slot_index], fd, stage[i]);
     }
     PushSendSqe(slot_index);
-    i += run;
+    for (size_t k = 0; k < count; k++) {
+      stage[run[k]].port = 0;
+    }
   }
 }
 
@@ -604,68 +625,21 @@ void UringEngine::HandleRecvCqe(size_t sock_index, int res, uint32_t flags) {
     return;  // No buffer attached (zero-byte datagram edge): nothing to slice.
   }
   uint16_t bid = static_cast<uint16_t>(flags >> IORING_CQE_BUFFER_SHIFT);
-  Bytes chunk = ring_bufs_[bid];
-  // Parse the multishot RECVMSG layout: out-header, then the (configured)
-  // name and control areas, then the payload.
-  const auto* out = reinterpret_cast<const io_uring_recvmsg_out*>(chunk.data());
-  size_t header = sizeof(io_uring_recvmsg_out) + rec.hdr_name_len + rec.hdr_ctrl_len;
-  uint16_t src_port = 0;
-  if (out->namelen >= sizeof(sockaddr_in)) {
-    sockaddr_in from;
-    std::memcpy(&from, chunk.data() + sizeof(io_uring_recvmsg_out), sizeof(from));
-    src_port = ntohs(from.sin_port);
-  }
-  // UDP_GRO cmsg: the payload is a coalesced train of seg_size datagrams.
-  uint32_t seg_size = 0;
-  if (out->controllen > 0) {
-    const uint8_t* ctrl = chunk.data() + sizeof(io_uring_recvmsg_out) + rec.hdr_name_len;
-    size_t remaining = out->controllen;
-    while (remaining >= sizeof(cmsghdr)) {
-      cmsghdr cm;
-      std::memcpy(&cm, ctrl, sizeof(cm));
-      if (cm.cmsg_len < sizeof(cmsghdr) || cm.cmsg_len > remaining) {
-        break;
-      }
-      if (cm.cmsg_level == SOL_UDP && cm.cmsg_type == UDP_GRO) {
-        int gro = 0;
-        std::memcpy(&gro, ctrl + sizeof(cmsghdr), sizeof(gro));
-        seg_size = gro > 0 ? static_cast<uint32_t>(gro) : 0;
-      }
-      size_t step = CMSG_ALIGN(cm.cmsg_len);
-      if (step >= remaining) {
-        break;
-      }
-      ctrl += step;
-      remaining -= step;
-    }
-  }
-  // The recvmsg_out header + name + control eat into the provided chunk, so a
-  // near-max datagram (or a GRO train coalesced close to chunk_size) can be
-  // truncated: the kernel sets MSG_TRUNC and payloadlen may exceed the bytes
-  // actually written.  Clamp before slicing, and drop the truncated datagram
-  // outright — a partial tail would corrupt packed-stream framing downstream.
-  size_t payload_len = out->payloadlen;
-  size_t avail = chunk.size() > header ? chunk.size() - header : 0;
-  if ((out->flags & MSG_TRUNC) != 0 || payload_len > avail) {
+  const Bytes& chunk = ring_bufs_[bid];
+  RecvTrain train =
+      ParseRecvBuffer(chunk.data(), chunk.size(), rec.hdr_name_len, rec.hdr_ctrl_len);
+  if (!train.ok) {
     stats_->dropped++;
     QueueProvide(bid);
     return;
   }
-  size_t offset = header;
   // Split a GRO train into logical datagrams; a plain receive is the
   // degenerate single-segment case.
   size_t produced = 0;
-  while (payload_len > 0) {
-    size_t seg = (seg_size > 0) ? std::min<size_t>(seg_size, payload_len) : payload_len;
-    PendingRecv pr;
-    pr.cookie = rec.cookie;
-    pr.src_port = src_port;
-    pr.payload = chunk.Slice(offset, seg);
-    pending_.push_back(std::move(pr));
-    offset += seg;
-    payload_len -= seg;
+  train.ForEachDatagram([&](size_t offset, size_t length) {
+    pending_.push_back(PendingRecv{rec.cookie, train.src_port, chunk.Slice(offset, length)});
     produced++;
-  }
+  });
   if (produced > 1) {
     stats_->gro_recvs++;
     stats_->gro_segments += produced;
@@ -875,5 +849,58 @@ namespace ensemble {
 
 // One constructor for both builds: the members it sets exist in each.
 UringEngine::UringEngine(BufferPool* pool, NetworkStats* stats) : pool_(pool), stats_(stats) {}
+
+RecvTrain ParseRecvBuffer(const uint8_t* buf, size_t size, size_t name_len, size_t ctrl_len) {
+  RecvTrain train;
+  size_t header = sizeof(RecvmsgOut) + name_len + ctrl_len;
+  if (size < header) {
+    return train;
+  }
+  RecvmsgOut out;
+  std::memcpy(&out, buf, sizeof(out));
+  // The kernel reports the full lengths of name and control data even where
+  // they exceeded the configured areas; read no more than those areas hold.
+  if (out.namelen >= sizeof(sockaddr_in) && name_len >= sizeof(sockaddr_in)) {
+    sockaddr_in from;
+    std::memcpy(&from, buf + sizeof(RecvmsgOut), sizeof(from));
+    train.src_port = ntohs(from.sin_port);
+  }
+  // UDP_GRO cmsg: the payload is a coalesced train of gro-sized datagrams.
+  size_t seg_size = 0;
+  const uint8_t* ctrl = buf + sizeof(RecvmsgOut) + name_len;
+  size_t remaining = std::min<size_t>(out.controllen, ctrl_len);
+  while (remaining >= sizeof(cmsghdr)) {
+    cmsghdr cm;
+    std::memcpy(&cm, ctrl, sizeof(cm));
+    if (cm.cmsg_len < sizeof(cmsghdr) || cm.cmsg_len > remaining) {
+      break;
+    }
+    if (cm.cmsg_level == SOL_UDP && cm.cmsg_type == UDP_GRO &&
+        cm.cmsg_len >= CMSG_LEN(sizeof(int))) {
+      int gro = 0;
+      std::memcpy(&gro, ctrl + CMSG_LEN(0), sizeof(gro));
+      seg_size = gro > 0 ? static_cast<size_t>(gro) : 0;
+    }
+    size_t step = CMSG_ALIGN(cm.cmsg_len);
+    if (step >= remaining) {
+      break;
+    }
+    ctrl += step;
+    remaining -= step;
+  }
+  // The recvmsg_out header + name + control eat into the provided chunk, so a
+  // near-max datagram (or a GRO train coalesced close to chunk_size) can be
+  // truncated: the kernel sets MSG_TRUNC and payloadlen may exceed the bytes
+  // actually written.  A truncated control area may have lost the segment
+  // size, so the train could not be split.  Either way nothing is delivered.
+  if ((out.flags & (MSG_TRUNC | MSG_CTRUNC)) != 0 || out.payloadlen > size - header) {
+    return train;
+  }
+  train.ok = true;
+  train.offset = header;
+  train.length = out.payloadlen;
+  train.seg_size = seg_size > 0 && seg_size < train.length ? seg_size : train.length;
+  return train;
+}
 
 }  // namespace ensemble

@@ -18,19 +18,26 @@
 //
 //   - Sends wait in UdpNetwork's per-endpoint stages (the one send stage the
 //     staged backends share) and are queued here at a flush, endpoint by
-//     endpoint; one io_uring_enter carries the whole flush.  Runs of
-//     same-destination, same-size datagrams collapse further via UDP GSO
-//     (UDP_SEGMENT cmsg): one SQE, one kernel traversal, N wire datagrams.
-//     Single datagrams go out as zero-copy scatter-gather SENDMSG SQEs whose
-//     iovecs alias the refcounted parts (held in the send slot until the CQE
-//     retires them).
+//     endpoint; one io_uring_enter carries the whole flush.  Within one
+//     endpoint's stage the datagrams for each destination collapse into UDP
+//     GSO runs (UDP_SEGMENT cmsg: one SQE, one kernel traversal, N wire
+//     datagrams).  A run starts at the first unsent entry and takes the next
+//     entries for the same port in stage order, skipping other destinations'
+//     entries, so a view cast staged as d1 d2 d3 d1 d2 d3 … leaves as one
+//     train per member.  Nothing is reordered within a destination: a run
+//     ends at the first same-port datagram that does not fit (larger than
+//     the segment, past kMaxGsoBytes or kMaxGsoSegs), and a shorter
+//     datagram joins as the run's last segment.  Runs of one go out as
+//     zero-copy scatter-gather SENDMSG SQEs whose iovecs alias the
+//     refcounted parts (held in the send slot until the CQE retires them).
 //
 //   - UDP GRO (socket option, set per added socket) coalesces bursts of
-//     equal-size datagrams into one CQE whose payload the engine re-splits at
-//     the cmsg-reported segment size — zero-copy slices, one per original
-//     datagram.  This composes with kWirePacked packing: a GRO segment is a
-//     packed datagram, which the transport unpacker then splits into
-//     sub-messages, so one kernel traversal can carry pack_window × gro_segs
+//     equal-size datagrams — and hands a loopback GSO train over whole — into
+//     one CQE whose payload the engine re-splits at the cmsg-reported segment
+//     size (ParseRecvBuffer) — zero-copy slices, one per original datagram.
+//     This composes with kWirePacked packing: a GRO segment is a packed
+//     datagram, which the transport unpacker then splits into sub-messages,
+//     so one kernel traversal can carry pack_window × gro_segs
 //     messages.
 //
 //   - The owner's idle sleep is a single io_uring_enter(GETEVENTS) with an
@@ -49,6 +56,8 @@
 #ifndef ENSEMBLE_SRC_NET_UDP_URING_H_
 #define ENSEMBLE_SRC_NET_UDP_URING_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -68,6 +77,47 @@ namespace ensemble {
 // part is copied and no control data is set (GSO adds its cmsg on top).
 void BuildSendMsg(uint16_t port, const Iovec& gather, sockaddr_in* addr, iovec* iov,
                   msghdr* msg);
+
+// The fixed header the kernel writes at the front of every multishot
+// RECVMSG buffer (io_uring_recvmsg_out, mirrored so the parse below also
+// builds where io_uring is compiled out): then come the configured name and
+// control areas, then the payload.
+struct RecvmsgOut {
+  uint32_t namelen;
+  uint32_t controllen;
+  uint32_t payloadlen;
+  uint32_t flags;
+};
+
+// One multishot RECVMSG buffer, parsed: where its payload lies and how it
+// splits into the datagrams a GRO train coalesced.
+struct RecvTrain {
+  // False when the buffer cannot be delivered as a whole: too short for its
+  // header, or the payload or control data was truncated.  Nothing of it is
+  // delivered (a partial tail would corrupt packed-stream framing
+  // downstream); the caller counts one drop.
+  bool ok = false;
+  uint16_t src_port = 0;  // 0 when the name area holds no sockaddr_in.
+  size_t offset = 0;      // Payload start within the buffer.
+  size_t length = 0;      // Payload bytes, all inside the buffer when ok.
+  size_t seg_size = 0;    // The UDP_GRO segment size, or `length` if none.
+
+  // Calls fn(offset, length) for each datagram of the train, in order: the
+  // slices tile [offset, offset + length), each seg_size long but the last.
+  template <typename Fn>
+  void ForEachDatagram(Fn&& fn) const {
+    for (size_t done = 0; done < length; done += seg_size) {
+      fn(offset + done, std::min(seg_size, length - done));
+    }
+  }
+};
+
+// Parses the `size`-byte buffer at `buf` that a multishot RECVMSG armed with
+// `name_len` / `ctrl_len` byte name and control areas filled: the RecvmsgOut
+// header, the source address, the UDP_GRO cmsg walk, the truncation check and
+// the segment size.  Pure, and reads nothing outside the buffer, whatever the
+// header fields claim.
+RecvTrain ParseRecvBuffer(const uint8_t* buf, size_t size, size_t name_len, size_t ctrl_len);
 
 class UringEngine {
  public:
@@ -115,9 +165,10 @@ class UringEngine {
   // wakeups break WaitCompletions().
   void SetWakerFd(int fd);
 
-  // Turns `n` staged datagrams of socket `fd` into send SQEs (GSO-coalescing
-  // runs) without submitting them.  Takes the parts: each entry is left
-  // empty, its part array kept.
+  // Turns `n` staged datagrams of socket `fd` into send SQEs (one GSO run
+  // per destination where the sizes allow, see the file comment) without
+  // submitting them.  Consumes the entries: each is left with port 0 (which
+  // names no destination) and its part array kept.
   void QueueSends(int fd, StagedSend* stage, size_t n);
   // Submits every queued SQE in one io_uring_enter and opportunistically
   // retires available completions WITHOUT delivering: receives complete into
@@ -164,7 +215,10 @@ class UringEngine {
   void PushSendSqe(uint32_t slot_index);
   uint32_t AcquireSlot();              // Blocks on completions if exhausted.
   void BuildPlainSlot(SendSlot& slot, int fd, StagedSend& s);
-  void BuildGsoSlot(SendSlot& slot, int fd, const StagedSend* run, size_t count);
+  // Flattens stage[run[0]], …, stage[run[count - 1]] into the slot's GSO
+  // buffer, segmented at the first entry's size.
+  void BuildGsoSlot(SendSlot& slot, int fd, const StagedSend* stage, const size_t* run,
+                    size_t count);
 
   BufferPool* pool_;
   NetworkStats* stats_;

@@ -304,58 +304,67 @@ Iovec Gather(size_t parts) {
   return gather;
 }
 
-// Endpoint 1 sends rounds of `burst` copies of `gather` to endpoint 2, each
+// Endpoint 1 sends rounds of `burst` copies of `gather` to each of `dests`
+// receivers (endpoints 2, 3, …), interleaved as a view cast stages them, each
 // round closed by Flush; returns operator new calls inside Send and Flush
 // after kWarmRounds rounds.  Every datagram must arrive.
-uint64_t CountUdpSendNews(UdpNetwork& net, const Iovec& gather, int burst) {
+uint64_t CountUdpSendNews(UdpNetwork& net, const Iovec& gather, int burst, uint64_t dests) {
   constexpr int kRounds = 600;
   constexpr int kWarmRounds = 100;
   uint64_t received = 0;
   net.Attach(EndpointId{1}, [](const Packet&) {});
-  net.Attach(EndpointId{2}, [&](const Packet& p) {
-    if (p.src.id == 1 && p.datagram.size() == gather.size()) {
-      received++;
-    }
-  });
+  for (uint64_t d = 2; d < 2 + dests; d++) {
+    net.Attach(EndpointId{d}, [&](const Packet& p) {
+      if (p.src.id == 1 && p.datagram.size() == gather.size()) {
+        received++;
+      }
+    });
+  }
   EXPECT_TRUE(net.ok());
   uint64_t news = 0;
   uint64_t sent = 0;
   for (int round = 0; round < kRounds; round++) {
     uint64_t before = g_news.load(std::memory_order_relaxed);
     for (int i = 0; i < burst; i++) {
-      net.Send(EndpointId{1}, EndpointId{2}, gather);
+      for (uint64_t d = 2; d < 2 + dests; d++) {
+        net.Send(EndpointId{1}, EndpointId{d}, gather);
+      }
     }
     net.Flush();
     if (round >= kWarmRounds) {
       news += g_news.load(std::memory_order_relaxed) - before;
     }
-    sent += static_cast<uint64_t>(burst);
+    sent += static_cast<uint64_t>(burst) * dests;
     for (int spins = 0; spins < 100000 && received < sent; spins++) {
       net.Poll();
     }
   }
   EXPECT_EQ(received, sent);
-  net.Detach(EndpointId{1});
-  net.Detach(EndpointId{2});
+  for (uint64_t ep = 1; ep < 2 + dests; ep++) {
+    net.Detach(EndpointId{ep});
+  }
   return news;
 }
 
 // Counts a 1-part and a 48-part gather, each sent alone per Flush and in
-// bursts of 8 (on uring: plain ring slots, then GSO runs), on a fresh
-// network per combination.
+// bursts of 8 (on uring: plain ring slots, then GSO runs), to one receiver
+// and interleaved over three (on uring: one GSO run per receiver), on a
+// fresh network per combination.
 uint64_t CountUdpBackend(const NetBackendConfig& config, NetBackend expect_active) {
   uint64_t total = 0;
   for (size_t parts : {size_t{1}, size_t{48}}) {
     Iovec gather = Gather(parts);
     for (int burst : {1, 8}) {
-      UdpNetwork net;
-      net.set_backend_config(config);
-      EXPECT_EQ(net.active_backend(), expect_active);
-      uint64_t news = CountUdpSendNews(net, gather, burst);
-      std::printf("%s: %zu-part gather, %d per flush: operator new %llu\n",
-                  NetBackendName(net.active_backend()), parts, burst,
-                  static_cast<unsigned long long>(news));
-      total += news;
+      for (uint64_t dests : {uint64_t{1}, uint64_t{3}}) {
+        UdpNetwork net;
+        net.set_backend_config(config);
+        EXPECT_EQ(net.active_backend(), expect_active);
+        uint64_t news = CountUdpSendNews(net, gather, burst, dests);
+        std::printf("%s: %zu-part gather, %d per flush to %llu receivers: operator new %llu\n",
+                    NetBackendName(net.active_backend()), parts, burst,
+                    static_cast<unsigned long long>(dests), static_cast<unsigned long long>(news));
+        total += news;
+      }
     }
   }
   return total;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "src/layers/mnak.h"
 #include "src/spec/monitors.h"
@@ -25,6 +26,11 @@ struct SweepCase {
   double reorder;
   uint64_t seed;
 };
+
+void PrintTo(const SweepCase& sc, std::ostream* os) {
+  *os << StackModeName(sc.mode) << " drop=" << sc.drop << " dup=" << sc.dup
+      << " reorder=" << sc.reorder << " seed=" << sc.seed;
+}
 
 class FaultSweepTest : public ::testing::TestWithParam<SweepCase> {};
 

@@ -1,17 +1,29 @@
 // Integration tests: real-socket UDP loopback behind the Network interface.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "src/app/endpoint.h"
 #include "src/app/harness.h"
 #include "src/net/udp.h"
 #include "src/net/udp_uring.h"
 #include "src/trans/transport.h"
+#include "src/util/rng.h"
 
 namespace ensemble {
+
+// A stable name for a backend parameter: gtest would otherwise print the raw
+// bytes, padding included, which differ between builds.
+void PrintTo(const NetBackendConfig& config, std::ostream* os) {
+  *os << NetBackendName(config.backend) << " batch=" << config.batch;
+}
+
 namespace {
 
 bool UdpAvailable() {
@@ -579,6 +591,314 @@ TEST(UdpUringTest, GsoCoalescesEqualSizeRuns) {
   EXPECT_EQ(net.stats().gso_segments, 16u);
   // Segment boundaries survive the trip even when GRO re-coalesces them.
   EXPECT_GT(net.stats().bufring_refills, 0u);
+}
+
+// One sender (endpoint 1) and three receivers (2, 3, 4) on one uring
+// network; each receiver records its datagrams in arrival order.  Build it
+// only where UringAvailable().
+class FanOut {
+ public:
+  static constexpr uint64_t kDests[] = {2, 3, 4};
+
+  FanOut() {
+    net_.set_backend_config(NetBackendConfig::Uring(64));
+    EXPECT_EQ(net_.active_backend(), NetBackend::kUring);
+    net_.Attach(EndpointId{1}, [](const Packet&) {});
+    for (uint64_t dst : kDests) {
+      net_.Attach(EndpointId{dst},
+                  [this, dst](const Packet& p) { got_[dst].push_back(p.datagram.ToString()); });
+    }
+    EXPECT_TRUE(net_.ok());
+    net_.Flush();  // The receive arms go in now, not with the first send.
+  }
+
+  UdpNetwork& net() { return net_; }
+
+  // The i-th datagram to `dst`: `size` bytes, distinct per (dst, i).
+  static std::string Datagram(uint64_t dst, size_t i, size_t size) {
+    std::string d = std::to_string(dst) + ":" + std::to_string(i) + ":";
+    d.resize(size, static_cast<char>('a' + (dst * 7 + i) % 26));
+    return d;
+  }
+
+  // Stages round-robin over the receivers, `sizes[dst][i]` bytes for the
+  // i-th datagram to `dst`, as a view cast's packs are staged; returns what
+  // each receiver must get, in order.
+  std::map<uint64_t, std::vector<std::string>> StageInterleaved(
+      const std::map<uint64_t, std::vector<size_t>>& sizes) {
+    std::map<uint64_t, std::vector<std::string>> want;
+    for (size_t i = 0;; i++) {
+      bool any = false;
+      for (uint64_t dst : kDests) {
+        const std::vector<size_t>& of = sizes.at(dst);
+        if (i < of.size()) {
+          want[dst].push_back(Datagram(dst, i, of[i]));
+          net_.Send(EndpointId{1}, EndpointId{dst}, Iovec(Bytes::CopyString(want[dst].back())));
+          any = true;
+        }
+      }
+      if (!any) {
+        return want;
+      }
+    }
+  }
+
+  // Polls until every wanted datagram arrived; each receiver must hold
+  // exactly its own, in send order.
+  void ExpectDelivered(const std::map<uint64_t, std::vector<std::string>>& want) {
+    size_t total = 0;
+    for (const auto& [dst, datagrams] : want) {
+      total += datagrams.size();
+    }
+    auto received = [this] {
+      size_t n = 0;
+      for (const auto& [dst, datagrams] : got_) {
+        n += datagrams.size();
+      }
+      return n;
+    };
+    for (int spins = 0; spins < 100000 && received() < total; spins++) {
+      net_.Poll();
+    }
+    for (uint64_t dst : kDests) {
+      EXPECT_EQ(got_[dst], want.at(dst)) << "receiver " << dst;
+    }
+    EXPECT_EQ(net_.stats().dropped.value(), 0u);
+  }
+
+ private:
+  UdpNetwork net_;
+  std::map<uint64_t, std::vector<std::string>> got_;
+};
+
+// k equal datagrams per receiver, staged d2 d3 d4 d2 d3 d4 …, leave at one
+// Flush as one GSO train per receiver, and each receiver's GRO split gives
+// them back intact and in send order.
+TEST(UdpUringTest, FanOutFormsOneGsoTrainPerDestination) {
+  if (!UringAvailable()) {
+    GTEST_SKIP() << "io_uring unavailable (kernel/seccomp or compiled out)";
+  }
+  FanOut f;
+  constexpr size_t kPerDest = 8;
+  std::vector<size_t> equal(kPerDest, 64);
+  auto want = f.StageInterleaved({{2, equal}, {3, equal}, {4, equal}});
+  EXPECT_EQ(f.net().stats().sent.value(), 0u) << "below the batch: nothing submitted";
+  f.net().Flush();
+  EXPECT_EQ(f.net().stats().sent.value(), 3 * kPerDest);
+  EXPECT_EQ(f.net().stats().gso_sends.value(), 3u);
+  EXPECT_EQ(f.net().stats().gso_segments.value(), 3 * kPerDest);
+  f.ExpectDelivered(want);
+}
+
+// A larger datagram ends its destination's run, and the run it starts takes
+// the next, shorter one as its last segment: receiver 2's sizes 64 64 100 64
+// 64 leave as [64 64] [100 64] [64], in that order, between the other
+// receivers' trains.
+TEST(UdpUringTest, FanOutLargerDatagramEndsTheRunWithoutReordering) {
+  if (!UringAvailable()) {
+    GTEST_SKIP() << "io_uring unavailable (kernel/seccomp or compiled out)";
+  }
+  FanOut f;
+  std::vector<size_t> equal(5, 64);
+  auto want = f.StageInterleaved({{2, {64, 64, 100, 64, 64}}, {3, equal}, {4, equal}});
+  f.net().Flush();
+  EXPECT_EQ(f.net().stats().sent.value(), 15u);
+  EXPECT_EQ(f.net().stats().gso_sends.value(), 4u);
+  EXPECT_EQ(f.net().stats().gso_segments.value(), 2u + 2u + 5u + 5u);
+  f.ExpectDelivered(want);
+}
+
+// Under overload pressure the stage holds nothing: each datagram reaches the
+// ring at its own Send, so no run forms.
+TEST(UdpUringTest, FanOutUnderPressureSendsEachDatagramAtItsSend) {
+  if (!UringAvailable()) {
+    GTEST_SKIP() << "io_uring unavailable (kernel/seccomp or compiled out)";
+  }
+  FanOut f;
+  f.net().SetPressure(1);
+  std::map<uint64_t, std::vector<std::string>> want;
+  for (size_t i = 0; i < 4; i++) {
+    for (uint64_t dst : FanOut::kDests) {
+      want[dst].push_back(FanOut::Datagram(dst, i, 64));
+      uint64_t sqes = f.net().stats().uring_sqes.value();
+      uint64_t sent = f.net().stats().sent.value();
+      f.net().Send(EndpointId{1}, EndpointId{dst}, Iovec(Bytes::CopyString(want[dst].back())));
+      EXPECT_GT(f.net().stats().uring_sqes.value(), sqes) << "datagram " << i << " to " << dst;
+      f.net().Flush();
+      EXPECT_EQ(f.net().stats().sent.value(), sent + 1);
+    }
+  }
+  EXPECT_EQ(f.net().stats().gso_sends.value(), 0u);
+  f.ExpectDelivered(want);
+}
+
+// A datagram too large for a provided receive chunk once the RECVMSG header,
+// name and control areas are in front of it arrives truncated: it delivers
+// nothing and counts one drop, and the datagram after it still arrives.
+TEST(UdpUringTest, TruncatedReceiveDeliversNothingAndCountsADrop) {
+  if (!UringAvailable()) {
+    GTEST_SKIP() << "io_uring unavailable (kernel/seccomp or compiled out)";
+  }
+  UdpNetwork net;
+  net.set_backend_config(NetBackendConfig::Uring(16));
+  std::vector<std::string> got;
+  net.Attach(EndpointId{1}, [](const Packet&) {});
+  net.Attach(EndpointId{2}, [&](const Packet& p) { got.push_back(p.datagram.ToString()); });
+  net.Flush();
+  constexpr size_t kMaxUdpPayload = 65507;
+  ASSERT_GT(kMaxUdpPayload + sizeof(RecvmsgOut) + sizeof(sockaddr_in),
+            net.recv_pool().chunk_size());
+  net.Send(EndpointId{1}, EndpointId{2},
+           Iovec(Bytes::CopyString(std::string(kMaxUdpPayload, 'x'))));
+  net.Send(EndpointId{1}, EndpointId{2}, Iovec(Bytes::CopyString("after")));
+  net.Flush();
+  ASSERT_EQ(net.stats().sent.value(), 2u);
+  for (int spins = 0; spins < 100000 && got.empty(); spins++) {
+    net.Poll();
+  }
+  ASSERT_EQ(got, std::vector<std::string>{"after"});
+  EXPECT_EQ(net.stats().dropped.value(), 1u);
+}
+
+// ---- GRO split: the multishot RECVMSG buffer parse ---------------------------
+
+// A receive buffer as the engine arms it: RecvmsgOut, a sockaddr_in name
+// area, a 64-byte control area holding one UDP_GRO cmsg, then the payload.
+// The vector is exactly the buffer's size, so a read past it trips
+// AddressSanitizer.
+constexpr size_t kNameLen = sizeof(sockaddr_in);
+constexpr size_t kCtrlLen = 64;
+constexpr size_t kHeader = sizeof(RecvmsgOut) + kNameLen + kCtrlLen;
+constexpr size_t kCtrlAt = sizeof(RecvmsgOut) + kNameLen;
+constexpr size_t kGroAt = kCtrlAt + CMSG_LEN(0);
+
+template <typename T>
+void Put(std::vector<uint8_t>& buf, size_t at, T value) {
+  std::memcpy(buf.data() + at, &value, sizeof(value));
+}
+
+std::vector<uint8_t> RecvBuffer(uint16_t src_port, int gro, size_t payload, size_t slack) {
+  std::vector<uint8_t> buf(kHeader + payload + slack);
+  RecvmsgOut out{static_cast<uint32_t>(kNameLen), static_cast<uint32_t>(CMSG_SPACE(sizeof(int))),
+                 static_cast<uint32_t>(payload), 0};
+  Put(buf, 0, out);
+  sockaddr_in from{};
+  from.sin_family = AF_INET;
+  from.sin_port = htons(src_port);
+  Put(buf, sizeof(RecvmsgOut), from);
+  cmsghdr cm{};
+  cm.cmsg_len = CMSG_LEN(sizeof(int));
+  cm.cmsg_level = 17;   // SOL_UDP
+  cm.cmsg_type = 104;   // UDP_GRO
+  Put(buf, kCtrlAt, cm);
+  Put(buf, kGroAt, gro);
+  for (size_t i = 0; i < payload; i++) {
+    buf[kHeader + i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  return buf;
+}
+
+TEST(UdpRecvParseTest, GroTrainSplitsAtTheSegmentSize) {
+  std::vector<uint8_t> buf = RecvBuffer(4242, 100, 250, 0);
+  RecvTrain train = ParseRecvBuffer(buf.data(), buf.size(), kNameLen, kCtrlLen);
+  ASSERT_TRUE(train.ok);
+  EXPECT_EQ(train.src_port, 4242);
+  std::vector<std::pair<size_t, size_t>> slices;
+  train.ForEachDatagram([&](size_t off, size_t len) { slices.push_back({off, len}); });
+  EXPECT_EQ(slices, (std::vector<std::pair<size_t, size_t>>{
+                        {kHeader, 100}, {kHeader + 100, 100}, {kHeader + 200, 50}}));
+}
+
+// Seeded mutations of every header field the kernel writes: the parse reads
+// nothing outside the buffer (AddressSanitizer checks that), a deliverable
+// buffer's slices tile exactly its payload, and a truncated or short one
+// delivers nothing.
+TEST(UdpRecvParseTest, MutationSweepStaysInsideTheBuffer) {
+  Rng rng(2026);
+  size_t delivered = 0;
+  size_t refused = 0;
+  size_t split = 0;
+  for (int iter = 0; iter < 20000; iter++) {
+    size_t payload = static_cast<size_t>(rng.Below(3000));
+    int gro = static_cast<int>(rng.Range(1, static_cast<int64_t>(payload) + 8));
+    std::vector<uint8_t> buf = RecvBuffer(static_cast<uint16_t>(1 + rng.Below(65535)), gro,
+                                          payload, static_cast<size_t>(rng.Below(16)));
+    std::vector<uint8_t> original = buf;
+    RecvmsgOut out;
+    std::memcpy(&out, buf.data(), sizeof(out));
+    uint64_t cmsg_len = CMSG_LEN(sizeof(int));
+    // Each field mutates in about a third of the iterations.
+    if (rng.Below(3) == 0) {
+      out.namelen = static_cast<uint32_t>(rng.Below(3) == 0 ? rng.Next() : rng.Below(64));
+    }
+    if (rng.Below(3) == 0) {
+      out.controllen = static_cast<uint32_t>(rng.Below(3) == 0 ? rng.Next() : rng.Below(128));
+    }
+    if (rng.Below(3) == 0) {
+      out.payloadlen = static_cast<uint32_t>(rng.Below(3) == 0 ? rng.Next()
+                                                               : rng.Below(buf.size() + 64));
+    }
+    if (rng.Below(3) == 0) {
+      const uint32_t kFlags[] = {MSG_TRUNC, MSG_CTRUNC, static_cast<uint32_t>(rng.Next())};
+      out.flags = kFlags[rng.Below(3)];
+    }
+    if (rng.Below(3) == 0) {
+      cmsg_len = rng.Below(3) == 0 ? rng.Next() : rng.Below(96);
+    }
+    if (rng.Below(3) == 0) {
+      gro = static_cast<int>(rng.Range(-4, static_cast<int64_t>(payload) + 64));
+    }
+    Put(buf, 0, out);
+    Put(buf, kCtrlAt, static_cast<decltype(cmsghdr::cmsg_len)>(cmsg_len));
+    Put(buf, kGroAt, gro);
+    // Now and then the chunk ends before the header does.
+    size_t size = rng.Below(8) == 0 ? static_cast<size_t>(rng.Below(kHeader + 1)) : buf.size();
+    std::vector<uint8_t> chunk(buf.begin(), buf.begin() + static_cast<ptrdiff_t>(size));
+
+    RecvTrain train = ParseRecvBuffer(chunk.data(), chunk.size(), kNameLen, kCtrlLen);
+    bool fits = size >= kHeader && out.payloadlen <= size - kHeader;
+    bool truncated = (out.flags & (MSG_TRUNC | MSG_CTRUNC)) != 0;
+    ASSERT_EQ(train.ok, fits && !truncated) << "iteration " << iter;
+    size_t slices = 0;
+    size_t next = kHeader;
+    train.ForEachDatagram([&](size_t off, size_t len) {
+      ASSERT_EQ(off, next) << "iteration " << iter;
+      ASSERT_GT(len, 0u);
+      ASSERT_LE(len, train.seg_size);
+      ASSERT_LE(off + len, chunk.size());
+      ASSERT_EQ(std::memcmp(chunk.data() + off, original.data() + off, len), 0);
+      next = off + len;
+      slices++;
+    });
+    if (!train.ok) {
+      EXPECT_EQ(slices, 0u) << "iteration " << iter;
+      refused++;
+      continue;
+    }
+    delivered++;
+    EXPECT_EQ(next, kHeader + out.payloadlen) << "iteration " << iter;
+    bool gro_readable = out.controllen >= CMSG_LEN(sizeof(int)) &&
+                        cmsg_len >= CMSG_LEN(sizeof(int)) &&
+                        cmsg_len <= std::min<uint64_t>(out.controllen, kCtrlLen);
+    size_t want_seg = gro_readable && gro > 0 && static_cast<size_t>(gro) < out.payloadlen
+                          ? static_cast<size_t>(gro)
+                          : out.payloadlen;
+    EXPECT_EQ(train.seg_size, want_seg) << "iteration " << iter;
+    uint16_t want_port = 0;
+    if (out.namelen >= sizeof(sockaddr_in)) {
+      sockaddr_in from;
+      std::memcpy(&from, chunk.data() + sizeof(RecvmsgOut), sizeof(from));
+      want_port = ntohs(from.sin_port);
+    }
+    EXPECT_EQ(train.src_port, want_port) << "iteration " << iter;
+    if (slices > 1) {
+      split++;
+    }
+  }
+  // The sweep reached every outcome.
+  EXPECT_GT(delivered, 1000u);
+  EXPECT_GT(refused, 1000u);
+  EXPECT_GT(split, 1000u);
 }
 
 TEST(UdpUringTest, TimersAndIdleWaitStillFire) {
